@@ -17,6 +17,7 @@ Exit codes:
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -569,10 +570,15 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**fields)
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by later calls to main."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

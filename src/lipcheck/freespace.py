@@ -1,9 +1,13 @@
 """Exact free-space norms on finite metric spaces, two independent ways.
 
 The norm of a finitely supported element mu = sum w_x delta_x is computed
-twice: as a linear program over the dual ball (exact rational simplex,
-Bland's rule, lexicographic witness selection) and as a min-cost
-transportation problem (successive shortest paths on the residual graph).
+twice: as a linear program over the dual ball (exact simplex, Bland's
+rule, lexicographic witness selection) and as a min-cost transportation
+problem (successive shortest paths on the residual graph). The dual-ball
+constraint matrix is totally unimodular, so the simplex keeps its
+coefficients as Python ints in {0, +-1} and updates only the nonzero
+cells of each pivot row; only right-hand sides and the weight objective
+are Fractions, and a pivot element other than +-1 is divided out exactly.
 The two routes share no code beyond the metric itself, so agreement is a
 meaningful cross-check; a third brute-force vertex oracle covers small
 spaces in the tests.
@@ -104,7 +108,7 @@ def pairing(mu: FreeElement, f: LipFn) -> Rat:
 
 
 class _LexSimplex:
-    """Dense exact-rational simplex maximizing stacked objectives in order.
+    """Sparse exact simplex maximizing stacked objectives in order.
 
     Rows are equality constraints with a designated basic variable; the
     initial basis must be feasible. Objective rows ride along through the
@@ -112,6 +116,15 @@ class _LexSimplex:
     earlier stages, which pins earlier optima while optimizing the next.
     Bland's rule (lowest eligible column, lowest basic variable on ties)
     rules out cycling.
+
+    Rows are dense lists, but a pivot touches only the nonzero columns of
+    the pivot row, and only in the rows and objectives whose entry in the
+    pivot column is nonzero. On a totally unimodular constraint matrix
+    (the dual-ball LP below is one) every coefficient stays in {0, +-1}
+    and every pivot element is +-1, so coefficient cells are Python ints
+    and only the right-hand side and objectives with rational data hold
+    Fractions. Any other pivot element is divided out exactly as a
+    Fraction, so correctness does not rest on unimodularity.
     """
 
     def __init__(self, n_cols: int):
@@ -121,7 +134,7 @@ class _LexSimplex:
         self.objs = []  # row vectors of length n_cols + 1; last cell = -value
 
     def add_row(self, coeffs: dict, rhs: Rat, basic: int):
-        row = [ZERO] * (self.n_cols + 1)
+        row = [0] * (self.n_cols + 1)
         for j, c in coeffs.items():
             row[j] = c
         row[-1] = rhs
@@ -129,35 +142,52 @@ class _LexSimplex:
         self.basis.append(basic)
 
     def add_objective(self, coeffs: dict):
-        row = [ZERO] * (self.n_cols + 1)
+        row = [0] * (self.n_cols + 1)
         for j, c in coeffs.items():
             row[j] = c
+        row[-1] = ZERO
         self.objs.append(row)
 
     def _pivot(self, r: int, c: int):
         prow = self.rows[r]
-        inv = ONE / prow[c]
-        prow = [x * inv for x in prow]
-        self.rows[r] = prow
+        piv = prow[c]
+        nz = [j for j, x in enumerate(prow) if x]
+        if piv == -1:
+            for j in nz:
+                prow[j] = -prow[j]
+        elif piv != 1:
+            inv = ONE / piv
+            for j in nz:
+                prow[j] = prow[j] * inv
         for i, row in enumerate(self.rows):
-            if i != r and row[c] != ZERO:
-                f = row[c]
-                self.rows[i] = [a - f * b for a, b in zip(row, prow)]
-        for k, obj in enumerate(self.objs):
-            if obj[c] != ZERO:
-                f = obj[c]
-                self.objs[k] = [a - f * b for a, b in zip(obj, prow)]
+            if i != r and row[c]:
+                self._eliminate(row, row[c], prow, nz)
+        for obj in self.objs:
+            if obj[c]:
+                self._eliminate(obj, obj[c], prow, nz)
         self.basis[r] = c
+
+    @staticmethod
+    def _eliminate(row, f, prow, nz):
+        """row -= f * prow on the columns ``nz``."""
+        if f == 1:
+            for j in nz:
+                row[j] -= prow[j]
+        elif f == -1:
+            for j in nz:
+                row[j] += prow[j]
+        else:
+            for j in nz:
+                row[j] -= f * prow[j]
 
     def optimize(self):
         for stage in range(len(self.objs)):
+            earlier = self.objs[:stage]
             while True:
                 obj = self.objs[stage]
                 enter = -1
                 for j in range(self.n_cols):
-                    if obj[j] > ZERO and all(
-                        self.objs[k][j] == ZERO for k in range(stage)
-                    ):
+                    if obj[j] > 0 and not any(prev[j] for prev in earlier):
                         enter = j
                         break
                 if enter < 0:
@@ -165,8 +195,9 @@ class _LexSimplex:
                 leave = -1
                 best = None
                 for i, row in enumerate(self.rows):
-                    if row[enter] > ZERO:
-                        ratio = row[-1] / row[enter]
+                    a = row[enter]
+                    if a > 0:
+                        ratio = row[-1] if a == 1 else row[-1] / a
                         if (
                             best is None
                             or ratio < best
@@ -220,13 +251,13 @@ def free_norm_lp(mu: FreeElement) -> FreeNormResult:
     for k, (p, q) in enumerate(pairs):
         coeffs = {}
         if p != 0:
-            coeffs[ucol(p)] = ONE
-            coeffs[vcol(p)] = -ONE
+            coeffs[ucol(p)] = 1
+            coeffs[vcol(p)] = -1
         if q != 0:
-            coeffs[ucol(q)] = -ONE
-            coeffs[vcol(q)] = ONE
+            coeffs[ucol(q)] = -1
+            coeffs[vcol(q)] = 1
         slack = n_struct + k
-        coeffs[slack] = ONE
+        coeffs[slack] = 1
         sx.add_row(coeffs, space.d(p, q), slack)
 
     head = {}
@@ -236,7 +267,7 @@ def free_norm_lp(mu: FreeElement) -> FreeNormResult:
             head[vcol(p)] = -w
     sx.add_objective(head)
     for p in range(1, n):
-        sx.add_objective({ucol(p): -ONE, vcol(p): ONE})
+        sx.add_objective({ucol(p): -1, vcol(p): 1})
 
     sx.optimize()
     x = sx.solution()
@@ -693,8 +724,11 @@ def free_from_json(obj, space: FiniteMetricSpace) -> FreeElement:
         raise StructureError(
             f"element is over space {name!r}, got {space.name!r}"
         )
+    raw = obj["weights"]
+    if not isinstance(raw, dict) or not all(isinstance(w, str) for w in raw.values()):
+        raise StructureError("'weights' must map point indices to rational strings")
     try:
-        weights = {int(p): parse_rat(w) for p, w in obj["weights"].items()}
+        weights = {int(p): parse_rat(w) for p, w in raw.items()}
     except ValueError as exc:
         raise StructureError(str(exc)) from None
     return free_element(space, weights)

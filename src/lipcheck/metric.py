@@ -723,8 +723,10 @@ def space_from_json(obj) -> FiniteMetricSpace:
     if obj.get("base", BASE_INDEX) != BASE_INDEX:
         raise StructureError("the base point must be index 0")
     dist = obj["dist"]
-    if not isinstance(dist, list):
+    if not isinstance(dist, list) or not all(isinstance(row, list) for row in dist):
         raise StructureError("'dist' must be a list of rows")
+    if not all(isinstance(x, str) for row in dist for x in row):
+        raise StructureError("'dist' entries must be rational strings")
     try:
         rows = tuple(tuple(parse_rat(x) for x in row) for row in dist)
     except ValueError as exc:
@@ -732,6 +734,8 @@ def space_from_json(obj) -> FiniteMetricSpace:
     labels = obj.get("points")
     if labels is None:
         labels = [f"x{i}" for i in range(len(rows))]
+    if not isinstance(labels, list):
+        raise StructureError("'points' must be a list of labels")
     if len(labels) != len(rows):
         raise StructureError("label count does not match matrix size")
     space = FiniteMetricSpace(rows, tuple(str(x) for x in labels), name=obj.get("name", ""))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metric import PreconditionError, StructureError
+from .metric import LipcheckError, PreconditionError, StructureError
 from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
 
 
@@ -91,7 +91,8 @@ def pl_pointwise_sup(f: PLFn, x) -> Rat:
 
     Restricting partners to breakpoints is sound because the slope from a
     fixed x, as the partner moves along one linear segment, is monotone;
-    the implementation asserts that on each segment via a midpoint sample.
+    a midpoint sample checks that on each segment and raises LipcheckError
+    if it fails.
     Constant extensions only shrink quotients past the end breakpoints.
     """
     x = rat(x)
@@ -118,7 +119,8 @@ def pl_pointwise_sup(f: PLFn, x) -> Rat:
             continue
         qa, qb, qm = quot(a), quot(b), quot((a + b) / rat(2))
         lo, hi = (qa, qb) if qa <= qb else (qb, qa)
-        assert lo <= qm <= hi, "segment monotonicity violated"
+        if not lo <= qm <= hi:
+            raise LipcheckError("segment monotonicity violated")
     return best
 
 

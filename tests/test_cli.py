@@ -1,8 +1,11 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import lipcheck
 from lipcheck.cli import main, sample_analytic
 from lipcheck.metric import PreconditionError
 
@@ -118,6 +121,58 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
                  "--n", "10", "--out", str(tmp_path / "z.json")]) == 3
     assert main(["pipeline", "--model", "power_line", "--param", "ratio=1",
                  "--n", "8", "--out", str(tmp_path / "w.json")]) == 3
+
+
+@pytest.mark.parametrize("argv, space_json", [
+    (["free-norm", "--space", "discrete", "--n", "4",
+      "--element", '{"weights": [1]}'], None),
+    (["validate"], {"dist": [1, 2]}),
+    (["validate"], {"dist": [["0", "1"], ["1", "0"]], "points": 5}),
+    (["validate"], {"dist": [["0", 1], ["1", "0"]]}),
+    (["free-norm", "--n", "2", "--element", '{"weights": {"1": 1}}'],
+     {"dist": [["0", "1"], ["1", "0"]]}),
+])
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
+    """Bad shapes in space files and elements exit 2 with one error line,
+    never with a traceback (exit 1 is reserved for failed checks)."""
+    if space_json is not None:
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps(space_json))
+        argv = argv + ["--space", str(space_file)]
+    code, path = run(tmp_path, *argv)
+    assert code == 2
+    assert not path.exists()
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_main_back_to_back_matches_fresh_processes(tmp_path):
+    """main reuses one parser per process; back-to-back calls with
+    different subcommands write the bytes a fresh process writes."""
+    element = json.dumps({"weights": {"1": "1/2", "3": "-2"}})
+    jobs = [
+        ["free-norm", "--space", "dmqr41", "--n", "5", "--element", element],
+        ["validate", "--space", "example48", "--n", "6", "--format", "markdown"],
+        ["norm", "--space", "discrete", "--n", "3", "--values", '["0", "1", "-1"]'],
+        ["check", "--theorem", "thm43", "--model", "dmqr41", "--n", "8"],
+        ["free-norm", "--space", "discrete", "--n", "4", "--element", element,
+         "--seed", "7"],
+    ]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lipcheck.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    for k, argv in enumerate(jobs):
+        assert main(argv + ["--out", str(tmp_path / f"in{k}")]) == 0
+        assert main(["frobnicate"]) == 2
+    for k, argv in enumerate(jobs):
+        subprocess.run(
+            [sys.executable, "-m", "lipcheck.cli", *argv,
+             "--out", str(tmp_path / f"fresh{k}")],
+            env=env, check=True, capture_output=True,
+        )
+        assert (tmp_path / f"in{k}").read_bytes() == \
+            (tmp_path / f"fresh{k}").read_bytes()
 
 
 def test_report_bytes_deterministic(tmp_path):

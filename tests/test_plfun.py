@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipcheck.metric import PreconditionError, StructureError
+from lipcheck import plfun
+from lipcheck.metric import LipcheckError, PreconditionError, StructureError
 from lipcheck.plfun import (
     classify,
     gen_example62,
@@ -45,6 +46,20 @@ def test_single_breakpoint_degenerates_to_zero():
     f = plfn([0], [0])
     assert pl_norm(f) == rat(0)
     assert pl_pointwise_sup(f, 0) == rat(0)
+
+
+def test_pointwise_sup_segment_check_raises(monkeypatch):
+    """The per-segment monotonicity check is an error, not an assert, so it
+    survives python -O."""
+    f = plfn([0, 1, 2], [0, 1, 2])
+    real_eval = plfun.pl_eval
+    # Bend the midpoint of [1, 2] so the slope from 0 is not monotone there.
+    monkeypatch.setattr(
+        plfun, "pl_eval",
+        lambda g, q: rat(100) if q == rat(3, 2) else real_eval(g, q),
+    )
+    with pytest.raises(LipcheckError, match="segment monotonicity"):
+        pl_pointwise_sup(f, 0)
 
 
 def test_tent_1_oracle():
