@@ -5,7 +5,7 @@ Every criterion returns a dict with ``id``, ``title``, ``passed`` and a
 ``run_all`` executes them in order and aggregates; the CLI ``report``
 command wraps that into the consolidated JSON and markdown artifacts.
 
-Only criterion 11 touches floating point, through the CLI sampling helper,
+Only criterion 11 touches floating point, through the sampling helper,
 and says so in its payload. Everything else is exact rational arithmetic
 with zero tolerance.
 """
@@ -16,24 +16,18 @@ from .rational import BACKEND, ONE, ZERO, format_rat, rat
 from .metric import (
     CATALOG_NAMES,
     catalog,
-    integer_line,
     make_space,
     power_line,
     truncate,
     validate,
 )
 from .lipfun import lip_norm
-from .plfun import gen_zigzag, pl_norm, pl_pointwise_sup, tent_sum
+from .plfun import gen_zigzag, pl_norm, pl_pointwise_sup, sample_analytic, tent_sum
 from .embeddings import (
     BATTERY_SEED,
     FamilySpec,
     build_family,
-    check_prop42,
-    check_thm34,
-    check_thm37,
-    check_thm43,
-    check_thm45,
-    check_thm46,
+    check_canonical,
     coefficient_norm,
     main_theorem_pipeline,
     standard_battery,
@@ -53,7 +47,6 @@ from .freespace import (
     pairing,
 )
 from .rtree import four_point_check, tree_c0_pipeline, tree_metric, weighted_tree
-from .cli import sample_analytic
 
 RANDOM_SPACE_TRIALS = 200
 RANDOM_TREE_TRIALS = 1000
@@ -62,10 +55,6 @@ COMPLEMENTATION_SAMPLES = 50
 
 def _result(cid: int, title: str, passed: bool, details: dict) -> dict:
     return {"id": cid, "title": title, "passed": bool(passed), "details": details}
-
-
-def _disjoint_pairs(n_points: int):
-    return tuple((r, r + 1) for r in range(1, n_points - 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -160,34 +149,24 @@ def criterion_3() -> dict:
 # 4-6: checkers, families, pipeline
 
 
+# (theorem, catalog model, N, documented verdict), run with the canonical
+# anchor layout of ``lipcheck check``
+CHECK_INSTANCES = (
+    ("thm34", "discrete", 16, True),
+    ("thm37", "example35", 10, True),
+    ("thm37", "example48", 10, False),
+    ("prop42", "discrete", 10, False),
+    ("thm43", "dmqr41", 20, True),
+    ("thm45", "example44", 20, True),
+    ("thm46", "dmqr44", 20, True),
+)
+
+
 def criterion_4() -> dict:
-    outcomes = {}
-
-    disc16 = truncate(catalog("discrete"), 16)
-    outcomes["thm34 on discrete"] = (
-        check_thm34(disc16, _disjoint_pairs(16)).ok, True)
-
-    ex35 = truncate(catalog("example35"), 10)
-    outcomes["thm37 on example35"] = (
-        check_thm37(ex35, _disjoint_pairs(10)).ok, True)
-
-    ex48 = truncate(catalog("example48"), 10)
-    outcomes["thm37 on example48"] = (
-        check_thm37(ex48, _disjoint_pairs(10)).ok, False)
-
-    disc10 = truncate(catalog("discrete"), 10)
-    outcomes["prop42 on discrete"] = (
-        check_prop42(disc10, tuple(range(1, 10, 2))).ok, False)
-
-    outcomes["thm43 on dmqr41"] = (check_thm43(catalog("dmqr41"), 20).ok, True)
-
-    ex44 = catalog("example44")
-    subseq = tuple(range(2, ex44.n_seq(20) + 1))
-    outcomes["thm45 on example44"] = (check_thm45(ex44, subseq, 20).ok, True)
-
-    dm44 = catalog("dmqr44")
-    outcomes["thm46 on dmqr44"] = (check_thm46(dm44, dm44.eps, 20).ok, True)
-
+    outcomes = {
+        f"{tid} on {name}": (check_canonical(tid, catalog(name), N).ok, want)
+        for tid, name, N, want in CHECK_INSTANCES
+    }
     ok = all(got == want for got, want in outcomes.values())
     return _result(
         4, "hypothesis checkers match their documented pass/fail instances", ok,

@@ -39,25 +39,16 @@ from .metric import (
     validate,
 )
 from .lipfun import defect, lip_norm, lipfn, pointwise_sup, strong_pairs
-from .freespace import (
-    check_thm310,
-    free_from_json,
-    free_norm_flow,
-    free_norm_lp,
-    pairing,
-)
+from .freespace import free_from_json, free_norm_flow, free_norm_lp, pairing
+from .plfun import ANALYTIC_FUNCTIONS, sample_analytic
 from .embeddings import (
     BATTERY_RANDOM_COUNT,
     BATTERY_SEED,
+    CHECK_THEOREMS,
+    VERIFY_THEOREMS,
     ConstructionError,
     DichotomyError,
-    check_prop31,
-    check_prop42,
-    check_thm34,
-    check_thm37,
-    check_thm43,
-    check_thm45,
-    check_thm46,
+    check_canonical,
     main_theorem_pipeline,
     report_json,
     standard_battery,
@@ -67,18 +58,7 @@ from .embeddings import (
 
 OUT_DIR_ENV = "LIPCHECK_OUT_DIR"
 
-VERIFY_THEOREMS = (
-    "prop23", "prop31", "thm34", "thm37", "prop42",
-    "thm43", "thm45", "thm46", "thm51", "prop53", "thm57",
-)
-CHECK_THEOREMS = (
-    "prop31", "thm34", "thm37", "prop42", "thm43", "thm45", "thm46", "thm310",
-)
 MODEL_NAMES = CATALOG_NAMES + ("integer_line", "power_line")
-
-ANALYTIC_FUNCTIONS = {
-    "x2-over-absx-plus-2": lambda x: x * x / (abs(x) + 2.0),
-}
 
 
 @dataclass
@@ -174,10 +154,18 @@ def _fmt(obj):
     return obj
 
 
-def _rat_entry(x):
-    if isinstance(x, str):
-        return parse_rat(x)
-    return rat(x)
+def _parse_values(text: str):
+    """The --values JSON: an array of rational strings or integers."""
+    raw = json.loads(text)
+    if not isinstance(raw, list) or not all(
+        isinstance(x, str) or (isinstance(x, int) and not isinstance(x, bool))
+        for x in raw
+    ):
+        raise StructureError("--values must be a JSON array of rational strings or integers")
+    try:
+        return [parse_rat(x) if isinstance(x, str) else rat(x) for x in raw]
+    except ValueError as exc:
+        raise StructureError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -237,8 +225,7 @@ def cmd_norm(config: RunConfig) -> int:
     space = load_space(config)
     if config.values is None:
         raise PreconditionError("--values is required")
-    raw = json.loads(config.values)
-    f = lipfn(space, [_rat_entry(x) for x in raw])
+    f = lipfn(space, _parse_values(config.values))
     value = lip_norm(f)
     blob = {
         "command": "norm",
@@ -283,40 +270,12 @@ def cmd_free_norm(config: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _disjoint_pairs(n_points: int):
-    return tuple((r, r + 1) for r in range(1, n_points - 1, 2))
-
-
-def run_check(theorem: str, model, N: int):
-    """Run a hypothesis checker with its canonical anchor layout."""
-    if theorem in ("prop31", "thm34", "thm37", "prop42"):
-        space = truncate(model, N)
-        if theorem == "prop31":
-            pairs = _disjoint_pairs(space.n_points)
-            return check_prop31(space, tuple(p for p, _ in pairs),
-                                tuple(q for _, q in pairs))
-        if theorem == "thm34":
-            return check_thm34(space, _disjoint_pairs(space.n_points))
-        if theorem == "thm37":
-            return check_thm37(space, _disjoint_pairs(space.n_points))
-        return check_prop42(space, tuple(range(1, space.n_points, 2)))
-    if theorem == "thm43":
-        return check_thm43(model, N)
-    if theorem == "thm45":
-        return check_thm45(model, tuple(range(2, model.n_seq(N) + 1)), N)
-    if theorem == "thm46":
-        return check_thm46(model, model.eps, N)
-    if theorem == "thm310":
-        return check_thm310(model, N)
-    raise PreconditionError(f"no checker for theorem {theorem!r}")
-
-
 def cmd_check(config: RunConfig) -> int:
     if config.model is None:
         raise PreconditionError("--model is required")
     model = load_model(config.model, config.params)
     n = _require_n(config)
-    check = run_check(config.theorem, model, n)
+    check = check_canonical(config.theorem, model, n)
     blob = {
         "command": "check",
         "theorem": config.theorem,
@@ -410,56 +369,6 @@ def cmd_report(config: RunConfig) -> int:
     print(f"report: {'pass' if results['passed'] else 'FAIL'} "
           f"-> {json_path}, {md_path}")
     return 0 if results["passed"] else 1
-
-
-def sample_analytic(function_id: str, resolution: int, horizon: int,
-                    span: float = 1000.0) -> dict:
-    """Float-only sampling of a reference function; clearly labeled as the
-    single non-exact code path.
-
-    Reports the max two-point slope over an even grid on [-span, span] and
-    the base-to-horizon slope, against the bounds the limiting statement
-    implies (slope below 1 up to float error, horizon sample within
-    4/horizon of 1).
-    """
-    if function_id not in ANALYTIC_FUNCTIONS:
-        raise PreconditionError(f"unknown analytic function {function_id!r}")
-    if resolution <= 0 or horizon <= 0:
-        raise PreconditionError("resolution and horizon must be positive")
-    f = ANALYTIC_FUNCTIONS[function_id]
-    xs = [-span + 2.0 * span * i / resolution for i in range(resolution + 1)]
-    ys = [f(x) for x in xs]
-    max_slope = 0.0
-    for i in range(len(xs)):
-        for j in range(i + 1, len(xs)):
-            gap = xs[j] - xs[i]
-            if gap == 0.0:
-                continue
-            s = abs(ys[j] - ys[i]) / gap
-            if s > max_slope:
-                max_slope = s
-    sample = (f(float(horizon)) - f(0.0)) / float(horizon)
-    slope_bound = 1.0 + 1e-12
-    error_bound = 4.0 / horizon
-    slope_ok = max_slope <= slope_bound
-    sample_ok = abs(1.0 - sample) <= error_bound
-    return {
-        "function": function_id,
-        "arithmetic": "float64",
-        "exact": False,
-        "resolution": resolution,
-        "span": span,
-        "horizon": horizon,
-        "max_grid_slope": max_slope,
-        "slope_bound": slope_bound,
-        "slope_ok": slope_ok,
-        "sample_at_horizon": sample,
-        "limit": 1.0,
-        "sample_error": abs(1.0 - sample),
-        "error_bound": error_bound,
-        "sample_ok": sample_ok,
-        "passed": slope_ok and sample_ok,
-    }
 
 
 def cmd_sample_analytic(config: RunConfig) -> int:

@@ -4,7 +4,9 @@ Each supported construction follows the same pattern: a checker tests the
 construction's hypothesis on a concrete space (finite clauses on the
 truncation, limit clauses through the model's declared tail data), a builder
 produces the explicit Lipschitz family, and ``verify_isometry`` confirms the
-norm identities for a battery of coefficient vectors.
+norm identities for a battery of coefficient vectors. ``CONSTRUCTIONS`` is
+the one table of them: per construction id its builder, its checker, the
+anchors ``lipcheck check`` uses and its standard instance.
 
 Families come in three flavors and the verification carries that expectation
 explicitly instead of pretending everything is attained at finite scale:
@@ -30,6 +32,7 @@ from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
 from .lipfun import LipFn, combine, defect, lip_norm, lipfn, pointwise_sup, slope, strong_pairs
+from .freespace import check_thm310
 from .metric import (
     CheckResult,
     FiniteMetricSpace,
@@ -536,230 +539,193 @@ def _pattern_index(coeffs) -> int:
     return g
 
 
-def _build_raw(spec: FamilySpec):
-    """Dispatch to the construction builders.
+# ---------------------------------------------------------------------------
+# Family builders: FamilySpec -> (functions, members, value_maps), where
+# value_maps holds each orbit member's values by node (None for the other
+# families) for the asymptotic rules.
 
-    Returns (functions, members, aux) where ``aux`` carries builder-specific
-    structure the verification rules need (orbit maps, value maps).
-    """
-    tid = spec.theorem_id
+
+def _refuse_base_anchor(rows):
+    if 0 in rows:
+        raise PreconditionError("family cannot be anchored at the base point")
+
+
+def _build_unit_spikes(spec: FamilySpec):
     space = spec.space
-    aux = {}
-
-    if tid == "prop23":
-        points = spec.anchors or tuple(range(1, space.n_points))
-        _check_anchor_rows(space, points, "point")
-        if 0 in points:
-            raise PreconditionError("family cannot be anchored at the base point")
-        fns = tuple(_spike(space, p, ONE) for p in points)
-        return fns, tuple(points), aux
-
-    if tid in ("prop31", "prop42"):
-        points = spec.anchors[0] if tid == "prop31" else spec.anchors
-        points = tuple(points)
-        if 0 in points:
-            raise PreconditionError("family cannot be anchored at the base point")
-        fns = tuple(_spike(space, p, _radius(space, p)) for p in points)
-        return fns, points, aux
-
-    if tid == "thm34":
-        pairs = tuple(tuple(pq) for pq in spec.anchors)
-        if any(0 in pq for pq in pairs):
-            raise PreconditionError("family cannot be anchored at the base point")
-        half = rat(1, 2)
-        fns = tuple(
-            _two_point(space, p, q, half * space.d(p, q), -half * space.d(p, q))
-            for p, q in pairs
-        )
-        return fns, pairs, aux
-
-    if tid == "thm37":
-        pairs = tuple(tuple(pq) for pq in spec.anchors)
-        if any(0 in pq for pq in pairs):
-            raise PreconditionError("family cannot be anchored at the base point")
-        half = rat(1, 2)
-        fns = []
-        for p, q in pairs:
-            dpq = space.d(p, q)
-            rp, rq = _radius(space, p), _radius(space, q)
-            fns.append(
-                _two_point(space, p, q, half * (dpq + rp - rq), half * (-dpq + rp - rq))
-            )
-        return tuple(fns), pairs, aux
-
-    if tid == "thm43":
-        model, N = spec.model, spec.N
-        ns = model.n_seq(N)
-        orbits = prime_orbits(ns)
-        half_l = model.L / 2
-        fns, members, maps = [], [], []
-        for r, positions in orbits:
-            vmap = {}
-            vmap[positions[0]] = model.L_pair(r) - half_l
-            for k in positions[1:]:
-                vmap[k] = -half_l
-            fns.append(
-                _values_fn(space, {model.seq_row(k): v for k, v in vmap.items()})
-            )
-            members.append(r)
-            maps.append(vmap)
-        aux["orbits"] = orbits
-        aux["value_maps"] = maps
-        return tuple(fns), tuple(members), aux
-
-    if tid == "thm45":
-        model, N = spec.model, spec.N
-        subseq = tuple(spec.anchors)
-        dlim = model.base_limit
-        orbits = prime_orbits(len(subseq))
-        fns, members, maps = [], [], []
-        for r, positions in orbits:
-            vmap = {subseq[k - 1]: dlim for k in positions}
-            fns.append(
-                _values_fn(space, {model.seq_row(s): v for s, v in vmap.items()})
-            )
-            members.append(r)
-            maps.append(vmap)
-        aux["orbits"] = orbits
-        aux["value_maps"] = maps
-        aux["subseq"] = subseq
-        return tuple(fns), tuple(members), aux
-
-    if tid == "thm46":
-        model, N = spec.model, spec.N
-        ns = model.n_seq(N)
-        lo = 2 if model.base_aliases_p1 else 1
-        eps = _eps_values(model, spec.parameters["eps"], ns, lo)
-        g = {n: model.d_base(n) - eps[n] for n in range(lo, ns + 1)}
-        orbits = prime_orbits(ns - lo + 1)
-        fns, members, maps = [], [], []
-        for r, positions in orbits:
-            vmap = {}
-            head = positions[0] + lo - 1
-            vmap[head] = g[head]
-            for k in positions[1:]:
-                idx = k + lo - 1
-                vmap[idx] = -g[idx]
-            fns.append(
-                _values_fn(space, {model.seq_row(n): v for n, v in vmap.items()})
-            )
-            members.append(r)
-            maps.append(vmap)
-        aux["orbits"] = orbits
-        aux["value_maps"] = maps
-        aux["g"] = g
-        aux["lo"] = lo
-        return tuple(fns), tuple(members), aux
-
-    if tid == "thm51":
-        levels = int(spec.parameters["levels"])
-        n_groups_present = space.n_points // 2
-        fns = []
-        for n in range(1, levels + 1):
-            vmap = {}
-            for g in range(n_groups_present):
-                prow = 2 * g + 1
-                if prow < space.n_points:
-                    vmap[prow] = _sign_bit(g, n)
-            fns.append(_values_fn(space, vmap))
-        return tuple(fns), tuple(range(1, levels + 1)), aux
-
-    if tid == "prop53":
-        levels = int(spec.parameters["levels"])
-        half = rat(1, 2)
-        n_pairs_present = (space.n_points - 1) // 2
-        fns = []
-        for n in range(1, levels + 1):
-            vmap = {}
-            for g in range(n_pairs_present):
-                s = _sign_bit(g, n)
-                vmap[2 * g + 1] = s * half
-                if 2 * g + 2 < space.n_points:
-                    vmap[2 * g + 2] = -s * half
-            fns.append(_values_fn(space, vmap))
-        return tuple(fns), tuple(range(1, levels + 1)), aux
-
-    if tid == "thm57":
-        c = rat(spec.parameters["c"])
-        groups = int(spec.parameters["groups"])
-        levels = int(spec.parameters["levels"])
-        if c <= ONE:
-            raise PreconditionError("group family needs c > 1")
-        depth = groups.bit_length() - 1  # largest B with 2^B <= groups
-        fns = []
-        for n in range(1, depth + 1):
-            vmap = {}
-            for j in range(1, groups + 1):
-                s = _sign_bit(j - 1, n)
-                for k in range(1, levels + 1):
-                    row = (j - 1) * levels + k
-                    if row < space.n_points:
-                        vmap[row] = s * (ONE - c ** (-k))
-            fns.append(_values_fn(space, vmap))
-        aux["depth"] = depth
-        return tuple(fns), tuple(range(1, depth + 1)), aux
-
-    if tid == "thm49ii":
-        # anchors: ((sigma_row, tau_row), ...) in the family's space;
-        # parameters: L plus per-pair phi(sigma, tau), psi(sigma), psi(tau).
-        big_l = rat(spec.parameters["L"])
-        phis = spec.parameters["phi_st"]
-        psis = spec.parameters["psi_s"]
-        psit = spec.parameters["psi_t"]
-        half = rat(1, 2)
-        fns = []
-        for i, (srow, trow) in enumerate(spec.anchors):
-            pval = half * (big_l + phis[i] + psis[i] - psit[i])
-            qval = -half * (big_l + phis[i] - psis[i] + psit[i])
-            fns.append(_two_point(space, srow, trow, pval, qval))
-        return tuple(fns), tuple(range(1, len(spec.anchors) + 1)), aux
-
-    if tid == "thm49case2":
-        # space: the greedily selected subspace (selection order = rows);
-        # parameters["c"]: the weight recurrence values along the selection.
-        cvals = tuple(rat(x) for x in spec.parameters["c"])
-        count = len(cvals)
-        orbits = prime_orbits(count)
-        fns, members, maps = [], [], []
-        for r, positions in orbits:
-            vmap = {positions[0]: cvals[positions[0] - 1]}
-            for k in positions[1:]:
-                vmap[k] = -cvals[k - 1]
-            fns.append(_values_fn(space, {k - 1: v for k, v in vmap.items()}))
-            members.append(r)
-            maps.append(vmap)
-        aux["orbits"] = orbits
-        aux["value_maps"] = maps
-        return tuple(fns), tuple(members), aux
-
-    raise PreconditionError(f"unknown construction id {tid!r}")
+    points = tuple(spec.anchors or range(1, space.n_points))
+    _check_anchor_rows(space, points, "point")
+    _refuse_base_anchor(points)
+    return tuple(_spike(space, p, ONE) for p in points), points, None
 
 
-_CHECKED = {"prop31", "thm34", "thm37", "prop42", "thm43", "thm45", "thm46"}
+def _build_radius_spikes(space: FiniteMetricSpace, points):
+    points = tuple(points)
+    _refuse_base_anchor(points)
+    return tuple(_spike(space, p, _radius(space, p)) for p in points), points, None
+
+
+def _build_pairs(spec: FamilySpec, values):
+    """Two-point members; ``values(space, p, q)`` gives the values at p, q."""
+    pairs = tuple(tuple(pq) for pq in spec.anchors)
+    _refuse_base_anchor([r for pq in pairs for r in pq])
+    space = spec.space
+    fns = tuple(_two_point(space, p, q, *values(space, p, q)) for p, q in pairs)
+    return fns, pairs, None
+
+
+def _balanced_values(space, p, q):
+    half = rat(1, 2)
+    return half * space.d(p, q), -half * space.d(p, q)
+
+
+def _radius_shifted_values(space, p, q):
+    half = rat(1, 2)
+    dpq = space.d(p, q)
+    rp, rq = _radius(space, p), _radius(space, q)
+    return half * (dpq + rp - rq), half * (-dpq + rp - rq)
+
+
+def _orbit_family(space, count, node_of, value, row_of):
+    """One member per prime orbit {r, r^2, ...} inside 1..count.
+
+    Orbit position k sits at node ``node_of(k)`` with ``value(node, head)``,
+    ``head`` marking the orbit's first position; ``row_of`` maps a node to
+    its row in ``space``.
+    """
+    fns, members, maps = [], [], []
+    for r, positions in prime_orbits(count):
+        vmap = {node_of(k): value(node_of(k), k == positions[0]) for k in positions}
+        fns.append(_values_fn(space, {row_of(n): v for n, v in vmap.items()}))
+        members.append(r)
+        maps.append(vmap)
+    return tuple(fns), tuple(members), tuple(maps)
+
+
+def _build_thm43(spec: FamilySpec):
+    model = spec.model
+    half_l = model.L / 2
+    return _orbit_family(
+        spec.space, model.n_seq(spec.N), lambda k: k,
+        lambda n, head: model.L_pair(n) - half_l if head else -half_l,
+        model.seq_row,
+    )
+
+
+def _build_thm45(spec: FamilySpec):
+    subseq = tuple(spec.anchors)
+    dlim = spec.model.base_limit
+    return _orbit_family(
+        spec.space, len(subseq), lambda k: subseq[k - 1],
+        lambda n, head: dlim, spec.model.seq_row,
+    )
+
+
+def _build_thm46(spec: FamilySpec):
+    model = spec.model
+    ns = model.n_seq(spec.N)
+    lo = 2 if model.base_aliases_p1 else 1
+    eps = _eps_values(model, spec.parameters["eps"], ns, lo)
+    g = {n: model.d_base(n) - eps[n] for n in range(lo, ns + 1)}
+    return _orbit_family(
+        spec.space, ns - lo + 1, lambda k: k + lo - 1,
+        lambda n, head: g[n] if head else -g[n], model.seq_row,
+    )
+
+
+def _build_thm51(spec: FamilySpec):
+    space = spec.space
+    levels = int(spec.parameters["levels"])
+    n_groups_present = space.n_points // 2
+    fns = []
+    for n in range(1, levels + 1):
+        vmap = {}
+        for g in range(n_groups_present):
+            prow = 2 * g + 1
+            if prow < space.n_points:
+                vmap[prow] = _sign_bit(g, n)
+        fns.append(_values_fn(space, vmap))
+    return tuple(fns), tuple(range(1, levels + 1)), None
+
+
+def _build_prop53(spec: FamilySpec):
+    space = spec.space
+    levels = int(spec.parameters["levels"])
+    half = rat(1, 2)
+    n_pairs_present = (space.n_points - 1) // 2
+    fns = []
+    for n in range(1, levels + 1):
+        vmap = {}
+        for g in range(n_pairs_present):
+            s = _sign_bit(g, n)
+            vmap[2 * g + 1] = s * half
+            if 2 * g + 2 < space.n_points:
+                vmap[2 * g + 2] = -s * half
+        fns.append(_values_fn(space, vmap))
+    return tuple(fns), tuple(range(1, levels + 1)), None
+
+
+def _build_thm57(spec: FamilySpec):
+    space = spec.space
+    c = rat(spec.parameters["c"])
+    groups = int(spec.parameters["groups"])
+    levels = int(spec.parameters["levels"])
+    if c <= ONE:
+        raise PreconditionError("group family needs c > 1")
+    depth = groups.bit_length() - 1  # largest B with 2^B <= groups
+    fns = []
+    for n in range(1, depth + 1):
+        vmap = {}
+        for j in range(1, groups + 1):
+            s = _sign_bit(j - 1, n)
+            for k in range(1, levels + 1):
+                row = (j - 1) * levels + k
+                if row < space.n_points:
+                    vmap[row] = s * (ONE - c ** (-k))
+        fns.append(_values_fn(space, vmap))
+    return tuple(fns), tuple(range(1, depth + 1)), None
+
+
+def _build_thm49ii(spec: FamilySpec):
+    # anchors: ((sigma_row, tau_row), ...) in the family's space;
+    # parameters: L plus per-pair phi(sigma, tau), psi(sigma), psi(tau).
+    big_l = rat(spec.parameters["L"])
+    phis = spec.parameters["phi_st"]
+    psis = spec.parameters["psi_s"]
+    psit = spec.parameters["psi_t"]
+    half = rat(1, 2)
+    fns = []
+    for i, (srow, trow) in enumerate(spec.anchors):
+        pval = half * (big_l + phis[i] + psis[i] - psit[i])
+        qval = -half * (big_l + phis[i] - psis[i] + psit[i])
+        fns.append(_two_point(spec.space, srow, trow, pval, qval))
+    return tuple(fns), tuple(range(1, len(spec.anchors) + 1)), None
+
+
+def _build_thm49case2(spec: FamilySpec):
+    # space: the greedily selected subspace (selection order = rows);
+    # parameters["c"]: the weight recurrence values along the selection.
+    cvals = tuple(rat(x) for x in spec.parameters["c"])
+    return _orbit_family(
+        spec.space, len(cvals), lambda k: k,
+        lambda k, head: cvals[k - 1] if head else -cvals[k - 1],
+        lambda k: k - 1,
+    )
+
+
+def _build_raw(spec: FamilySpec):
+    """The construction's builder applied to ``spec``."""
+    return _construction(spec.theorem_id, "build", "family builder").build(spec)
 
 
 def run_checker(spec: FamilySpec) -> Optional[CheckResult]:
     """The hypothesis check matching a family spec, or None when the
     construction has no separate hypothesis."""
-    tid = spec.theorem_id
-    if tid not in _CHECKED:
+    rec = _BY_ID.get(spec.theorem_id)
+    if rec is None or rec.check is None:
         return None
-    if tid == "prop31":
-        points, partners = spec.anchors
-        return check_prop31(spec.space, points, partners)
-    if tid == "thm34":
-        return check_thm34(spec.space, spec.anchors)
-    if tid == "thm37":
-        return check_thm37(spec.space, spec.anchors)
-    if tid == "prop42":
-        return check_prop42(spec.space, spec.anchors)
-    if spec.model is None or spec.N is None:
-        raise PreconditionError(f"{tid} needs the model and truncation size")
-    if tid == "thm43":
-        return check_thm43(spec.model, spec.N)
-    if tid == "thm45":
-        return check_thm45(spec.model, spec.anchors, spec.N)
-    return check_thm46(spec.model, spec.parameters["eps"], spec.N)
+    if not rec.space_check and (spec.model is None or spec.N is None):
+        raise PreconditionError(f"{spec.theorem_id} needs the model and truncation size")
+    return rec.check(spec)
 
 
 def build_family(spec: FamilySpec, override: bool = False):
@@ -768,6 +734,7 @@ def build_family(spec: FamilySpec, override: bool = False):
     A failing check raises PreconditionError unless ``override`` is set;
     overriding is how the shape-without-hypothesis direction gets exercised.
     """
+    build = _construction(spec.theorem_id, "build", "family builder").build
     checker = None if override else run_checker(spec)
     if checker is not None and not checker.ok:
         raise PreconditionError(
@@ -775,7 +742,7 @@ def build_family(spec: FamilySpec, override: bool = False):
             f"{checker.clause!r} at {checker.witness_indices}; "
             "pass override=True to build the shape anyway"
         )
-    fns, _, _ = _build_raw(spec)
+    fns, _, _ = build(spec)
     return fns
 
 
@@ -957,13 +924,15 @@ def _argmax_member(coeffs):
     return pos
 
 
-def _orbit_rule(members, value_maps, nodes, dist, row_of, orbits, designated_node):
+def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None):
     """Build the asymptotic-rule closure for an orbit family.
 
     ``nodes`` are the model-side indices the rule loops over (sequence
     indices, or selection indices); ``dist`` and ``row_of`` translate them.
-    The recomputation walks every node pair with the closed-form distances,
-    entirely apart from the truncated-matrix path the LipFn route uses.
+    The pointwise sup is taken at node ``designated``, by default the head
+    of the dominant member's orbit. The recomputation walks every node pair
+    with the closed-form distances, entirely apart from the truncated-matrix
+    path the LipFn route uses.
     """
     def rule(coeffs):
         val = {node: ZERO for node in nodes}
@@ -995,7 +964,7 @@ def _orbit_rule(members, value_maps, nodes, dist, row_of, orbits, designated_nod
             )
             checks.append((members[i], row_of(head_node), row_of(deep_node), su))
         n0 = _argmax_member(coeffs)
-        x0 = designated_node(members[n0], value_maps[n0])
+        x0 = min(value_maps[n0]) if designated is None else designated
         sup_best = ZERO
         for u in nodes:
             if u == x0:
@@ -1035,7 +1004,7 @@ def _model_nodes(model: MetricModel, ns: int):
 
 
 # ---------------------------------------------------------------------------
-# Standard instantiations (one per supported construction)
+# The construction table
 
 
 def _exact_witness_pairs(members_pairs):
@@ -1052,225 +1021,250 @@ def _exact_witness_pairs(members_pairs):
     return witness
 
 
+def _disjoint_pairs(n_points: int):
+    """Consecutive row pairs (1, 2), (3, 4), ... inside n_points rows."""
+    return tuple((r, r + 1) for r in range(1, n_points - 1, 2))
+
+
+def _split(pairs):
+    pairs = tuple(pairs)
+    return tuple(p for p, _ in pairs), tuple(q for _, q in pairs)
+
+
+def _pair_expectation(spec, members, value_maps):
+    return Expectation("exact", witness_pair=_exact_witness_pairs(members))
+
+
+def _prop42_expectation(spec, members, value_maps):
+    return Expectation(
+        "exact",
+        designated_point=lambda coeffs: members[_argmax_member(coeffs)],
+        witness_pair=_exact_witness_pairs(tuple((p, p - 1) for p in members)),
+    )
+
+
+def _orbit_expectation(spec, members, value_maps):
+    nodes, dist, row_of = _model_nodes(spec.model, spec.model.n_seq(spec.N))
+    return Expectation(
+        "asymptotic", rule=_orbit_rule(members, value_maps, nodes, dist, row_of)
+    )
+
+
+def _thm45_expectation(spec, members, value_maps):
+    model = spec.model
+    nodes, dist, row_of = _model_nodes(model, model.n_seq(spec.N))
+    base_node = 1 if model.base_aliases_p1 else 0
+    # the constant orbit attains toward the base
+    rule = _orbit_rule(members, value_maps, nodes, dist, row_of, designated=base_node)
+
+    def rule_with_base_pairs(coeffs):
+        data = rule(coeffs)
+        # the member witness pair is (deepest orbit point, base)
+        checks = []
+        for i, a in enumerate(coeffs):
+            if a == ZERO:
+                continue
+            vmap = value_maps[i]
+            deep = max(vmap.keys())
+            s = abs(a * vmap[deep]) / dist(deep, base_node)
+            checks.append((members[i], row_of(deep), row_of(base_node), s))
+        return RuleData(
+            data.expected_norm, tuple(checks), data.designated_point, data.expected_sup
+        )
+
+    return Expectation("asymptotic", rule=rule_with_base_pairs)
+
+
+def _sign_pattern_expectation(pair_of_group):
+    """Exact sum-norm expectation witnessed by the pair of the group whose
+    sign pattern matches the coefficients."""
+
+    def expectation(spec, members, value_maps):
+        return Expectation(
+            "exact", witness_pair=lambda coeffs: pair_of_group(_pattern_index(coeffs))
+        )
+
+    return expectation
+
+
+def _thm57_expectation(spec, members, value_maps):
+    c = spec.parameters["c"]
+    levels = spec.parameters["levels"]
+    return Expectation(
+        "deflated",
+        designated_point=0,
+        witness_pair=lambda coeffs: (0, (_pattern_index(coeffs) + 1) * levels),
+        norm_factor=ONE - c ** (-levels),
+        base_gap_factor=c ** (-levels),
+    )
+
+
+@dataclass(frozen=True)
+class Construction:
+    """One construction id and everything lipcheck knows about it.
+
+    ``build(spec)`` returns (functions, members, value_maps) and
+    ``check(spec)`` tests the hypothesis. ``anchors(model, N)`` and
+    ``parameters(model)`` lay out the canonical spec on the model truncated
+    at N: ``lipcheck check`` tests it, and the standard instance builds on
+    it unless ``standard_anchors`` lays out its own. The standard instance
+    truncates ``model(params)`` at ``default_N`` (at every point of the
+    model when None) and is verified in ``target`` against
+    ``expectation(spec, members, value_maps)``.
+
+    The checks call the module-level ``check_*`` names at call time, so a
+    wrapper installed on them later sees every call.
+    """
+
+    theorem_id: str
+    build: Optional[Callable] = None
+    check: Optional[Callable] = None
+    space_check: bool = False  # check reads only space and anchors, not model and N
+    anchors: Callable = lambda model, N: ()
+    parameters: Callable = lambda model: {}
+    model: Optional[Callable] = None  # params -> model of the standard instance
+    default_N: Optional[int] = None
+    standard_anchors: Optional[Callable] = None
+    target: str = "sup-norm"
+    expectation: Optional[Callable] = None
+
+
+CONSTRUCTIONS = (
+    Construction(
+        "prop23", build=_build_unit_spikes,
+        anchors=lambda model, N: tuple(range(1, N)),
+        model=lambda params: catalog("prop23"), default_N=16,
+        expectation=lambda spec, members, value_maps: Expectation(
+            "exact", designated_point=0,
+            witness_pair=_exact_witness_pairs(tuple((p, 0) for p in members)),
+        ),
+    ),
+    Construction(
+        "prop31", build=lambda spec: _build_radius_spikes(spec.space, spec.anchors[0]),
+        check=lambda spec: check_prop31(spec.space, *spec.anchors), space_check=True,
+        # `lipcheck check` pairs each odd row p with p + 1, the standard
+        # instance with p - 1
+        anchors=lambda model, N: _split(_disjoint_pairs(N)),
+        model=lambda params: integer_line(), default_N=10,
+        standard_anchors=lambda model, N: _split((p, p - 1) for p in range(1, N, 2)),
+        expectation=lambda spec, members, value_maps: Expectation(
+            "exact", witness_pair=_exact_witness_pairs(tuple(zip(*spec.anchors))),
+        ),
+    ),
+    Construction(
+        "thm34", build=lambda spec: _build_pairs(spec, _balanced_values),
+        check=lambda spec: check_thm34(spec.space, spec.anchors), space_check=True,
+        anchors=lambda model, N: _disjoint_pairs(N),
+        model=lambda params: catalog("discrete"), default_N=16,
+        expectation=_pair_expectation,
+    ),
+    Construction(
+        "thm37", build=lambda spec: _build_pairs(spec, _radius_shifted_values),
+        check=lambda spec: check_thm37(spec.space, spec.anchors), space_check=True,
+        anchors=lambda model, N: _disjoint_pairs(N),
+        model=lambda params: catalog("example35"), default_N=10,
+        expectation=_pair_expectation,
+    ),
+    Construction(
+        "prop42", build=lambda spec: _build_radius_spikes(spec.space, spec.anchors),
+        check=lambda spec: check_prop42(spec.space, spec.anchors), space_check=True,
+        anchors=lambda model, N: tuple(range(1, N, 2)),
+        model=lambda params: integer_line(), default_N=12,
+        expectation=_prop42_expectation,
+    ),
+    Construction(
+        "thm43", build=_build_thm43,
+        check=lambda spec: check_thm43(spec.model, spec.N),
+        model=lambda params: catalog("dmqr41"), default_N=30,
+        expectation=_orbit_expectation,
+    ),
+    Construction(
+        "thm45", build=_build_thm45,
+        check=lambda spec: check_thm45(spec.model, spec.anchors, spec.N),
+        anchors=lambda model, N: tuple(range(2, model.n_seq(N) + 1)),
+        model=lambda params: catalog("example44"), default_N=30,
+        expectation=_thm45_expectation,
+    ),
+    Construction(
+        "thm46", build=_build_thm46,
+        check=lambda spec: check_thm46(spec.model, spec.parameters["eps"], spec.N),
+        parameters=lambda model: {"eps": model.eps},
+        model=lambda params: catalog("dmqr44", c=params.get("c", 1)), default_N=20,
+        expectation=_orbit_expectation,
+    ),
+    Construction("thm310", check=lambda spec: check_thm310(spec.model, spec.N)),
+    Construction(
+        "thm51", build=_build_thm51, parameters=lambda model: dict(model.params),
+        model=lambda params: catalog("thm51star", levels=params.get("levels", 5)),
+        target="sum-norm",
+        expectation=_sign_pattern_expectation(lambda g: (2 * g, 2 * g + 1)),
+    ),
+    Construction(
+        "prop53", build=_build_prop53, parameters=lambda model: dict(model.params),
+        model=lambda params: catalog("prop53", levels=params.get("levels", 5)),
+        target="sum-norm",
+        expectation=_sign_pattern_expectation(lambda g: (2 * g + 2, 2 * g + 1)),
+    ),
+    Construction(
+        "thm57", build=_build_thm57, parameters=lambda model: dict(model.params),
+        model=lambda params: catalog(
+            "thm57", c=params.get("c", 2), groups=params.get("groups", 8),
+            levels=params.get("levels", 8),
+        ),
+        target="sum-norm", expectation=_thm57_expectation,
+    ),
+    # built by the main pipeline on the subspaces it selects
+    Construction("thm49ii", build=_build_thm49ii),
+    Construction("thm49case2", build=_build_thm49case2),
+)
+
+_BY_ID = {rec.theorem_id: rec for rec in CONSTRUCTIONS}
+
+VERIFY_THEOREMS = tuple(rec.theorem_id for rec in CONSTRUCTIONS if rec.model is not None)
+CHECK_THEOREMS = tuple(rec.theorem_id for rec in CONSTRUCTIONS if rec.check is not None)
+
+
+def _construction(theorem_id: str, field_name: str, what: str) -> Construction:
+    rec = _BY_ID.get(theorem_id)
+    if rec is None:
+        raise PreconditionError(f"unknown construction id {theorem_id!r}")
+    if getattr(rec, field_name) is None:
+        raise PreconditionError(f"construction {theorem_id!r} has no {what}")
+    return rec
+
+
+def _canonical_spec(rec: Construction, space, model, N: int, anchors) -> FamilySpec:
+    """A spec on the model truncated at N; a spec checked on its space
+    alone carries no model."""
+    on_model = not rec.space_check
+    return FamilySpec(
+        rec.theorem_id, space, anchors=anchors(model, N),
+        parameters=rec.parameters(model),
+        model=model if on_model else None, N=N if on_model else None,
+    )
+
+
+def check_canonical(theorem_id: str, model: MetricModel, N: int) -> CheckResult:
+    """Run a hypothesis checker on ``model`` truncated at ``N``, with its
+    canonical anchor layout (what ``lipcheck check`` runs)."""
+    rec = _construction(theorem_id, "check", "hypothesis check")
+    space = truncate(model, N) if rec.space_check else None
+    return rec.check(_canonical_spec(rec, space, model, N, rec.anchors))
+
+
 def standard_family(theorem_id: str, N: Optional[int] = None, **params) -> BuiltFamily:
     """The catalog instantiation of each supported construction, with its
     checker outcome and finite-scale expectation wired in."""
-
-    if theorem_id == "prop23":
-        N = N or 16
-        model = catalog("prop23")
-        space = truncate(model, N)
-        points = tuple(range(1, N))
-        spec = FamilySpec("prop23", space, anchors=points, model=model, N=N)
-        fns, members, _ = _build_raw(spec)
-
-        def witness(coeffs):
-            n0 = _argmax_member(coeffs)
-            if abs(coeffs[n0]) == ZERO:
-                return None
-            p = points[n0]
-            return (0, p) if coeffs[n0] > ZERO else (p, 0)
-
-        exp = Expectation("exact", designated_point=0, witness_pair=witness)
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, None)
-
-    if theorem_id == "prop31":
-        N = N or 10
-        space = truncate(integer_line(), N)
-        points = tuple(range(1, N, 2))
-        partners = tuple(p - 1 for p in points)
-        spec = FamilySpec("prop31", space, anchors=(points, partners))
-        checker = run_checker(spec)
-        fns, members, _ = _build_raw(spec)
-
-        def witness(coeffs):
-            n0 = _argmax_member(coeffs)
-            if abs(coeffs[n0]) == ZERO:
-                return None
-            p, q = points[n0], partners[n0]
-            return (q, p) if coeffs[n0] > ZERO else (p, q)
-
-        exp = Expectation("exact", witness_pair=witness)
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "thm34":
-        N = N or 16
-        space = truncate(catalog("discrete"), N)
-        pairs = tuple((2 * k + 1, 2 * k + 2) for k in range((N - 1) // 2))
-        spec = FamilySpec("thm34", space, anchors=pairs)
-        checker = run_checker(spec)
-        fns, members, _ = _build_raw(spec)
-        exp = Expectation("exact", witness_pair=_exact_witness_pairs(pairs))
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "thm37":
-        N = N or 10
-        space = truncate(catalog("example35"), N)
-        pairs = tuple((2 * k + 1, 2 * k + 2) for k in range((N - 1) // 2))
-        spec = FamilySpec("thm37", space, anchors=pairs)
-        checker = run_checker(spec)
-        fns, members, _ = _build_raw(spec)
-        exp = Expectation("exact", witness_pair=_exact_witness_pairs(pairs))
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "prop42":
-        N = N or 12
-        space = truncate(integer_line(), N)
-        points = tuple(range(1, N, 2))
-        spec = FamilySpec("prop42", space, anchors=points)
-        checker = run_checker(spec)
-        fns, members, _ = _build_raw(spec)
-
-        def witness(coeffs):
-            n0 = _argmax_member(coeffs)
-            if abs(coeffs[n0]) == ZERO:
-                return None
-            p = points[n0]
-            return (p - 1, p) if coeffs[n0] > ZERO else (p, p - 1)
-
-        def designated(coeffs):
-            return points[_argmax_member(coeffs)]
-
-        exp = Expectation("exact", designated_point=designated, witness_pair=witness)
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "thm43":
-        N = N or 30
-        model = catalog("dmqr41")
-        space = truncate(model, N)
-        spec = FamilySpec("thm43", space, model=model, N=N)
-        checker = run_checker(spec)
-        fns, members, aux = _build_raw(spec)
-        ns = model.n_seq(N)
-        nodes, dist, row_of = _model_nodes(model, ns)
-
-        def designated_node(member_prime, vmap):
-            return min(vmap.keys())  # the orbit head
-
-        rule = _orbit_rule(
-            members, aux["value_maps"], nodes, dist, row_of, aux["orbits"], designated_node
-        )
-        exp = Expectation("asymptotic", rule=rule)
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "thm45":
-        N = N or 30
-        model = catalog("example44")
-        space = truncate(model, N)
-        subseq = tuple(range(2, model.n_seq(N) + 1))
-        spec = FamilySpec("thm45", space, anchors=subseq, model=model, N=N)
-        checker = run_checker(spec)
-        fns, members, aux = _build_raw(spec)
-        nodes, dist, row_of = _model_nodes(model, model.n_seq(N))
-        base_node = 0 if not model.base_aliases_p1 else 1
-
-        def designated_node(member_prime, vmap):
-            return base_node  # the constant orbit attains toward the base
-
-        rule = _orbit_rule(
-            members, aux["value_maps"], nodes, dist, row_of, aux["orbits"], designated_node
-        )
-
-        def rule_with_base_pairs(coeffs):
-            data = rule(coeffs)
-            # the member witness pair is (deepest orbit point, base)
-            checks = []
-            for i, a in enumerate(coeffs):
-                if a == ZERO:
-                    continue
-                vmap = aux["value_maps"][i]
-                deep = max(vmap.keys())
-                s = abs(a * vmap[deep]) / dist(deep, base_node)
-                checks.append((members[i], row_of(deep), row_of(base_node), s))
-            return RuleData(
-                data.expected_norm, tuple(checks), data.designated_point, data.expected_sup
-            )
-
-        exp = Expectation("asymptotic", rule=rule_with_base_pairs)
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "thm46":
-        N = N or 20
-        c = params.get("c", 1)
-        model = catalog("dmqr44", c=c)
-        space = truncate(model, N)
-        spec = FamilySpec(
-            "thm46", space, parameters={"eps": model.eps}, model=model, N=N
-        )
-        checker = run_checker(spec)
-        fns, members, aux = _build_raw(spec)
-        nodes, dist, row_of = _model_nodes(model, model.n_seq(N))
-
-        def designated_node(member_prime, vmap):
-            return min(vmap.keys())
-
-        rule = _orbit_rule(
-            members, aux["value_maps"], nodes, dist, row_of, aux["orbits"], designated_node
-        )
-        exp = Expectation("asymptotic", rule=rule)
-        return BuiltFamily(spec, fns, "sup-norm", exp, members, checker)
-
-    if theorem_id == "thm51":
-        levels = int(params.get("levels", 5))
-        model = catalog("thm51star", levels=levels)
-        N = N or model.max_points
-        space = truncate(model, N)
-        spec = FamilySpec("thm51", space, parameters={"levels": levels}, model=model, N=N)
-        fns, members, _ = _build_raw(spec)
-
-        def witness(coeffs):
-            g0 = _pattern_index(coeffs)
-            return (2 * g0, 2 * g0 + 1)
-
-        exp = Expectation("exact", witness_pair=witness)
-        return BuiltFamily(spec, fns, "sum-norm", exp, members, None)
-
-    if theorem_id == "prop53":
-        levels = int(params.get("levels", 5))
-        model = catalog("prop53", levels=levels)
-        N = N or model.max_points
-        space = truncate(model, N)
-        spec = FamilySpec("prop53", space, parameters={"levels": levels}, model=model, N=N)
-        fns, members, _ = _build_raw(spec)
-
-        def witness(coeffs):
-            g0 = _pattern_index(coeffs)
-            return (2 * g0 + 2, 2 * g0 + 1)
-
-        exp = Expectation("exact", witness_pair=witness)
-        return BuiltFamily(spec, fns, "sum-norm", exp, members, None)
-
-    if theorem_id == "thm57":
-        c = rat(params.get("c", 2))
-        groups = int(params.get("groups", 8))
-        levels = int(params.get("levels", 8))
-        model = catalog("thm57", c=c, groups=groups, levels=levels)
-        N = N or model.max_points
-        space = truncate(model, N)
-        spec = FamilySpec(
-            "thm57",
-            space,
-            parameters={"c": c, "groups": groups, "levels": levels},
-            model=model,
-            N=N,
-        )
-        fns, members, aux = _build_raw(spec)
-
-        def witness(coeffs):
-            j0 = _pattern_index(coeffs) + 1
-            return (0, j0 * levels)
-
-        factor = ONE - c ** (-levels)
-        exp = Expectation(
-            "deflated",
-            designated_point=0,
-            witness_pair=witness,
-            norm_factor=factor,
-            base_gap_factor=c ** (-levels),
-        )
-        return BuiltFamily(spec, fns, "sum-norm", exp, members, None)
-
-    raise PreconditionError(f"unknown construction id {theorem_id!r}")
+    rec = _construction(theorem_id, "model", "standard instance")
+    model = rec.model(params)
+    if N is None:
+        N = rec.default_N if rec.default_N is not None else model.max_points
+    space = truncate(model, N)
+    spec = _canonical_spec(rec, space, model, N, rec.standard_anchors or rec.anchors)
+    checker = run_checker(spec)
+    fns, members, value_maps = rec.build(spec)
+    expectation = rec.expectation(spec, members, value_maps)
+    return BuiltFamily(spec, fns, rec.target, expectation, members, checker)
 
 
 def verify_standard(built: BuiltFamily, seed: int = BATTERY_SEED) -> VerificationReport:
@@ -1370,33 +1364,15 @@ def _pipeline_case_i1(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         if g[k] > r_sub:
             raise ConstructionError(f"shifted distance exceeds the radius at n={k}")
 
-    count = ns - 1  # working sequence indices 2..ns, one step shifted
-    orbits = prime_orbits(count)
-    members = []
-    value_maps = []  # keyed by model sequence index
-    fns = []
-    for r, positions in orbits:
-        vmap = {}
-        head = positions[0] + 1
-        vmap[head] = g[head]
-        for k in positions[1:]:
-            vmap[k + 1] = -g[k + 1]
-        members.append(r)
-        value_maps.append(vmap)
-        fns.append(_values_fn(sub, {n - 1: v for n, v in vmap.items()}))
-
-    nodes = tuple(range(1, ns + 1))
-
-    def dist(u, v):
-        return model.d_seq(u, v)
-
+    # working sequence indices 2..ns, one step shifted; value maps are keyed
+    # by model sequence index, which sits at row index - 1 of the subspace
     def row_of(node):
-        return node - 1  # position inside the re-based subspace
+        return node - 1
 
-    def designated_node(member_prime, vmap):
-        return min(vmap.keys())
-
-    rule = _orbit_rule(members, value_maps, nodes, dist, row_of, orbits, designated_node)
+    fns, members, value_maps = _orbit_family(
+        sub, ns - 1, lambda k: k + 1, lambda n, head: g[n] if head else -g[n], row_of
+    )
+    rule = _orbit_rule(members, value_maps, tuple(range(1, ns + 1)), model.d_seq, row_of)
     # the case boundary allows pair gaps to meet tail gaps exactly, so the
     # combined norm may touch the target on a truncation; only the rule
     # equality is asserted
@@ -1469,14 +1445,7 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         if diff != sub.d(srow, trow):
             raise ConstructionError(f"pair values do not span the distance at member {i + 1}")
 
-    def witness(coeffs):
-        n0 = _argmax_member(coeffs)
-        if abs(coeffs[n0]) == ZERO:
-            return None
-        srow, trow = anchor_rows[n0]
-        return (trow, srow) if coeffs[n0] > ZERO else (srow, trow)
-
-    exp = Expectation("exact", witness_pair=witness)
+    exp = Expectation("exact", witness_pair=_exact_witness_pairs(anchor_rows))
     battery = standard_battery(len(fns))
     report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
     return PipelineResult(
@@ -1535,22 +1504,16 @@ def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
             raise ConstructionError(f"weight exceeds the radius at selection {i + 1}")
 
     spec = FamilySpec("thm49case2", sub, parameters={"c": tuple(cvals)})
-    fns, members, aux = _build_raw(spec)
+    fns, members, value_maps = _build_raw(spec)
     if not fns:
         raise ConstructionError("selection too short to carry any orbit member")
-
-    nodes = tuple(range(1, k_sel + 1))
 
     def dist(u, v):
         return sub.d(u - 1, v - 1)
 
-    def row_of(node):
-        return node - 1
-
-    def designated_node(member_prime, vmap):
-        return min(vmap.keys())
-
-    rule = _orbit_rule(members, aux["value_maps"], nodes, dist, row_of, aux["orbits"], designated_node)
+    rule = _orbit_rule(
+        members, value_maps, tuple(range(1, k_sel + 1)), dist, lambda node: node - 1
+    )
     # weight sums may meet the distances exactly (the recurrence allows
     # equality), in which case aligned unit coefficients attain the target
     # norm already at finite scale

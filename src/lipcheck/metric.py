@@ -738,7 +738,10 @@ def space_from_json(obj) -> FiniteMetricSpace:
         raise StructureError("'points' must be a list of labels")
     if len(labels) != len(rows):
         raise StructureError("label count does not match matrix size")
-    space = FiniteMetricSpace(rows, tuple(str(x) for x in labels), name=obj.get("name", ""))
+    name = obj.get("name", "")
+    if not isinstance(name, str):
+        raise StructureError("'name' must be a string")
+    space = FiniteMetricSpace(rows, tuple(str(x) for x in labels), name=name)
     report = validate(space)
     if not report.passed:
         v = report.violations[0]

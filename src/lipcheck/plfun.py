@@ -6,6 +6,10 @@ constant beyond either endpoint. The base coordinate (default 0) must be a
 breakpoint with value 0. The norm is the largest absolute segment slope:
 the two-point slope between any p < q is a convex combination of the
 segment slopes crossed, so segments dominate.
+
+The module also holds ``sample_analytic``, the float sampling of an
+analytic reference function on the line: the package's one non-exact
+code path, labeled as such in its output.
 """
 
 from __future__ import annotations
@@ -321,3 +325,61 @@ def pl_from_json(obj) -> PLFn:
         raise StructureError(str(exc)) from None
     base = parse_rat(obj["base"]) if "base" in obj else ZERO
     return PLFn(bps, vals, left, right, base)
+
+
+# ---------------------------------------------------------------------------
+# Float sampling of an analytic reference function (the one non-exact path)
+
+ANALYTIC_FUNCTIONS = {
+    "x2-over-absx-plus-2": lambda x: x * x / (abs(x) + 2.0),
+}
+
+
+def sample_analytic(function_id: str, resolution: int, horizon: int,
+                    span: float = 1000.0) -> dict:
+    """Float-only sampling of a reference function; clearly labeled as the
+    single non-exact code path.
+
+    Reports the max two-point slope over an even grid on [-span, span] and
+    the base-to-horizon slope, against the bounds the limiting statement
+    implies (slope below 1 up to float error, horizon sample within
+    4/horizon of 1).
+    """
+    if function_id not in ANALYTIC_FUNCTIONS:
+        raise PreconditionError(f"unknown analytic function {function_id!r}")
+    if resolution <= 0 or horizon <= 0:
+        raise PreconditionError("resolution and horizon must be positive")
+    f = ANALYTIC_FUNCTIONS[function_id]
+    xs = [-span + 2.0 * span * i / resolution for i in range(resolution + 1)]
+    ys = [f(x) for x in xs]
+    max_slope = 0.0
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            gap = xs[j] - xs[i]
+            if gap == 0.0:
+                continue
+            s = abs(ys[j] - ys[i]) / gap
+            if s > max_slope:
+                max_slope = s
+    sample = (f(float(horizon)) - f(0.0)) / float(horizon)
+    slope_bound = 1.0 + 1e-12
+    error_bound = 4.0 / horizon
+    slope_ok = max_slope <= slope_bound
+    sample_ok = abs(1.0 - sample) <= error_bound
+    return {
+        "function": function_id,
+        "arithmetic": "float64",
+        "exact": False,
+        "resolution": resolution,
+        "span": span,
+        "horizon": horizon,
+        "max_grid_slope": max_slope,
+        "slope_bound": slope_bound,
+        "slope_ok": slope_ok,
+        "sample_at_horizon": sample,
+        "limit": 1.0,
+        "sample_error": abs(1.0 - sample),
+        "error_bound": error_bound,
+        "sample_ok": sample_ok,
+        "passed": slope_ok and sample_ok,
+    }

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import lipcheck
+from lipcheck import cli
 from lipcheck.cli import main, sample_analytic
 from lipcheck.metric import PreconditionError
 
@@ -131,10 +133,18 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["validate"], {"dist": [["0", 1], ["1", "0"]]}),
     (["free-norm", "--n", "2", "--element", '{"weights": {"1": 1}}'],
      {"dist": [["0", "1"], ["1", "0"]]}),
+    (["norm", "--space", "discrete", "--n", "3", "--values", "5"], None),
+    (["norm", "--space", "discrete", "--n", "3", "--values", "null"], None),
+    (["norm", "--space", "discrete", "--n", "3", "--values", '[["1"], "0", "0"]'], None),
+    (["norm", "--space", "discrete", "--n", "3", "--values", "[true, 0, 0]"], None),
+    (["norm", "--space", "discrete", "--n", "3", "--values", "[0.5, 0, 0]"], None),
+    (["validate"], {"dist": [["0", "1"], ["1", "0"]], "name": ["a"]}),
+    (["verify", "--theorem", "thm34", "--n", "0"], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
-    """Bad shapes in space files and elements exit 2 with one error line,
-    never with a traceback (exit 1 is reserved for failed checks)."""
+    """Bad shapes in space files, elements and --values, and sizes below
+    two, exit 2 with one error line, never with a traceback (exit 1 is
+    reserved for failed checks)."""
     if space_json is not None:
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps(space_json))
@@ -143,6 +153,65 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
     assert code == 2
     assert not path.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# sha256 of each report, recorded before the construction table replaced
+# the per-id dispatch chains
+GOLDEN_CHECKS = {
+    ("prop31", "integer_line", 10):
+        "21e34540fd5825e2ca5e831c16eee08058344b8352a603c608a04efbce9822e9",
+    ("thm34", "discrete", 16):
+        "5b7c76e4a2c78bf84560f7a713af789257d38472f5db3e0115caa07f26c70c08",
+    ("thm37", "example35", 10):
+        "002580c8d922691b85ef776b94a71dfea42cd6fb127586d171e8317a73102a27",
+    ("prop42", "integer_line", 12):
+        "ef2fb598f1de67ce92fea932dd81f3c7e649b9319cc070e2511ef9ad4c25704e",
+    ("thm43", "dmqr41", 20):
+        "4f786fcecb0e6151abdf9969e70a060c066a500bbd87f309766ae446d0f2c13b",
+    ("thm45", "example44", 20):
+        "4d5670c74e8feae32283259f95aedc72b2975731e63f95f68aab6d0beef2c59a",
+    ("thm46", "dmqr44", 20):
+        "408d6f47bf284acbcef4d000486497a1c3e852cd07d1c5b2fa0a249c05184246",
+    ("thm310", "dmqr41", 12):
+        "4c0f448f45a1ba74a553b3b1d8a596f71946fec1f464c16a6251670c3e7702c0",
+}
+GOLDEN_VERIFY = {
+    "prop23": "bea4dfe45ea366221c134c985736c989551fdc15547f1406a19236e02ee5351e",
+    "prop31": "9994d66de1474d8242b231d28f8195541f9491957de67673b0a8e068f482a703",
+    "thm34": "30cea2b6da03303fc07b410716c04b83f6632d8ac563cab66a7124b3615c371b",
+    "thm37": "437d95833c4b17dde7b7c5b032aff0dccce41469481c820e07b933283aa533e6",
+    "prop42": "e88a39d2e417f03577bdfb638cbff353019e97acda93f0a336baf1357cf22779",
+    "thm43": "815b5ec978e920c655c39c9ddf10883195680aa65e40ccba60bd3e819107ccdb",
+    "thm45": "2741b263fb5822f6040b3c4b282fca548d9fff21ccbb73f966b2de29bf97bbf8",
+    "thm46": "baec1dc271cd7d02e926ea347eac4287cff2f78368e5612a7da024f63eb11fca",
+    "thm51": "bf09dd9c6070357ee5682d420603c6dd7365a16dd95cfe00dc048c79f56eb809",
+    "prop53": "cdb5b8d8e6268b5a85f42dfa5b69caf44591a2220bbc8ae6615290a6d55d7c7a",
+    "thm57": "dc3b94c14ccb5e9538bb77533aad16c719d31b6f140fe5b9e22b77c7249e1387",
+}
+
+
+def test_check_and_verify_reports_match_golden_digests(tmp_path):
+    """Every check id on its canonical catalog model and every verify id
+    writes the pinned report bytes, and the id tuples keep their order."""
+    assert cli.VERIFY_THEOREMS == (
+        "prop23", "prop31", "thm34", "thm37", "prop42",
+        "thm43", "thm45", "thm46", "thm51", "prop53", "thm57",
+    )
+    assert cli.CHECK_THEOREMS == (
+        "prop31", "thm34", "thm37", "prop42", "thm43", "thm45", "thm46", "thm310",
+    )
+    assert [key[0] for key in GOLDEN_CHECKS] == list(cli.CHECK_THEOREMS)
+    assert list(GOLDEN_VERIFY) == list(cli.VERIFY_THEOREMS)
+    for (theorem, model, n), digest in GOLDEN_CHECKS.items():
+        code, path = run(tmp_path, "check", "--theorem", theorem, "--model", model,
+                         "--n", str(n), name=f"check-{theorem}.json")
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, theorem
+    for theorem, digest in GOLDEN_VERIFY.items():
+        code, path = run(tmp_path, "verify", "--theorem", theorem, "--support", "2",
+                         "--rand-count", "2", name=f"verify-{theorem}.json")
+        assert code == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, theorem
 
 
 def test_main_back_to_back_matches_fresh_processes(tmp_path):

@@ -9,6 +9,7 @@ from lipcheck.embeddings import (
     DichotomyError,
     FamilySpec,
     build_family,
+    check_canonical,
     check_prop31,
     check_prop42,
     check_thm34,
@@ -308,6 +309,43 @@ def test_build_family_rejects_base_anchor():
 def test_build_family_unknown_id():
     with pytest.raises(PreconditionError):
         build_family(FamilySpec("thm99", DISCRETE10))
+
+
+def test_registry_refuses_ids_without_the_asked_role():
+    with pytest.raises(PreconditionError):
+        standard_family("thm99")
+    with pytest.raises(PreconditionError):
+        standard_family("thm310")  # check-only
+    with pytest.raises(PreconditionError):
+        check_canonical("thm51", catalog("thm51star"), 8)  # no hypothesis check
+    with pytest.raises(PreconditionError):
+        build_family(FamilySpec("thm310", DISCRETE10))
+    assert run_checker(FamilySpec("thm99", DISCRETE10)) is None
+    with pytest.raises(PreconditionError):
+        run_checker(FamilySpec("thm43", DISCRETE10))  # no model and N
+
+
+def test_registry_reaches_checkers_through_module_names(monkeypatch):
+    """A wrapper installed on ``embeddings.check_*`` after import sees the
+    calls made through the table, from both the check and verify paths."""
+    import lipcheck.embeddings as emb
+
+    calls = []
+    real = emb.check_thm34
+    monkeypatch.setattr(
+        emb, "check_thm34", lambda *args: calls.append(args) or real(*args)
+    )
+    assert check_canonical("thm34", catalog("discrete"), 6).ok
+    assert standard_family("thm34", N=6).checker.ok
+    assert len(calls) == 2
+
+
+def test_canonical_and_standard_prop31_layouts_differ():
+    # the check command pairs odd rows with p + 1, the standard family with p - 1
+    assert check_canonical("prop31", integer_line(), 10).ok
+    built = standard_family("prop31")
+    assert built.spec.anchors == ((1, 3, 5, 7, 9), (0, 2, 4, 6, 8))
+    assert built.spec.model is None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from lipcheck.freespace import (
     free_from_json,
     free_norm_flow,
     free_norm_lp,
-    free_norm_vertex_oracle,
     free_scale,
     free_to_json,
     matching_min_check,
@@ -29,7 +28,110 @@ from lipcheck.metric import (
     make_space,
     truncate,
 )
-from lipcheck.rational import rat
+from lipcheck.rational import ONE, ZERO, rat
+
+
+# ---------------------------------------------------------------------------
+# Brute-force vertex oracle: an independent third route for small spaces
+
+VERTEX_ORACLE_MAX_POINTS = 6
+
+
+def _pruefer_trees(n):
+    """All labeled spanning trees on n nodes as edge lists."""
+    if n == 2:
+        yield [(0, 1)]
+        return
+    seq = [0] * (n - 2)
+    while True:
+        degree = [1] * n
+        for x in seq:
+            degree[x] += 1
+        seq_iter = list(seq)
+        edges = []
+        leaves = sorted(i for i in range(n) if degree[i] == 1)
+        for x in seq_iter:
+            leaf = leaves.pop(0)
+            edges.append((leaf, x))
+            degree[x] -= 1
+            if degree[x] == 1:
+                # keep the leaf pool sorted so decoding is deterministic
+                lo, hi = 0, len(leaves)
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    if leaves[mid] < x:
+                        lo = mid + 1
+                    else:
+                        hi = mid
+                leaves.insert(lo, x)
+        edges.append((leaves[0], leaves[1]))
+        yield edges
+        for i in range(n - 3, -1, -1):
+            if seq[i] < n - 1:
+                seq[i] += 1
+                for j in range(i + 1, n - 2):
+                    seq[j] = 0
+                break
+        else:
+            return
+
+
+def free_norm_vertex_oracle(mu):
+    """Free norm by enumerating candidate vertices of the dual ball.
+
+    Every vertex of the ball is determined by a spanning tree of tight
+    constraints with a sign per edge; propagate values from the base,
+    keep the feasible ones, and take the best objective. Exponential, so
+    capped at 6 points; larger spaces are covered by the LP/flow pair.
+    """
+    space = mu.space
+    n = space.n_points
+    if n > VERTEX_ORACLE_MAX_POINTS:
+        raise PreconditionError(
+            f"vertex oracle is exponential; limit is {VERTEX_ORACLE_MAX_POINTS} points"
+        )
+    if not mu.weights:
+        return ZERO
+
+    best = ZERO  # f = 0 is always feasible
+    for edges in _pruefer_trees(n):
+        adj = {i: [] for i in range(n)}
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        for mask in range(2 ** (n - 1)):
+            sign_of = {}
+            for idx, (a, b) in enumerate(edges):
+                sign_of[(a, b)] = ONE if (mask >> idx) & 1 else -ONE
+                sign_of[(b, a)] = -sign_of[(a, b)]
+            values = [None] * n
+            values[0] = ZERO
+            stack = [0]
+            while stack:
+                a = stack.pop()
+                for b in adj[a]:
+                    if values[b] is None:
+                        values[b] = values[a] + sign_of[(a, b)] * space.d(a, b)
+                        stack.append(b)
+            feasible = True
+            for p in range(n):
+                for q in range(p + 1, n):
+                    gap = values[p] - values[q]
+                    if gap < ZERO:
+                        gap = -gap
+                    if gap > space.d(p, q):
+                        feasible = False
+                        break
+                if not feasible:
+                    break
+            if not feasible:
+                continue
+            val = sum(
+                (w * values[p] for p, w in mu.weights.items()), ZERO
+            )
+            if val > best:
+                best = val
+    return best
 
 
 DISCRETE5 = truncate(catalog("discrete"), 5)
