@@ -280,8 +280,8 @@ def criterion_6() -> dict:
 # 7-9: free space
 
 
-def _random_space(rng):
-    n = rng.randint(2, 8)
+def _closure_space(rng, n):
+    """Shortest-path closure of a seeded positive symmetric matrix."""
     dist = [[ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -295,6 +295,10 @@ def _random_space(rng):
                 if via < dist[i][j]:
                     dist[i][j] = via
     return make_space(dist, name=f"rand{n}")
+
+
+def _random_space(rng):
+    return _closure_space(rng, rng.randint(2, 8))
 
 
 def _random_element(rng, space):

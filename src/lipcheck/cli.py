@@ -14,6 +14,7 @@ Exit codes:
   1  a verification failed (the report is still written)
   2  usage or configuration errors
   3  model definition errors (unknown model, missing tail data)
+  4  an internal certificate or construction failed (a bug, never a verdict)
 """
 
 import argparse
@@ -28,6 +29,7 @@ from typing import Optional
 from .rational import ONE, format_rat, is_rational, parse_rat, rat
 from .metric import (
     CATALOG_NAMES,
+    LipcheckError,
     ModelError,
     PreconditionError,
     StructureError,
@@ -502,6 +504,9 @@ def main(argv=None) -> int:
     except ModelError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 3
+    except LipcheckError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

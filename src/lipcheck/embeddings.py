@@ -25,6 +25,7 @@ All arithmetic is exact; no tolerances anywhere.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass, field
 from itertools import product
@@ -376,16 +377,16 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
     """
     if not model.is_sequence_model:
         raise ModelError(f"model {model.name!r} has no sequence structure")
+    if model.eps is None or not model.ratio_tends_to_one:
+        raise TailDataError(
+            f"limits unavailable for model {model.name!r}: no declared slope-ratio limit"
+        )
     ns = model.n_seq(N)
     lo = 2 if model.base_aliases_p1 else 1
     eps = _eps_values(model, eps_seq, ns, lo)
     for n in range(lo, ns + 1):
         if eps[n] < ZERO:
             raise PreconditionError(f"epsilon values must be nonnegative, got {eps[n]}")
-    if model.eps is None or not model.ratio_tends_to_one:
-        raise TailDataError(
-            f"limits unavailable for model {model.name!r}: no declared slope-ratio limit"
-        )
     for n in range(lo, ns + 1):
         if eps[n] != model.eps(n):
             raise TailDataError(
@@ -1108,9 +1109,10 @@ class Construction:
     ``parameters(model)`` lay out the canonical spec on the model truncated
     at N: ``lipcheck check`` tests it, and the standard instance builds on
     it unless ``standard_anchors`` lays out its own. The standard instance
-    truncates ``model(params)`` at ``default_N`` (at every point of the
+    truncates ``model(**params)`` at ``default_N`` (at every point of the
     model when None) and is verified in ``target`` against
-    ``expectation(spec, members, value_maps)``.
+    ``expectation(spec, members, value_maps)``; the keywords of ``model``
+    are the only parameters it accepts.
 
     The checks call the module-level ``check_*`` names at call time, so a
     wrapper installed on them later sees every call.
@@ -1122,7 +1124,7 @@ class Construction:
     space_check: bool = False  # check reads only space and anchors, not model and N
     anchors: Callable = lambda model, N: ()
     parameters: Callable = lambda model: {}
-    model: Optional[Callable] = None  # params -> model of the standard instance
+    model: Optional[Callable] = None
     default_N: Optional[int] = None
     standard_anchors: Optional[Callable] = None
     target: str = "sup-norm"
@@ -1133,7 +1135,7 @@ CONSTRUCTIONS = (
     Construction(
         "prop23", build=_build_unit_spikes,
         anchors=lambda model, N: tuple(range(1, N)),
-        model=lambda params: catalog("prop23"), default_N=16,
+        model=lambda: catalog("prop23"), default_N=16,
         expectation=lambda spec, members, value_maps: Expectation(
             "exact", designated_point=0,
             witness_pair=_exact_witness_pairs(tuple((p, 0) for p in members)),
@@ -1145,7 +1147,7 @@ CONSTRUCTIONS = (
         # `lipcheck check` pairs each odd row p with p + 1, the standard
         # instance with p - 1
         anchors=lambda model, N: _split(_disjoint_pairs(N)),
-        model=lambda params: integer_line(), default_N=10,
+        model=lambda: integer_line(), default_N=10,
         standard_anchors=lambda model, N: _split((p, p - 1) for p in range(1, N, 2)),
         expectation=lambda spec, members, value_maps: Expectation(
             "exact", witness_pair=_exact_witness_pairs(tuple(zip(*spec.anchors))),
@@ -1155,61 +1157,60 @@ CONSTRUCTIONS = (
         "thm34", build=lambda spec: _build_pairs(spec, _balanced_values),
         check=lambda spec: check_thm34(spec.space, spec.anchors), space_check=True,
         anchors=lambda model, N: _disjoint_pairs(N),
-        model=lambda params: catalog("discrete"), default_N=16,
+        model=lambda: catalog("discrete"), default_N=16,
         expectation=_pair_expectation,
     ),
     Construction(
         "thm37", build=lambda spec: _build_pairs(spec, _radius_shifted_values),
         check=lambda spec: check_thm37(spec.space, spec.anchors), space_check=True,
         anchors=lambda model, N: _disjoint_pairs(N),
-        model=lambda params: catalog("example35"), default_N=10,
+        model=lambda: catalog("example35"), default_N=10,
         expectation=_pair_expectation,
     ),
     Construction(
         "prop42", build=lambda spec: _build_radius_spikes(spec.space, spec.anchors),
         check=lambda spec: check_prop42(spec.space, spec.anchors), space_check=True,
         anchors=lambda model, N: tuple(range(1, N, 2)),
-        model=lambda params: integer_line(), default_N=12,
+        model=lambda: integer_line(), default_N=12,
         expectation=_prop42_expectation,
     ),
     Construction(
         "thm43", build=_build_thm43,
         check=lambda spec: check_thm43(spec.model, spec.N),
-        model=lambda params: catalog("dmqr41"), default_N=30,
+        model=lambda: catalog("dmqr41"), default_N=30,
         expectation=_orbit_expectation,
     ),
     Construction(
         "thm45", build=_build_thm45,
         check=lambda spec: check_thm45(spec.model, spec.anchors, spec.N),
         anchors=lambda model, N: tuple(range(2, model.n_seq(N) + 1)),
-        model=lambda params: catalog("example44"), default_N=30,
+        model=lambda: catalog("example44"), default_N=30,
         expectation=_thm45_expectation,
     ),
     Construction(
         "thm46", build=_build_thm46,
         check=lambda spec: check_thm46(spec.model, spec.parameters["eps"], spec.N),
         parameters=lambda model: {"eps": model.eps},
-        model=lambda params: catalog("dmqr44", c=params.get("c", 1)), default_N=20,
+        model=lambda c=1: catalog("dmqr44", c=c), default_N=20,
         expectation=_orbit_expectation,
     ),
     Construction("thm310", check=lambda spec: check_thm310(spec.model, spec.N)),
     Construction(
         "thm51", build=_build_thm51, parameters=lambda model: dict(model.params),
-        model=lambda params: catalog("thm51star", levels=params.get("levels", 5)),
+        model=lambda levels=5: catalog("thm51star", levels=levels),
         target="sum-norm",
         expectation=_sign_pattern_expectation(lambda g: (2 * g, 2 * g + 1)),
     ),
     Construction(
         "prop53", build=_build_prop53, parameters=lambda model: dict(model.params),
-        model=lambda params: catalog("prop53", levels=params.get("levels", 5)),
+        model=lambda levels=5: catalog("prop53", levels=levels),
         target="sum-norm",
         expectation=_sign_pattern_expectation(lambda g: (2 * g + 2, 2 * g + 1)),
     ),
     Construction(
         "thm57", build=_build_thm57, parameters=lambda model: dict(model.params),
-        model=lambda params: catalog(
-            "thm57", c=params.get("c", 2), groups=params.get("groups", 8),
-            levels=params.get("levels", 8),
+        model=lambda c=2, groups=8, levels=8: catalog(
+            "thm57", c=c, groups=groups, levels=levels
         ),
         target="sum-norm", expectation=_thm57_expectation,
     ),
@@ -1256,7 +1257,12 @@ def standard_family(theorem_id: str, N: Optional[int] = None, **params) -> Built
     """The catalog instantiation of each supported construction, with its
     checker outcome and finite-scale expectation wired in."""
     rec = _construction(theorem_id, "model", "standard instance")
-    model = rec.model(params)
+    unknown = sorted(set(params) - set(inspect.signature(rec.model).parameters))
+    if unknown:
+        raise PreconditionError(
+            f"standard instance of {theorem_id!r} takes no parameter {', '.join(unknown)}"
+        )
+    model = rec.model(**params)
     if N is None:
         N = rec.default_N if rec.default_N is not None else model.max_points
     space = truncate(model, N)

@@ -1,16 +1,13 @@
-"""Exact free-space norms on finite metric spaces, two independent ways.
+"""Exact free-space norms on finite metric spaces.
 
-The norm of a finitely supported element mu = sum w_x delta_x is computed
-twice: as a linear program over the dual ball (exact simplex, Bland's
-rule, lexicographic witness selection) and as a min-cost transportation
-problem (successive shortest paths on the residual graph). The dual-ball
-constraint matrix is totally unimodular, so the simplex keeps its
-coefficients as Python ints in {0, +-1} and updates only the nonzero
-cells of each pivot row; only right-hand sides and the weight objective
-are Fractions, and a pivot element other than +-1 is divided out exactly.
-The two routes share no code beyond the metric itself, so agreement is a
-meaningful cross-check; the tests add a brute-force vertex oracle for
-small spaces.
+The norm of a finitely supported element mu = sum w_x delta_x is the cost
+of one exact min-cost transport of its positive part onto its negative
+part (successive shortest paths on the residual graph). The dual witness
+comes from the same transport: one shortest-path pass over the arcs that
+carry flow gives the least optimal 1-Lipschitz function, and each result
+is certified by weak duality (the witness sits in the unit ball and pairs
+with mu to the transport cost). The tests keep a dense exact simplex over
+the dual ball and a brute-force vertex oracle as independent routes.
 """
 
 from __future__ import annotations
@@ -104,202 +101,21 @@ def pairing(mu: FreeElement, f: LipFn) -> Rat:
 
 
 # ---------------------------------------------------------------------------
-# Route 1: simplex over the dual ball
-
-
-class _LexSimplex:
-    """Sparse exact simplex maximizing stacked objectives in order.
-
-    Rows are equality constraints with a designated basic variable; the
-    initial basis must be feasible. Objective rows ride along through the
-    pivots; stage k only enters columns whose reduced cost is zero in all
-    earlier stages, which pins earlier optima while optimizing the next.
-    Bland's rule (lowest eligible column, lowest basic variable on ties)
-    rules out cycling.
-
-    Rows are dense lists, but a pivot touches only the nonzero columns of
-    the pivot row, and only in the rows and objectives whose entry in the
-    pivot column is nonzero. On a totally unimodular constraint matrix
-    (the dual-ball LP below is one) every coefficient stays in {0, +-1}
-    and every pivot element is +-1, so coefficient cells are Python ints
-    and only the right-hand side and objectives with rational data hold
-    Fractions. Any other pivot element is divided out exactly as a
-    Fraction, so correctness does not rest on unimodularity.
-    """
-
-    def __init__(self, n_cols: int):
-        self.n_cols = n_cols
-        self.rows = []
-        self.basis = []
-        self.objs = []  # row vectors of length n_cols + 1; last cell = -value
-
-    def add_row(self, coeffs: dict, rhs: Rat, basic: int):
-        row = [0] * (self.n_cols + 1)
-        for j, c in coeffs.items():
-            row[j] = c
-        row[-1] = rhs
-        self.rows.append(row)
-        self.basis.append(basic)
-
-    def add_objective(self, coeffs: dict):
-        row = [0] * (self.n_cols + 1)
-        for j, c in coeffs.items():
-            row[j] = c
-        row[-1] = ZERO
-        self.objs.append(row)
-
-    def _pivot(self, r: int, c: int):
-        prow = self.rows[r]
-        piv = prow[c]
-        nz = [j for j, x in enumerate(prow) if x]
-        if piv == -1:
-            for j in nz:
-                prow[j] = -prow[j]
-        elif piv != 1:
-            inv = ONE / piv
-            for j in nz:
-                prow[j] = prow[j] * inv
-        for i, row in enumerate(self.rows):
-            if i != r and row[c]:
-                self._eliminate(row, row[c], prow, nz)
-        for obj in self.objs:
-            if obj[c]:
-                self._eliminate(obj, obj[c], prow, nz)
-        self.basis[r] = c
-
-    @staticmethod
-    def _eliminate(row, f, prow, nz):
-        """row -= f * prow on the columns ``nz``."""
-        if f == 1:
-            for j in nz:
-                row[j] -= prow[j]
-        elif f == -1:
-            for j in nz:
-                row[j] += prow[j]
-        else:
-            for j in nz:
-                row[j] -= f * prow[j]
-
-    def optimize(self):
-        for stage in range(len(self.objs)):
-            earlier = self.objs[:stage]
-            while True:
-                obj = self.objs[stage]
-                enter = -1
-                for j in range(self.n_cols):
-                    if obj[j] > 0 and not any(prev[j] for prev in earlier):
-                        enter = j
-                        break
-                if enter < 0:
-                    break
-                leave = -1
-                best = None
-                for i, row in enumerate(self.rows):
-                    a = row[enter]
-                    if a > 0:
-                        ratio = row[-1] if a == 1 else row[-1] / a
-                        if (
-                            best is None
-                            or ratio < best
-                            or (ratio == best and self.basis[i] < self.basis[leave])
-                        ):
-                            best = ratio
-                            leave = i
-                if leave < 0:
-                    raise LipcheckError("simplex objective unbounded")
-                self._pivot(leave, enter)
-
-    def value(self, stage: int) -> Rat:
-        return -self.objs[stage][-1]
-
-    def solution(self):
-        x = [ZERO] * self.n_cols
-        for var, row in zip(self.basis, self.rows):
-            x[var] = row[-1]
-        return x
-
-
-@dataclass(frozen=True)
-class FreeNormResult:
-    value: Rat
-    witness: LipFn
-
-
-def free_norm_lp(mu: FreeElement) -> FreeNormResult:
-    """Free norm as sup of <mu, f> over the unit dual ball, with witness.
-
-    Variables are f(p) = u_p - v_p for p >= 1 (f(0) = 0 is substituted
-    away); one slack row per ordered pair keeps |f(p) - f(q)| <= d(p, q).
-    After the norm stage, extra stages minimize f(1), f(2), ... in order,
-    so the witness is the lexicographically smallest optimal vertex.
-    """
-    space = mu.space
-    n = space.n_points
-    if not mu.weights:
-        return FreeNormResult(ZERO, zero_fn(space))
-
-    n_struct = 2 * (n - 1)
-    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
-    sx = _LexSimplex(n_struct + len(pairs))
-
-    def ucol(p):
-        return 2 * (p - 1)
-
-    def vcol(p):
-        return 2 * (p - 1) + 1
-
-    for k, (p, q) in enumerate(pairs):
-        coeffs = {}
-        if p != 0:
-            coeffs[ucol(p)] = 1
-            coeffs[vcol(p)] = -1
-        if q != 0:
-            coeffs[ucol(q)] = -1
-            coeffs[vcol(q)] = 1
-        slack = n_struct + k
-        coeffs[slack] = 1
-        sx.add_row(coeffs, space.d(p, q), slack)
-
-    head = {}
-    for p, w in mu.weights.items():
-        if p != 0:
-            head[ucol(p)] = w
-            head[vcol(p)] = -w
-    sx.add_objective(head)
-    for p in range(1, n):
-        sx.add_objective({ucol(p): -1, vcol(p): 1})
-
-    sx.optimize()
-    x = sx.solution()
-    values = [ZERO] * n
-    for p in range(1, n):
-        values[p] = x[ucol(p)] - x[vcol(p)]
-    witness = LipFn(space, tuple(values))
-    value = sx.value(0)
-
-    if lip_norm(witness) > ONE:
-        raise LipcheckError("simplex witness escaped the dual ball")
-    if pairing(mu, witness) != value:
-        raise LipcheckError("simplex witness does not certify the optimum")
-    return FreeNormResult(value, witness)
-
-
-# ---------------------------------------------------------------------------
-# Route 2: min-cost transportation
+# Min-cost transportation and its least optimal dual
 
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
-def free_norm_flow(mu: FreeElement) -> Rat:
-    """Free norm as exact min-cost transport of mu+ onto mu-.
+def _transport(mu: FreeElement):
+    """Exact min-cost transport of mu+ onto mu-: (cost, arcs carrying flow).
 
     The net imbalance is absorbed at the base point (delta_0 is the zero
     vector, so this does not change the element). Masses are scaled to
     integers so every augmentation moves at least one unit; paths are
     found with Bellman-Ford on the residual graph, so reverse arcs with
-    negative cost are handled exactly.
+    negative cost are handled exactly. Arcs are (source point, sink point).
     """
     space = mu.space
     net = dict(mu.weights)
@@ -308,7 +124,7 @@ def free_norm_flow(mu: FreeElement) -> Rat:
     pos = [(p, w) for p, w in sorted(net.items()) if w > ZERO]
     neg = [(p, -w) for p, w in sorted(net.items()) if w < ZERO]
     if not pos:
-        return ZERO
+        return ZERO, []
 
     scale = 1
     for _, w in pos + neg:
@@ -391,11 +207,77 @@ def free_norm_flow(mu: FreeElement) -> Rat:
         demand[target] -= delta
 
     total_cost = ZERO
+    arcs = []
     for i in range(m):
         for j in range(k):
             if flow[i][j]:
                 total_cost += rat(flow[i][j]) * cost[i][j]
-    return total_cost / rat(scale)
+                arcs.append((spts[i], tpts[j]))
+    return total_cost / rat(scale), arcs
+
+
+def free_norm_flow(mu: FreeElement) -> Rat:
+    """Free norm as exact min-cost transport of mu+ onto mu-."""
+    return _transport(mu)[0]
+
+
+def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
+    """Pointwise-least f with f(0) = 0, |f(p) - f(q)| <= d(p, q), and
+    f(s) - f(t) = d(s, t) on every arc (s, t).
+
+    Each constraint f(a) - f(b) <= w is an arc b -> a of weight w, so
+    f(v) >= -dist(v, 0) for the shortest-path distance to the base point,
+    with equality attained (CLRS 24.4). Bellman-Ford finds dist in at most
+    n rounds; a relaxation in round n means a negative cycle, which only a
+    matrix violating the triangle inequality can produce.
+    """
+    n = space.n_points
+    edges = [(q, p, space.d(p, q)) for p in range(n) for q in range(n) if p != q]
+    edges += [(s, t, -space.d(s, t)) for s, t in arcs]
+    dist = [None] * n  # shortest distance from each point to the base point
+    dist[0] = ZERO
+    for _ in range(n):
+        changed = False
+        for u, v, w in edges:
+            if dist[v] is not None:
+                nd = w + dist[v]
+                if dist[u] is None or nd < dist[u]:
+                    dist[u] = nd
+                    changed = True
+        if not changed:
+            return LipFn(space, tuple(-x for x in dist))
+    raise PreconditionError(
+        "optimal transport arcs admit no 1-Lipschitz dual: "
+        "the distances violate the triangle inequality"
+    )
+
+
+@dataclass(frozen=True)
+class FreeNormResult:
+    value: Rat
+    witness: LipFn
+
+
+def free_norm_lp(mu: FreeElement) -> FreeNormResult:
+    """Free norm as max of <mu, f> over the unit dual ball, with witness.
+
+    By Kantorovich-Rubinstein duality and complementary slackness, the
+    optimal f are the 1-Lipschitz f with f(0) = 0 that are tight on every
+    arc of an optimal transport plan. The witness is the pointwise-least
+    of them, hence also the lexicographically smallest optimal point. It
+    sits in the unit ball and pairs with mu to the transport cost, which
+    certifies both as optimal by weak duality.
+    """
+    space = mu.space
+    if not mu.weights:
+        return FreeNormResult(ZERO, zero_fn(space))
+    value, arcs = _transport(mu)
+    witness = _least_optimal_dual(space, arcs)
+    if lip_norm(witness) > ONE:
+        raise LipcheckError("dual witness escaped the unit ball")
+    if pairing(mu, witness) != value:
+        raise LipcheckError("dual witness does not pair to the transport cost")
+    return FreeNormResult(value, witness)
 
 
 # ---------------------------------------------------------------------------

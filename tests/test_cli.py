@@ -9,7 +9,7 @@ import pytest
 import lipcheck
 from lipcheck import cli
 from lipcheck.cli import main, sample_analytic
-from lipcheck.metric import PreconditionError
+from lipcheck.metric import LipcheckError, PreconditionError
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -121,6 +121,8 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     # Models without the needed tail data are definition errors.
     assert main(["check", "--theorem", "thm43", "--model", "dmqr44",
                  "--n", "10", "--out", str(tmp_path / "z.json")]) == 3
+    assert main(["check", "--theorem", "thm46", "--model", "discrete",
+                 "--n", "8", "--out", str(tmp_path / "v.json")]) == 3
     assert main(["pipeline", "--model", "power_line", "--param", "ratio=1",
                  "--n", "8", "--out", str(tmp_path / "w.json")]) == 3
 
@@ -140,6 +142,8 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["norm", "--space", "discrete", "--n", "3", "--values", "[0.5, 0, 0]"], None),
     (["validate"], {"dist": [["0", "1"], ["1", "0"]], "name": ["a"]}),
     (["verify", "--theorem", "thm34", "--n", "0"], None),
+    (["verify", "--theorem", "thm34", "--param", "c=3", "--support", "1",
+      "--rand-count", "1"], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
     """Bad shapes in space files, elements and --values, and sizes below
@@ -153,6 +157,20 @@ def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
     assert code == 2
     assert not path.exists()
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_internal_failure_exits_4_without_traceback(tmp_path, capsys, monkeypatch):
+    """A failed internal certificate is a bug, not a verdict: exit 4 with
+    one error line."""
+    def broken(mu):
+        raise LipcheckError("dual witness escaped the unit ball")
+
+    monkeypatch.setattr(cli, "free_norm_lp", broken)
+    code, path = run(tmp_path, "free-norm", "--space", "discrete", "--n", "3",
+                     "--element", '{"weights": {"1": "1"}}')
+    assert code == 4
+    assert not path.exists()
+    assert capsys.readouterr().err == "error: dual witness escaped the unit ball\n"
 
 
 # sha256 of each report, recorded before the construction table replaced

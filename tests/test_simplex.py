@@ -1,19 +1,34 @@
-"""The sparse simplex behind free_norm_lp against the dense one it replaced.
+"""free_norm_lp against an exact simplex over the dual ball.
 
-``DenseLexSimplex`` is the original dense exact-rational simplex, kept
-verbatim as a differential oracle: on every instance both solvers must
-make the same pivots and return the same value and witness. Pinned pivot
-counts catch algorithmic regressions on any machine.
+``DenseLexSimplex`` is a dense exact-rational simplex, and ``lp_oracle``
+sets up the dual-ball LP on it with lexicographic witness stages. The
+package derives value and witness from one min-cost transport instead; on
+every instance both must return the same value and the same witness.
+Pinned pivot counts are facts about the oracle.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from lipcheck import freespace
-from lipcheck.freespace import free_add, free_element, free_norm_lp, molecule
-from lipcheck.metric import CATALOG_NAMES, LipcheckError, catalog, make_space, truncate
+from lipcheck.acceptance import _closure_space
+from lipcheck.freespace import (
+    FreeNormResult,
+    free_add,
+    free_element,
+    free_norm_flow,
+    free_norm_lp,
+    molecule,
+)
+from lipcheck.lipfun import LipFn, zero_fn
+from lipcheck.metric import (
+    CATALOG_NAMES,
+    LipcheckError,
+    PreconditionError,
+    catalog,
+    make_space,
+    truncate,
+)
 from lipcheck.rational import ONE, ZERO, rat
 
 
@@ -102,34 +117,65 @@ class DenseLexSimplex:
         return x
 
 
-def _solve_logged(monkeypatch, mu, solver):
-    """free_norm_lp on ``mu`` with ``solver`` as its simplex; returns the
-    result and the (row, col) pivot sequence."""
+def lp_oracle(mu):
+    """The dual-ball LP behind free_norm_lp before the transport witness,
+    solved by ``DenseLexSimplex``; returns the result and the (row, col)
+    pivot sequence.
+
+    Variables are f(p) = u_p - v_p for p >= 1 (f(0) = 0 is substituted
+    away); one slack row per ordered pair keeps |f(p) - f(q)| <= d(p, q).
+    After the norm stage, extra stages minimize f(1), f(2), ... in order,
+    so the witness is the lexicographically smallest optimal vertex.
+    """
     log = []
 
-    class Logged(solver):
+    class Logged(DenseLexSimplex):
         def _pivot(self, r, c):
             log.append((r, c))
             super()._pivot(r, c)
 
-    with monkeypatch.context() as m:
-        m.setattr(freespace, "_LexSimplex", Logged)
-        res = free_norm_lp(mu)
-    return res, log
+    space = mu.space
+    n = space.n_points
+    if not mu.weights:
+        return FreeNormResult(ZERO, zero_fn(space)), log
 
+    n_struct = 2 * (n - 1)
+    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
+    sx = Logged(n_struct + len(pairs))
 
-def _closure_space(rng, n):
-    """Shortest-path closure of a seeded positive symmetric matrix."""
-    d = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i][j] = d[j][i] = Fraction(rng.randint(1, 12), rng.randint(1, 3))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if d[i][k] + d[k][j] < d[i][j]:
-                    d[i][j] = d[i][k] + d[k][j]
-    return make_space(d)
+    def ucol(p):
+        return 2 * (p - 1)
+
+    def vcol(p):
+        return 2 * (p - 1) + 1
+
+    for k, (p, q) in enumerate(pairs):
+        coeffs = {}
+        if p != 0:
+            coeffs[ucol(p)] = 1
+            coeffs[vcol(p)] = -1
+        if q != 0:
+            coeffs[ucol(q)] = -1
+            coeffs[vcol(q)] = 1
+        slack = n_struct + k
+        coeffs[slack] = 1
+        sx.add_row(coeffs, space.d(p, q), slack)
+
+    head = {}
+    for p, w in mu.weights.items():
+        if p != 0:
+            head[ucol(p)] = w
+            head[vcol(p)] = -w
+    sx.add_objective(head)
+    for p in range(1, n):
+        sx.add_objective({ucol(p): -1, vcol(p): 1})
+
+    sx.optimize()
+    x = sx.solution()
+    values = [ZERO] * n
+    for p in range(1, n):
+        values[p] = x[ucol(p)] - x[vcol(p)]
+    return FreeNormResult(sx.value(0), LipFn(space, tuple(values))), log
 
 
 def _random_weights(rng, n):
@@ -148,48 +194,54 @@ def _molecule_sum(rng, space):
     return mu
 
 
-def _assert_same(monkeypatch, mu):
-    new, new_log = _solve_logged(monkeypatch, mu, freespace._LexSimplex)
-    old, old_log = _solve_logged(monkeypatch, mu, DenseLexSimplex)
+def _assert_same(mu):
+    new = free_norm_lp(mu)
+    old, log = lp_oracle(mu)
     assert new.value == old.value
     assert new.witness.values == old.witness.values
-    assert new_log == old_log
-    return len(new_log)
+    return len(log)
 
 
-def test_matches_dense_oracle_on_closure_spaces(monkeypatch):
+def test_matches_dense_oracle_on_closure_spaces():
     rng = random.Random(20261017)
     pivots = 0
     for k in range(140):
         n = 2 + k % 7
         space = _closure_space(rng, n)
-        pivots += _assert_same(monkeypatch, free_element(space, _random_weights(rng, n)))
+        pivots += _assert_same(free_element(space, _random_weights(rng, n)))
     assert pivots > 0
 
 
 @pytest.mark.parametrize("name", CATALOG_NAMES)
-def test_matches_dense_oracle_on_catalog_truncations(monkeypatch, name):
+def test_matches_dense_oracle_on_catalog_truncations(name):
     space = truncate(catalog(name), 10)
     rng = random.Random(f"oracle:{name}")
-    _assert_same(monkeypatch, _molecule_sum(rng, space))
-    _assert_same(monkeypatch, free_element(space, _random_weights(rng, 10)))
+    _assert_same(_molecule_sum(rng, space))
+    _assert_same(free_element(space, _random_weights(rng, 10)))
 
 
 def test_non_unimodular_pivots_fall_back_to_fractions():
-    """A pivot element other than +-1 is divided out as a Fraction."""
-    results = []
-    for solver in (freespace._LexSimplex, DenseLexSimplex):
-        # maximize x0 + x1 s.t. 2 x0 + x1 <= 4, x0 + 3 x1 <= 6; the first
-        # pivot is on the 2.
-        sx = solver(4)
-        sx.add_row({0: 2, 1: 1, 2: 1}, rat(4), 2)
-        sx.add_row({0: 1, 1: 3, 3: 1}, rat(6), 3)
-        sx.add_objective({0: 1, 1: 1})
-        sx.optimize()
-        results.append((sx.value(0), sx.solution(), sx.basis))
-    assert results[0] == results[1]
-    assert results[0][0] == rat(14, 5)
-    assert results[0][1][:2] == [rat(6, 5), rat(8, 5)]
+    """The oracle divides a pivot element other than +-1 out as a Fraction."""
+    # maximize x0 + x1 s.t. 2 x0 + x1 <= 4, x0 + 3 x1 <= 6; the first
+    # pivot is on the 2.
+    sx = DenseLexSimplex(4)
+    sx.add_row({0: 2, 1: 1, 2: 1}, rat(4), 2)
+    sx.add_row({0: 1, 1: 3, 3: 1}, rat(6), 3)
+    sx.add_objective({0: 1, 1: 1})
+    sx.optimize()
+    assert sx.value(0) == rat(14, 5)
+    assert sx.solution()[:2] == [rat(6, 5), rat(8, 5)]
+    assert sx.basis == [0, 1]
+
+
+def test_triangle_violation_has_no_dual_witness():
+    """On a matrix that fails the triangle inequality the transport still
+    runs, but no 1-Lipschitz function is tight on its arcs."""
+    space = make_space([[0, 1, 1], [1, 0, 5], [1, 5, 0]])
+    mu = free_element(space, {1: 1, 2: -1})
+    assert free_norm_flow(mu) == rat(5)
+    with pytest.raises(PreconditionError, match="triangle inequality"):
+        free_norm_lp(mu)
 
 
 # Recorded with the dense simplex; a change to the pivot rule shows here.
@@ -208,14 +260,14 @@ def _alternating(space):
     )
 
 
-def test_pinned_pivot_counts(monkeypatch):
+def test_pinned_pivot_counts():
     dmqr41 = truncate(catalog("dmqr41"), 6)
     mu = free_add(molecule(dmqr41, 0, 1), molecule(dmqr41, 2, 3))
     elements = {"dmqr41-6": mu}
     for name in ("dmqr41", "example48", "prop24", "discrete"):
         elements[name + "-10"] = _alternating(truncate(catalog(name), 10))
     counts = {
-        key: len(_solve_logged(monkeypatch, mu, freespace._LexSimplex)[1])
+        key: len(lp_oracle(mu)[1])
         for key, mu in elements.items()
     }
     assert counts == PINNED_PIVOTS
