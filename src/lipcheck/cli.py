@@ -55,12 +55,17 @@ from .embeddings import (
     report_json,
     standard_battery,
     standard_family,
+    standard_size,
     verify_isometry,
 )
 
 OUT_DIR_ENV = "LIPCHECK_OUT_DIR"
 
 MODEL_NAMES = CATALOG_NAMES + ("integer_line", "power_line")
+
+# Largest truncation the command line builds. Validation is cubic in N, and
+# the largest size the shipped checks use is 65 (the thm57 instance).
+MAX_N = 128
 
 
 @dataclass
@@ -180,16 +185,23 @@ def load_model(name: str, params: dict):
             raise ModelError("integer_line takes no parameters")
         return integer_line()
     if name == "power_line":
+        unknown = sorted(set(params) - {"ratio"})
+        if unknown:
+            raise ModelError(f"model 'power_line' does not take parameters {unknown}")
         return power_line(**params)
     return catalog(name, **params)
+
+
+def _check_n(n: Optional[int]) -> Optional[int]:
+    if n is not None and not 2 <= n <= MAX_N:
+        raise PreconditionError(f"truncation size {n} is outside 2..{MAX_N}")
+    return n
 
 
 def _require_n(config: RunConfig) -> int:
     if config.n is None:
         raise PreconditionError("--n is required for model-backed spaces")
-    if config.n < 2:
-        raise PreconditionError("--n must be at least 2")
-    return config.n
+    return _check_n(config.n)
 
 
 def load_space(config: RunConfig):
@@ -293,7 +305,9 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    built = standard_family(config.theorem, N=config.n, **config.params)
+    default_n = standard_size(config.theorem, config.params)
+    n = _check_n(default_n if config.n is None else config.n)
+    built = standard_family(config.theorem, N=n, **config.params)
     battery = standard_battery(
         built.size, seed=config.seed, rand_count=config.rand_count,
         support=config.support,
@@ -302,10 +316,7 @@ def cmd_verify(config: RunConfig) -> int:
         built.functions, built.target, battery, built.expectation,
         seed=config.seed,
     )
-    n_val = config.n if config.n is not None else built.spec.space.n_points
-    blob = report_json(
-        config.theorem, built.spec.space.name, n_val, built.checker, report
-    )
+    blob = report_json(config.theorem, built.spec.space.name, n, built.checker, report)
     blob["command"] = "verify"
     ok = report.expectation_pass
     path = write_report_file(config, blob, f"lipcheck-verify-{config.theorem}")
@@ -428,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--space", help="catalog model name or a JSON file path")
         if needs_model:
             p.add_argument("--model", choices=MODEL_NAMES)
-        p.add_argument("--n", type=int, help="truncation size (at least 2)")
+        p.add_argument("--n", type=int, help=f"truncation size (2 to {MAX_N})")
         p.add_argument("--param", action="append", dest="params_raw",
                        metavar="KEY=VALUE", help="model parameter, repeatable")
         p.add_argument("--seed", type=int, default=BATTERY_SEED)

@@ -1253,18 +1253,28 @@ def check_canonical(theorem_id: str, model: MetricModel, N: int) -> CheckResult:
     return rec.check(_canonical_spec(rec, space, model, N, rec.anchors))
 
 
-def standard_family(theorem_id: str, N: Optional[int] = None, **params) -> BuiltFamily:
-    """The catalog instantiation of each supported construction, with its
-    checker outcome and finite-scale expectation wired in."""
+def standard_size(theorem_id: str, params) -> int:
+    """The truncation size of the standard instance of theorem_id on params
+    when none is given; PreconditionError unless it reads every key."""
     rec = _construction(theorem_id, "model", "standard instance")
     unknown = sorted(set(params) - set(inspect.signature(rec.model).parameters))
     if unknown:
         raise PreconditionError(
             f"standard instance of {theorem_id!r} takes no parameter {', '.join(unknown)}"
         )
-    model = rec.model(**params)
+    return rec.default_N if rec.default_N is not None else rec.model(**params).max_points
+
+
+def standard_family(theorem_id: str, N: Optional[int] = None, **params) -> BuiltFamily:
+    """The catalog instantiation of each supported construction, with its
+    checker outcome and finite-scale expectation wired in."""
+    default_N = standard_size(theorem_id, params)
+    rec = _construction(theorem_id, "model", "standard instance")
     if N is None:
-        N = rec.default_N if rec.default_N is not None else model.max_points
+        N = default_N
+    elif rec.default_N is None and N != default_N:
+        raise PreconditionError(f"standard instance of {theorem_id!r} uses all {default_N} points")
+    model = rec.model(**params)
     space = truncate(model, N)
     spec = _canonical_spec(rec, space, model, N, rec.standard_anchors or rec.anchors)
     checker = run_checker(spec)

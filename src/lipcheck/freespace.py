@@ -8,12 +8,16 @@ carry flow gives the least optimal 1-Lipschitz function, and each result
 is certified by weak duality (the witness sits in the unit ball and pairs
 with mu to the transport cost). The tests keep a dense exact simplex over
 the dual ball and a brute-force vertex oracle as independent routes.
+
+The matching criterion is one exact Hungarian solve whose integer costs
+carry a tie-break term, so a cheaper permutation, when one exists, is
+reported as the lexicographically first of minimum cost.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 
 from .lipfun import LipFn, lip_norm, zero_fn
 from .metric import (
@@ -104,10 +108,6 @@ def pairing(mu: FreeElement, f: LipFn) -> Rat:
 # Min-cost transportation and its least optimal dual
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
-
-
 def _transport(mu: FreeElement):
     """Exact min-cost transport of mu+ onto mu-: (cost, arcs carrying flow).
 
@@ -126,9 +126,7 @@ def _transport(mu: FreeElement):
     if not pos:
         return ZERO, []
 
-    scale = 1
-    for _, w in pos + neg:
-        scale = _lcm(scale, int(w.denominator))
+    scale = lcm(*(w.denominator for _, w in pos + neg))
     supply = [int(w * scale) for _, w in pos]
     demand = [int(w * scale) for _, w in neg]
     spts = [p for p, _ in pos]
@@ -295,47 +293,13 @@ class MatchingResult:
         return self.ok
 
 
-EXHAUSTIVE_MATCHING_LIMIT = 10
-
-
-def _assignment_dfs(cost, best_bound):
-    """Exact branch-and-bound over permutations; returns (cost, perm)."""
-    k = len(cost)
-    best = [best_bound, tuple(range(k))]
-    used = [False] * k
-    choice = [0] * k
-
-    def row_min(i):
-        return min(cost[i][j] for j in range(k) if not used[j])
-
-    def rec(i, partial):
-        if i == k:
-            if partial < best[0]:
-                best[0] = partial
-                best[1] = tuple(choice)
-            return
-        bound = partial
-        for r in range(i, k):
-            bound += row_min(r)
-        if bound >= best[0] and i > 0:
-            return
-        for j in range(k):
-            if not used[j]:
-                used[j] = True
-                choice[i] = j
-                rec(i + 1, partial + cost[i][j])
-                used[j] = False
-
-    rec(0, ZERO)
-    return best[0], best[1]
-
-
 def _hungarian(cost):
-    """Exact rational Hungarian algorithm; returns (cost, perm)."""
+    """Exact Hungarian algorithm on an integer cost matrix; returns a
+    minimum-cost permutation (row i goes to column perm[i])."""
     k = len(cost)
-    big = sum((sum(row, ZERO) for row in cost), ONE)
-    u = [ZERO] * (k + 1)
-    v = [ZERO] * (k + 1)
+    big = sum(map(sum, cost)) + 1
+    u = [0] * (k + 1)
+    v = [0] * (k + 1)
     p = [0] * (k + 1)  # p[j] = row matched to column j (1-based)
     way = [0] * (k + 1)
     for i in range(1, k + 1):
@@ -371,18 +335,21 @@ def _hungarian(cost):
             p[j0] = p[j1]
             j0 = j1
     perm = [0] * k
-    total = ZERO
     for j in range(1, k + 1):
         perm[p[j] - 1] = j - 1
-        total += cost[p[j] - 1][j - 1]
-    return total, tuple(perm)
+    return tuple(perm)
 
 
 def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
     """Is the identity matching u_i -> v_i minimum-weight among all
     bijections of {u_i} onto {v_j}? False comes with a cheaper permutation.
 
-    Exhaustive branch-and-bound up to 10 pairs, exact Hungarian beyond.
+    One Hungarian solve on the integer costs int(c_ij * D) * k**k +
+    j * k**(k-1-i), D the LCM of the cost denominators. The added term of
+    a permutation is the permutation read as a base-k number, below k**k,
+    so it only breaks ties: the reported permutation is the
+    lexicographically first of minimum cost. The identity is reported
+    unless it is strictly beaten.
     """
     match_pairs = list(match_pairs)
     if not match_pairs:
@@ -392,10 +359,12 @@ def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
         [space.d(u, v) for _, v in match_pairs] for u, _ in match_pairs
     ]
     identity = sum((cost[i][i] for i in range(k)), ZERO)
-    if k <= EXHAUSTIVE_MATCHING_LIMIT:
-        best, perm = _assignment_dfs(cost, identity)
-    else:
-        best, perm = _hungarian(cost)
+    den = lcm(*(c.denominator for row in cost for c in row))
+    perm = _hungarian([
+        [int(c * den) * k ** k + j * k ** (k - 1 - i) for j, c in enumerate(row)]
+        for i, row in enumerate(cost)
+    ])
+    best = sum((cost[i][perm[i]] for i in range(k)), ZERO)
     if best < identity:
         return MatchingResult(False, perm, identity, best)
     return MatchingResult(True, tuple(range(k)), identity, identity)

@@ -658,7 +658,7 @@ CATALOG_DEFAULTS = {
 }
 
 
-def catalog(name: str, **params) -> MetricModel:
+def catalog(name: str, /, **params) -> MetricModel:
     """Build a catalog model by identifier, applying documented defaults."""
     if name not in _CATALOG:
         raise ModelError(f"unknown catalog model {name!r}; known: {', '.join(CATALOG_NAMES)}")

@@ -318,12 +318,17 @@ def pl_from_json(obj) -> PLFn:
         left, right = bool(extend.get("left")), bool(extend.get("right"))
     else:
         raise StructureError(f"unknown extension spec {extend!r}")
+    raw_bps, raw_vals = obj["breakpoints"], obj["values"]
+    raw_base = obj.get("base", "0")
+    if not (isinstance(raw_bps, list) and isinstance(raw_vals, list)
+            and all(isinstance(x, str) for x in raw_bps + raw_vals + [raw_base])):
+        raise StructureError("'breakpoints', 'values' and 'base' must hold rational strings")
     try:
-        bps = tuple(parse_rat(x) for x in obj["breakpoints"])
-        vals = tuple(parse_rat(v) for v in obj["values"])
+        bps = tuple(map(parse_rat, raw_bps))
+        vals = tuple(map(parse_rat, raw_vals))
+        base = parse_rat(raw_base)
     except ValueError as exc:
         raise StructureError(str(exc)) from None
-    base = parse_rat(obj["base"]) if "base" in obj else ZERO
     return PLFn(bps, vals, left, right, base)
 
 

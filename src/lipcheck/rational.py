@@ -1,14 +1,8 @@
-"""Exact rational arithmetic backend.
+"""Exact rational arithmetic.
 
 Everything in this package that carries mathematical meaning is an exact
-rational.  This module picks the fastest available implementation at import
-time: gmpy2's mpq (a compiled GMP wrapper) when installed, else the stdlib
-fractions.Fraction.  Both register as numbers.Rational and expose
-.numerator/.denominator, and all package code goes through rat()/format_rat/
-parse_rat, so the two are interchangeable.
-
-Set LIPCHECK_PURE_RATIONAL=1 to force the pure-Python backend (used by the
-benchmark script and by tests that pin backend-independent behaviour).
+rational, and every rational is a stdlib fractions.Fraction. All package
+code goes through rat()/format_rat/parse_rat.
 
 Serialization format is deliberately strict so that reports are canonical:
 an integer renders as "5", everything else as "p/q" in lowest terms with
@@ -18,26 +12,12 @@ q > 1 and the sign on the numerator.  parse_rat rejects anything else
 
 from __future__ import annotations
 
-import os
 import re
 from fractions import Fraction
-from typing import Union
 
-_FORCE_PURE = os.environ.get("LIPCHECK_PURE_RATIONAL", "") == "1"
+BACKEND = "fractions"  # recorded in the acceptance report
 
-if not _FORCE_PURE:
-    try:
-        from gmpy2 import mpq as _mpq
-
-        BACKEND = "gmpy2"
-    except ImportError:
-        _mpq = None
-        BACKEND = "fractions"
-else:
-    _mpq = None
-    BACKEND = "fractions"
-
-Rat = Union[Fraction, "_mpq"]  # either backend; duck-typed via numbers.Rational
+Rat = Fraction
 
 _RAT_RE = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
@@ -50,12 +30,6 @@ def rat(num, den=None) -> Rat:
         return parse_rat(num)
     if isinstance(num, float) or isinstance(den, float):
         raise TypeError("rat() takes exact inputs, not floats")
-    if den is None:
-        if _mpq is not None:
-            return _mpq(num)
-        return Fraction(num)
-    if _mpq is not None:
-        return _mpq(num, den)
     return Fraction(num, den)
 
 

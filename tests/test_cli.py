@@ -1,10 +1,14 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lipcheck
 from lipcheck import cli
@@ -125,6 +129,11 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
                  "--n", "8", "--out", str(tmp_path / "v.json")]) == 3
     assert main(["pipeline", "--model", "power_line", "--param", "ratio=1",
                  "--n", "8", "--out", str(tmp_path / "w.json")]) == 3
+    # Unknown --param keys, including the builders' own argument names.
+    assert main(["validate", "--space", "power_line", "--n", "4", "--param", "zz=3",
+                 "--out", str(tmp_path / "u.json")]) == 3
+    assert main(["validate", "--space", "dmqr41", "--n", "4", "--param", "name=3",
+                 "--out", str(tmp_path / "t.json")]) == 3
 
 
 @pytest.mark.parametrize("argv, space_json", [
@@ -144,11 +153,16 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["verify", "--theorem", "thm34", "--n", "0"], None),
     (["verify", "--theorem", "thm34", "--param", "c=3", "--support", "1",
       "--rand-count", "1"], None),
+    (["verify", "--theorem", "thm34", "--param", "N=3"], None),
+    (["validate", "--space", "discrete", "--n", str(cli.MAX_N + 1)], None),
+    (["verify", "--theorem", "thm34", "--n", str(cli.MAX_N + 1)], None),
+    (["verify", "--theorem", "thm51", "--param", "levels=7"], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
-    """Bad shapes in space files, elements and --values, and sizes below
-    two, exit 2 with one error line, never with a traceback (exit 1 is
-    reserved for failed checks)."""
+    """Bad shapes in space files, elements and --values, unknown --param
+    keys of a standard instance, and sizes outside 2..MAX_N, exit 2 with
+    one error line, never with a traceback (exit 1 is reserved for failed
+    checks)."""
     if space_json is not None:
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps(space_json))
@@ -171,6 +185,73 @@ def test_internal_failure_exits_4_without_traceback(tmp_path, capsys, monkeypatc
     assert code == 4
     assert not path.exists()
     assert capsys.readouterr().err == "error: dual witness escaped the unit ball\n"
+
+
+_JSON_LEAF = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2),
+    st.sampled_from(["0", "1", "-1/2", "2/4", "x", ""]),
+)
+_JUNK_JSON = st.one_of(
+    st.recursive(
+        _JSON_LEAF,
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.sampled_from(["weights", "0", "1", "9", "x"]), inner, max_size=3),
+        max_leaves=6,
+    ).map(json.dumps),
+    st.sampled_from(["not json", "", "[", '["0", "1", "-1/2"]', '{"weights": {"1": "1", "2": "-1"}}']),
+)
+_PARAMS = st.lists(st.tuples(
+    st.sampled_from(["c", "levels", "groups", "ratio", "N", "name", "theorem_id", "zz", ""]),
+    st.sampled_from(["-1", "0", "1", "2", "3", "5", "1/2", "3/2", "2/4", "abc", ""]),
+), max_size=2)
+_N = st.one_of(st.sampled_from([2, 3, 5, 8]), st.sampled_from([None, -1, 0, 1, cli.MAX_N + 1]))
+_MODELS = st.sampled_from(cli.MODEL_NAMES + ("nope",))
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with catalog names, junk --param pairs, --n values on
+    both sides of the bounds, and junk JSON for --values and --element."""
+    command = draw(st.sampled_from(["validate", "norm", "free-norm", "check", "verify", "pipeline"]))
+    argv = [command]
+    if command in ("validate", "norm", "free-norm"):
+        argv += ["--space", draw(st.one_of(_MODELS, st.just("missing.json")))]
+    elif command == "verify":
+        argv += ["--theorem", draw(st.sampled_from(cli.VERIFY_THEOREMS)),
+                 "--support", str(draw(st.integers(0, 2))),
+                 "--rand-count", str(draw(st.integers(-1, 2)))]
+    else:
+        if command == "check":
+            argv += ["--theorem", draw(st.sampled_from(cli.CHECK_THEOREMS))]
+        argv += ["--model", draw(_MODELS)]
+    n = draw(_N)
+    if n is not None:
+        argv += ["--n", str(n)]
+    for key, value in draw(_PARAMS):
+        argv += ["--param", f"{key}={value}"]
+    if command == "norm":
+        argv += ["--values", draw(_JUNK_JSON)]
+    if command == "free-norm":
+        argv += ["--element", draw(_JUNK_JSON)]
+    return argv
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
+    """Any argv exits 0-3 without a traceback, and exit 1 comes only with a
+    written report that records a failed check."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out.json")
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", out])
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            blob = read(out)
+            assert any(blob.get(k) is False for k in ("passed", "ok", "expectation_pass"))
 
 
 # sha256 of each report, recorded before the construction table replaced

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -134,6 +135,56 @@ def free_norm_vertex_oracle(mu):
     return best
 
 
+# ---------------------------------------------------------------------------
+# Branch-and-bound matching oracle: scans columns in increasing order and
+# keeps strict improvements only, so it returns the lexicographically first
+# permutation of minimum cost, or the identity when nothing beats it.
+
+
+def _assignment_dfs(cost, best_bound):
+    """Exact branch-and-bound over permutations; returns (cost, perm)."""
+    k = len(cost)
+    best = [best_bound, tuple(range(k))]
+    used = [False] * k
+    choice = [0] * k
+
+    def row_min(i):
+        return min(cost[i][j] for j in range(k) if not used[j])
+
+    def rec(i, partial):
+        if i == k:
+            if partial < best[0]:
+                best[0] = partial
+                best[1] = tuple(choice)
+            return
+        bound = partial
+        for r in range(i, k):
+            bound += row_min(r)
+        if bound >= best[0] and i > 0:
+            return
+        for j in range(k):
+            if not used[j]:
+                used[j] = True
+                choice[i] = j
+                rec(i + 1, partial + cost[i][j])
+                used[j] = False
+
+    rec(0, ZERO)
+    return best[0], best[1]
+
+
+def _cost_space(cost):
+    """Points u_0..u_{k-1}, v_0..v_{k-1} with d(u_i, v_j) = cost[i][j] and
+    pairs (u_i, v_i). Only cross distances matter to the matching, so the
+    others are 1 and the axioms are not checked."""
+    k = len(cost)
+    rows = [[rat(0 if a == b else 1) for b in range(2 * k)] for a in range(2 * k)]
+    for i in range(k):
+        for j in range(k):
+            rows[i][k + j] = rows[k + j][i] = cost[i][j]
+    return make_space(rows), [(i, k + i) for i in range(k)]
+
+
 DISCRETE5 = truncate(catalog("discrete"), 5)
 
 
@@ -236,8 +287,6 @@ def test_matching_large_uses_hungarian():
 
 def test_matching_dfs_agrees_with_hungarian():
     rng = random.Random(20260815)
-    from lipcheck.freespace import _assignment_dfs, _hungarian
-
     for _ in range(20):
         k = rng.randint(2, 5)
         cost = [
@@ -246,8 +295,41 @@ def test_matching_dfs_agrees_with_hungarian():
         ]
         identity = sum((cost[i][i] for i in range(k)), rat(0))
         dfs_val, _ = _assignment_dfs(cost, identity)
-        hun_val, _ = _hungarian(cost)
-        assert dfs_val == min(identity, hun_val) or dfs_val == hun_val
+        res = matching_min_check(*_cost_space(cost))
+        assert res.identity_cost == identity
+        assert res.best_cost == dfs_val
+
+
+def test_matching_tie_break_matches_dfs_oracle_and_brute_force():
+    """On tie-heavy costs the one Hungarian solve reports the same cheaper
+    permutation as the branch-and-bound oracle, and for k <= 7 the same as
+    the lexicographically first minimum over all permutations."""
+    rng = random.Random(7001)
+    beaten = 0
+    for k in range(2, 11):
+        for _ in range(45):
+            cost = [
+                [rat(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            identity = sum((cost[i][i] for i in range(k)), rat(0))
+            res = matching_min_check(*_cost_space(cost))
+            dfs_val, dfs_perm = _assignment_dfs(cost, identity)
+            assert res.identity_cost == identity
+            assert (res.best_cost, res.permutation) == (dfs_val, dfs_perm)
+            assert bool(res) == (dfs_val == identity)
+            beaten += not res
+            if k <= 7:
+                brute = min(
+                    itertools.permutations(range(k)),
+                    key=lambda perm: sum(cost[i][j] for i, j in enumerate(perm)),
+                )
+                brute_val = sum(cost[i][j] for i, j in enumerate(brute))
+                if brute_val < identity:
+                    assert (res.best_cost, res.permutation) == (brute_val, brute)
+                else:
+                    assert res.permutation == tuple(range(k))
+    assert beaten > 300
 
 
 def test_check_thm310_instances():

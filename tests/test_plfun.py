@@ -171,6 +171,16 @@ def test_json_roundtrip():
         pl_from_json(blob)
 
 
+@pytest.mark.parametrize("blob", [
+    {"breakpoints": 5, "values": []},
+    {"breakpoints": [0], "values": [0]},
+    {"breakpoints": ["0"], "values": ["0"], "base": 3},
+])
+def test_pl_from_json_rejects_malformed_shapes(blob):
+    with pytest.raises(StructureError):
+        pl_from_json(blob)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(-8, 8).map(lambda k: rat(k, 3)), min_size=1, max_size=5))
 def test_tent_sum_isometry_property(a):
