@@ -15,11 +15,11 @@ import random
 from .rational import BACKEND, ONE, ZERO, format_rat, rat
 from .metric import (
     CATALOG_NAMES,
+    ModelError,
     catalog,
     make_space,
     power_line,
     truncate,
-    validate,
 )
 from .lipfun import lip_norm
 from .plfun import gen_zigzag, pl_norm, pl_pointwise_sup, sample_analytic, tent_sum
@@ -64,7 +64,11 @@ def _result(cid: int, title: str, passed: bool, details: dict) -> dict:
 def criterion_1() -> dict:
     per_model = {}
     for name in CATALOG_NAMES:
-        per_model[name] = validate(truncate(catalog(name), 64)).passed
+        per_model[name] = True
+        try:
+            truncate(catalog(name), 64)  # validates: ModelError on a violation
+        except ModelError:
+            per_model[name] = False
     ok = len(CATALOG_NAMES) == 12 and all(per_model.values())
     return _result(
         1, "all 12 catalog models validate at N=64", ok,
@@ -192,13 +196,11 @@ def criterion_5() -> dict:
             "members": built.size,
             "pass": good,
         }
+        if built.expectation.kind == "deflated":
+            # thm57's residue rule, |a| - sup at the base = |a| 2^-levels:
+            # recorded for visibility, enforced per vector by verify_isometry.
+            per_id[tid]["base_gap_factor"] = format_rat(built.expectation.base_gap_factor)
         ok = ok and good
-    # The deflated family's residue rule: coefficient norm minus the sup at
-    # the base equals the norm times 2^-levels; recorded for visibility,
-    # enforced per vector inside verify_isometry.
-    per_id["thm57"]["base_gap_factor"] = format_rat(
-        standard_family("thm57").expectation.base_gap_factor
-    )
     return _result(
         5, "standard families verify on their catalog spaces", ok, per_id
     )

@@ -38,9 +38,8 @@ from .metric import (
     power_line,
     space_from_json,
     truncate,
-    validate,
 )
-from .lipfun import defect, lip_norm, lipfn, pointwise_sup, strong_pairs
+from .lipfun import lip_norm, lipfn, pointwise_sup, strong_pairs
 from .freespace import free_from_json, free_norm_flow, free_norm_lp, pairing
 from .plfun import ANALYTIC_FUNCTIONS, sample_analytic
 from .embeddings import (
@@ -66,6 +65,12 @@ MODEL_NAMES = CATALOG_NAMES + ("integer_line", "power_line")
 # Largest truncation the command line builds. Validation is cubic in N, and
 # the largest size the shipped checks use is 65 (the thm57 instance).
 MAX_N = 128
+
+# Bounds on the verify battery: 3 ** support sign vectors, built eagerly (8
+# gives 6,561, 27 times the default), plus rand_count random vectors. Each
+# costs O(N^2) exact slopes. A negative count would drop the random vectors.
+MAX_SUPPORT = 8
+MAX_RAND_COUNT = 1000
 
 
 @dataclass
@@ -192,16 +197,16 @@ def load_model(name: str, params: dict):
     return catalog(name, **params)
 
 
-def _check_n(n: Optional[int]) -> Optional[int]:
-    if n is not None and not 2 <= n <= MAX_N:
-        raise PreconditionError(f"truncation size {n} is outside 2..{MAX_N}")
-    return n
+def _check_range(what: str, value: Optional[int], lo: int, hi: int) -> Optional[int]:
+    if value is not None and not lo <= value <= hi:
+        raise PreconditionError(f"{what} {value} is outside {lo}..{hi}")
+    return value
 
 
 def _require_n(config: RunConfig) -> int:
     if config.n is None:
         raise PreconditionError("--n is required for model-backed spaces")
-    return _check_n(config.n)
+    return _check_range("truncation size", config.n, 2, MAX_N)
 
 
 def load_space(config: RunConfig):
@@ -220,19 +225,20 @@ def load_space(config: RunConfig):
 
 
 def cmd_validate(config: RunConfig) -> int:
+    # Loading checks the axioms once: a violation raises ModelError (exit 3,
+    # naming the first one), so a space that loads has passed.
     space = load_space(config)
-    rep = validate(space)
     blob = {
         "command": "validate",
         "space": space.name or config.space,
         "n_points": space.n_points,
         "seed": config.seed,
-        "passed": rep.passed,
-        "violations": rep.to_json()["violations"],
+        "passed": True,
+        "violations": [],
     }
     path = write_report_file(config, blob, "lipcheck-validate")
-    print(f"validate {blob['space']}: {'pass' if rep.passed else 'FAIL'} -> {path}")
-    return 0 if rep.passed else 1
+    print(f"validate {blob['space']}: pass -> {path}")
+    return 0
 
 
 def cmd_norm(config: RunConfig) -> int:
@@ -241,14 +247,15 @@ def cmd_norm(config: RunConfig) -> int:
         raise PreconditionError("--values is required")
     f = lipfn(space, _parse_values(config.values))
     value = lip_norm(f)
+    sup = pointwise_sup(f, 0)
     blob = {
         "command": "norm",
         "space": space.name or config.space,
         "seed": config.seed,
         "lip_norm": format_rat(value),
         "attaining_pairs": [list(pq) for pq in strong_pairs(f)],
-        "sup_at_base": format_rat(pointwise_sup(f, 0)),
-        "defect_at_base": format_rat(defect(f, 0)),
+        "sup_at_base": format_rat(sup),
+        "defect_at_base": format_rat(value - sup),
     }
     path = write_report_file(config, blob, "lipcheck-norm")
     print(f"norm {blob['space']}: {blob['lip_norm']} -> {path}")
@@ -305,8 +312,10 @@ def cmd_check(config: RunConfig) -> int:
 
 
 def cmd_verify(config: RunConfig) -> int:
+    _check_range("--support", config.support, 0, MAX_SUPPORT)
+    _check_range("--rand-count", config.rand_count, 0, MAX_RAND_COUNT)
     default_n = standard_size(config.theorem, config.params)
-    n = _check_n(default_n if config.n is None else config.n)
+    n = _check_range("truncation size", default_n if config.n is None else config.n, 2, MAX_N)
     built = standard_family(config.theorem, N=n, **config.params)
     battery = standard_battery(
         built.size, seed=config.seed, rand_count=config.rand_count,
@@ -465,8 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_verify)
     p_verify.add_argument("--theorem", required=True, choices=VERIFY_THEOREMS)
     p_verify.add_argument("--support", type=int,
-                          help="sign-vector support size (default 5)")
-    p_verify.add_argument("--rand-count", type=int, default=BATTERY_RANDOM_COUNT)
+                          help=f"sign-vector support size (0 to {MAX_SUPPORT}, default 5)")
+    p_verify.add_argument("--rand-count", type=int, default=BATTERY_RANDOM_COUNT,
+                          help=f"seeded random vectors (0 to {MAX_RAND_COUNT})")
 
     p_pipe = sub.add_parser("pipeline", help="run the main construction pipeline")
     common(p_pipe, needs_model=True)

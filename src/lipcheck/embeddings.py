@@ -32,7 +32,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
-from .lipfun import LipFn, combine, defect, lip_norm, lipfn, pointwise_sup, slope, strong_pairs
+from .lipfun import LipFn, combine, lip_norm, lipfn, pointwise_sup, slope, strong_pairs
 from .freespace import check_thm310
 from .metric import (
     CheckResult,
@@ -102,10 +102,6 @@ def prime_orbits(limit: int):
     return orbits
 
 
-def _radius(space: FiniteMetricSpace, p: int) -> Rat:
-    return min_positive_radius(space, p)
-
-
 def _check_anchor_rows(space, rows, what: str):
     seen = set()
     for r in rows:
@@ -138,7 +134,7 @@ def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
         if q == p:
             raise PreconditionError("partner must differ from its point")
     for p, q in zip(points, partners):
-        r = _radius(space, p)
+        r = min_positive_radius(space, p)
         if space.d(p, q) != r:
             return CheckResult(False, "prop31", "radius", (p, q), (space.d(p, q), r))
     k = len(points)
@@ -167,10 +163,9 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     for p, q in pairs:
         dpq = space.d(p, q)
         for r in (p, q):
-            if _radius(space, r) < half * dpq:
-                return CheckResult(
-                    False, "thm34", "radius", (p, q), (_radius(space, r), half * dpq)
-                )
+            rad = min_positive_radius(space, r)
+            if rad < half * dpq:
+                return CheckResult(False, "thm34", "radius", (p, q), (rad, half * dpq))
     k = len(pairs)
     for i in range(k):
         for j in range(i + 1, k):
@@ -200,7 +195,7 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
     pairs = tuple(tuple(pq) for pq in pairs)
     flat = [r for pq in pairs for r in pq]
     _check_anchor_rows(space, flat, "pair")
-    rad = {r: _radius(space, r) for r in flat}
+    rad = {r: min_positive_radius(space, r) for r in flat}
     dd = {i: space.d(p, q) for i, (p, q) in enumerate(pairs)}
     for i, (p, q) in enumerate(pairs):
         if dd[i] > rad[p] + rad[q]:
@@ -238,7 +233,7 @@ def check_prop42(space: FiniteMetricSpace, points) -> CheckResult:
     """Spike-family pointwise hypothesis: d(p_n, p_m) >= R(p_n) + R(p_m)."""
     points = tuple(points)
     _check_anchor_rows(space, points, "point")
-    rad = {p: _radius(space, p) for p in points}
+    rad = {p: min_positive_radius(space, p) for p in points}
     k = len(points)
     for i in range(k):
         for j in range(i + 1, k):
@@ -506,19 +501,6 @@ class BuiltFamily:
         return len(self.functions)
 
 
-def _spike(space, row, value) -> LipFn:
-    vals = [ZERO] * space.n_points
-    vals[row] = rat(value)
-    return lipfn(space, vals)
-
-
-def _two_point(space, prow, qrow, pval, qval) -> LipFn:
-    vals = [ZERO] * space.n_points
-    vals[prow] = rat(pval)
-    vals[qrow] = rat(qval)
-    return lipfn(space, vals)
-
-
 def _values_fn(space, value_map) -> LipFn:
     vals = [ZERO] * space.n_points
     for row, v in value_map.items():
@@ -556,13 +538,14 @@ def _build_unit_spikes(spec: FamilySpec):
     points = tuple(spec.anchors or range(1, space.n_points))
     _check_anchor_rows(space, points, "point")
     _refuse_base_anchor(points)
-    return tuple(_spike(space, p, ONE) for p in points), points, None
+    return tuple(_values_fn(space, {p: ONE}) for p in points), points, None
 
 
 def _build_radius_spikes(space: FiniteMetricSpace, points):
     points = tuple(points)
     _refuse_base_anchor(points)
-    return tuple(_spike(space, p, _radius(space, p)) for p in points), points, None
+    fns = tuple(_values_fn(space, {p: min_positive_radius(space, p)}) for p in points)
+    return fns, points, None
 
 
 def _build_pairs(spec: FamilySpec, values):
@@ -570,7 +553,7 @@ def _build_pairs(spec: FamilySpec, values):
     pairs = tuple(tuple(pq) for pq in spec.anchors)
     _refuse_base_anchor([r for pq in pairs for r in pq])
     space = spec.space
-    fns = tuple(_two_point(space, p, q, *values(space, p, q)) for p, q in pairs)
+    fns = tuple(_values_fn(space, dict(zip((p, q), values(space, p, q)))) for p, q in pairs)
     return fns, pairs, None
 
 
@@ -582,7 +565,7 @@ def _balanced_values(space, p, q):
 def _radius_shifted_values(space, p, q):
     half = rat(1, 2)
     dpq = space.d(p, q)
-    rp, rq = _radius(space, p), _radius(space, q)
+    rp, rq = min_positive_radius(space, p), min_positive_radius(space, q)
     return half * (dpq + rp - rq), half * (-dpq + rp - rq)
 
 
@@ -698,7 +681,7 @@ def _build_thm49ii(spec: FamilySpec):
     for i, (srow, trow) in enumerate(spec.anchors):
         pval = half * (big_l + phis[i] + psis[i] - psit[i])
         qval = -half * (big_l + phis[i] - psis[i] + psit[i])
-        fns.append(_two_point(spec.space, srow, trow, pval, qval))
+        fns.append(_values_fn(spec.space, {srow: pval, trow: qval}))
     return tuple(fns), tuple(range(1, len(spec.anchors) + 1)), None
 
 
@@ -841,7 +824,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                 fail(f"a={label}: norm {format_rat(ln)} != {format_rat(cn)}")
             point = _resolve_point(expectation.designated_point, coeffs)
             if point is not None:
-                point_defect = defect(f, point)
+                point_defect = ln - pointwise_sup(f, point)
                 if point_defect != ZERO:
                     fail(f"a={label}: defect {format_rat(point_defect)} at {point}")
             if expectation.witness_pair is not None and cn > ZERO:

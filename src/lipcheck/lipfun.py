@@ -61,20 +61,23 @@ def lip_norm(f: LipFn) -> Rat:
 def strong_pairs(f: LipFn):
     """All ordered pairs attaining the norm, oriented so the slope is +norm.
 
-    The zero function attains nothing, so it gets an empty list.
+    The zero function attains nothing, so it gets an empty list. The norm
+    is found in the same scan: a larger slope restarts the list.
     """
-    norm = lip_norm(f)
-    if norm == ZERO:
-        return []
+    best = ZERO
     pairs = []
     n = f.space.n_points
     for p in range(n):
         for q in range(p + 1, n):
             s = slope(f, p, q)
-            if s == norm:
-                pairs.append((p, q))
-            elif -s == norm:
-                pairs.append((q, p))
+            if s < ZERO:
+                s, pair = -s, (q, p)
+            else:
+                pair = (p, q)
+            if s > best:
+                best, pairs = s, [pair]
+            elif s == best and s != ZERO:
+                pairs.append(pair)
     pairs.sort()
     return pairs
 
@@ -118,16 +121,17 @@ def scale(f: LipFn, c) -> LipFn:
 
 
 def combine(fns, coeffs) -> LipFn:
-    """Linear combination of the first len(coeffs) family members."""
+    """Linear combination of the first len(coeffs) members, in one pass."""
     fns = list(fns)
     coeffs = [rat(c) for c in coeffs]
     if len(coeffs) > len(fns):
-        raise PreconditionError(
-            f"{len(coeffs)} coefficients for a family of {len(fns)}"
-        )
+        raise PreconditionError(f"{len(coeffs)} coefficients for a family of {len(fns)}")
     if not fns:
         raise PreconditionError("combine needs a nonempty family")
-    out = zero_fn(fns[0].space)
-    for c, f in zip(coeffs, fns):
-        out = add(out, scale(f, c))
-    return out
+    space = fns[0].space
+    terms = list(zip(coeffs, fns))
+    for _, f in terms:
+        if f.space.dist != space.dist:
+            raise PreconditionError("cannot add functions on different spaces")
+    values = (sum((c * f.values[p] for c, f in terms), ZERO) for p in space.points())
+    return LipFn(space, tuple(values))

@@ -198,6 +198,16 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
+def _require_metric(space: FiniteMetricSpace, what: str) -> FiniteMetricSpace:
+    """The loaders' one axiom check: ``space``, or a ModelError naming ``what``
+    and the first violation."""
+    report = validate(space)
+    if not report.passed:
+        v = report.violations[0]
+        raise ModelError(f"{what} violates {v.axiom} at indices {v.indices}")
+    return space
+
+
 def min_positive_radius(space: FiniteMetricSpace, p: int) -> Rat:
     """Distance from p to the rest of the space (a minimum, finitely)."""
     if space.n_points < 2:
@@ -333,14 +343,7 @@ def truncate(model: MetricModel, N: int) -> FiniteMetricSpace:
     )
     labels = tuple(model.row_label(i) for i in range(N))
     space = FiniteMetricSpace(rows, labels, name=model.name)
-    report = validate(space)
-    if not report.passed:
-        v = report.violations[0]
-        raise ModelError(
-            f"truncation of {model.name!r} at N={N} violates {v.axiom} "
-            f"at indices {v.indices}"
-        )
-    return space
+    return _require_metric(space, f"truncation of {model.name!r} at N={N}")
 
 
 # ---------------------------------------------------------------------------
@@ -742,8 +745,4 @@ def space_from_json(obj) -> FiniteMetricSpace:
     if not isinstance(name, str):
         raise StructureError("'name' must be a string")
     space = FiniteMetricSpace(rows, tuple(str(x) for x in labels), name=name)
-    report = validate(space)
-    if not report.passed:
-        v = report.violations[0]
-        raise ModelError(f"space JSON violates {v.axiom} at indices {v.indices}")
-    return space
+    return _require_metric(space, "space JSON")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lipcheck
-from lipcheck import cli
+from lipcheck import cli, metric
 from lipcheck.cli import main, sample_analytic
 from lipcheck.metric import LipcheckError, PreconditionError
 
@@ -44,6 +44,38 @@ def test_validate_space_file(tmp_path):
     code, path = run(tmp_path, "validate", "--space", str(space_file))
     assert code == 0
     assert read(path)["n_points"] == 3
+
+
+@pytest.mark.parametrize("space", ["prop24", "file"])
+def test_validate_checks_the_axioms_once(tmp_path, count_calls, space):
+    """The report records the check made when the space is loaded; the
+    command does not validate the space a second time."""
+    argv = ["validate", "--space", space, "--n", "12"]
+    if space == "file":
+        space_file = tmp_path / "space.json"
+        space_file.write_text(json.dumps({
+            "dist": [["0", "1", "2"], ["1", "0", "1"], ["2", "1", "0"]],
+        }))
+        argv = ["validate", "--space", str(space_file)]
+    calls = count_calls(metric.validate)
+    code, path = run(tmp_path, *argv)
+    assert code == 0
+    assert len(calls) == 1
+    blob = read(path)
+    assert blob["passed"] is True and blob["violations"] == []
+
+
+def test_validate_space_file_breaking_an_axiom_is_a_model_error(tmp_path, capsys):
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps({
+        "dist": [["0", "1", "5"], ["1", "0", "1"], ["5", "1", "0"]],
+    }))
+    code, path = run(tmp_path, "validate", "--space", str(space_file))
+    assert code == 3
+    assert not path.exists()
+    assert capsys.readouterr().err == (
+        "model error: space JSON violates triangle at indices (0, 1, 2)\n"
+    )
 
 
 def test_norm_command(tmp_path):
@@ -157,12 +189,21 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["validate", "--space", "discrete", "--n", str(cli.MAX_N + 1)], None),
     (["verify", "--theorem", "thm34", "--n", str(cli.MAX_N + 1)], None),
     (["verify", "--theorem", "thm51", "--param", "levels=7"], None),
+    (["verify", "--theorem", "prop23", "--n", "128", "--support", "40"], None),
+    (["verify", "--theorem", "prop23", "--support", "-1"], None),
+    (["verify", "--theorem", "prop23", "--rand-count", "-1"], None),
+    (["verify", "--theorem", "prop23", "--rand-count", str(cli.MAX_RAND_COUNT + 1)], None),
 ])
-def test_malformed_input_is_a_usage_error(tmp_path, capsys, argv, space_json):
+def test_malformed_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, space_json):
     """Bad shapes in space files, elements and --values, unknown --param
     keys of a standard instance, and sizes outside 2..MAX_N, exit 2 with
     one error line, never with a traceback (exit 1 is reserved for failed
-    checks)."""
+    checks). Battery sizes outside their bounds are refused before any
+    family is built."""
+    def must_not_build(*args, **kwargs):
+        raise AssertionError("a malformed verify built its family")
+
+    monkeypatch.setattr(cli, "standard_family", must_not_build)
     if space_json is not None:
         space_file = tmp_path / "space.json"
         space_file.write_text(json.dumps(space_json))

@@ -378,6 +378,18 @@ def test_standard_family_sizes_and_targets():
     assert standard_family("thm46").members == (2, 3)
 
 
+def test_verify_computes_one_norm_per_vector(count_calls):
+    """verify_isometry takes each combination's norm once and reuses it for
+    the defect and the strong pairs (thm43 is asymptotic, so every nonzero
+    vector also asks for its strong pairs)."""
+    built = standard_family("thm43")
+    battery = standard_battery(built.size)
+    calls = count_calls(lip_norm)
+    report = verify_standard(built)
+    assert report.expectation_pass
+    assert len(calls) == len(battery) == len(report.witnesses)
+
+
 def test_thm57_deflated():
     built = standard_family("thm57")
     assert built.size == 3  # sign depth carried by eight groups

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +18,7 @@ from lipcheck.lipfun import (
     zero_fn,
 )
 from lipcheck.metric import PreconditionError, StructureError, catalog, truncate
-from lipcheck.rational import rat
+from lipcheck.rational import ZERO, rat
 
 
 SPACE = truncate(catalog("example33"), 6)
@@ -77,6 +80,16 @@ def test_combine_preconditions():
         add(fam[0], lipfn(other, [0, 1, 0, 0]))
 
 
+def test_combine_rejects_members_on_different_spaces():
+    space = truncate(catalog("prop23"), 4)
+    other = truncate(catalog("discrete"), 4)
+    fam = [lipfn(space, [0, 1, 0, 0]), lipfn(other, [0, 1, 0, 0])]
+    with pytest.raises(PreconditionError, match="different spaces"):
+        combine(fam, [1, 1])
+    # Only the members that get a coefficient are combined.
+    assert combine(fam, [2]).values == (rat(0), rat(2), rat(0), rat(0))
+
+
 def test_defect_sequence_shrinks_for_head_bump():
     # Bump of height R(p_1) at p_1 on a space where R depends on the
     # truncation; the defect at p_1 stays zero while norms vary.
@@ -118,3 +131,91 @@ def test_norm_algebra_properties(vals_f, vals_g, c):
     assert lip_norm(f) == max(pointwise_sup(f, p) for p in RAND_SPACE.points())
     for p, q in strong_pairs(f):
         assert slope(f, p, q) == lip_norm(f)
+
+
+# ---------------------------------------------------------------------------
+# Differential oracles: the two-pass strong_pairs and the add/scale fold of
+# combine, kept verbatim from before the one-pass kernels replaced them.
+
+
+def _strong_pairs_two_pass(f):
+    norm = lip_norm(f)
+    if norm == ZERO:
+        return []
+    pairs = []
+    n = f.space.n_points
+    for p in range(n):
+        for q in range(p + 1, n):
+            s = slope(f, p, q)
+            if s == norm:
+                pairs.append((p, q))
+            elif -s == norm:
+                pairs.append((q, p))
+    pairs.sort()
+    return pairs
+
+
+def _combine_fold(fns, coeffs):
+    fns = list(fns)
+    coeffs = [rat(c) for c in coeffs]
+    if len(coeffs) > len(fns):
+        raise PreconditionError(
+            f"{len(coeffs)} coefficients for a family of {len(fns)}"
+        )
+    if not fns:
+        raise PreconditionError("combine needs a nonempty family")
+    out = zero_fn(fns[0].space)
+    for c, f in zip(coeffs, fns):
+        out = add(out, scale(f, c))
+    return out
+
+
+# Spaces whose distances take two or three values, so many pairs tie.
+TIE_SPACES = (
+    truncate(catalog("discrete"), 7),
+    truncate(catalog("thm51star"), 9),
+    truncate(catalog("prop23"), 6),
+)
+TIE_VALUES = (rat(-1), rat(-1, 2), ZERO, ZERO, rat(1, 2), rat(1))
+
+
+def _tie_family(rng, space, size):
+    return [
+        lipfn(space, (0,) + tuple(rng.choice(TIE_VALUES) for _ in range(space.n_points - 1)))
+        for _ in range(size)
+    ]
+
+
+def test_one_pass_kernels_match_the_oracles_on_tie_heavy_inputs():
+    rng = random.Random(20260815)
+    checked = 0
+    for space in TIE_SPACES:
+        z = zero_fn(space)
+        assert strong_pairs(z) == _strong_pairs_two_pass(z) == []
+        fam = _tie_family(rng, space, 4)
+        vectors = [list(v) for v in product((-1, 0, 1), repeat=4)]
+        vectors += [[rat(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(0, 4))]
+                    for _ in range(40)]
+        vectors += [[], [0, 0], [0, 0, 0, 0]]
+        for coeffs in vectors:
+            g = combine(fam, coeffs)
+            want = _combine_fold(fam, coeffs)
+            assert g.space is want.space
+            assert g.values == want.values, coeffs
+            assert strong_pairs(g) == _strong_pairs_two_pass(g), coeffs
+            checked += 1
+        for f in fam + _tie_family(rng, space, 30):
+            assert strong_pairs(f) == _strong_pairs_two_pass(f)
+    assert checked == 3 * (81 + 40 + 3)
+
+
+@pytest.mark.parametrize("fns, coeffs", [
+    ([], []),
+    ([lipfn(SPACE, [0, 1, 0, 0, 0, 0])], [1, 2]),
+])
+def test_combine_preconditions_match_the_oracle(fns, coeffs):
+    with pytest.raises(PreconditionError) as new:
+        combine(fns, coeffs)
+    with pytest.raises(PreconditionError) as old:
+        _combine_fold(fns, coeffs)
+    assert str(new.value) == str(old.value)
