@@ -808,7 +808,13 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
         coeffs = tuple(rat(a) for a in coeffs)
         cn = coefficient_norm(coeffs, target)
         f = combine(family, coeffs)
-        ln = lip_norm(f)
+        # Without a designated witness pair, one scan finds the norm and
+        # the attaining pairs that name the recorded witness.
+        if expectation.witness_pair is None:
+            attaining = strong_pairs(f)
+            ln = slope(f, *attaining[0]) if attaining else ZERO
+        else:
+            attaining, ln = None, lip_norm(f)
         gap = cn - ln if cn >= ln else ln - cn
         if gap > worst:
             worst = gap
@@ -880,8 +886,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
             raise PreconditionError(f"unknown expectation kind {expectation.kind!r}")
 
         if pair is None and ln > ZERO:
-            sp = strong_pairs(f)
-            pair = sp[0] if sp else None
+            pair = (attaining or strong_pairs(f))[0]
         witnesses.append(WitnessRecord(coeffs, ln, pair, point, point_defect))
 
     return VerificationReport(

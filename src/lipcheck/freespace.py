@@ -2,12 +2,15 @@
 
 The norm of a finitely supported element mu = sum w_x delta_x is the cost
 of one exact min-cost transport of its positive part onto its negative
-part (successive shortest paths on the residual graph). The dual witness
-comes from the same transport: one shortest-path pass over the arcs that
-carry flow gives the least optimal 1-Lipschitz function, and each result
-is certified by weak duality (the witness sits in the unit ball and pairs
-with mu to the transport cost). The tests keep a dense exact simplex over
-the dual ball and a brute-force vertex oracle as independent routes.
+part. One Bellman-Ford kernel, ``_shortest_paths``, does all the path
+work: it finds each augmenting path of the transport (successive
+shortest paths on the residual graph), and one more pass over the
+difference constraints tight on the arcs that carry flow gives the least
+optimal 1-Lipschitz function as the dual witness. Each element is solved
+once and its result certified once, by weak duality (the witness sits in
+the unit ball and pairs with mu to the transport cost). The tests keep a
+dense exact simplex over the dual ball and a brute-force vertex oracle
+as independent routes.
 
 The matching criterion is one exact Hungarian solve whose integer costs
 carry a tie-break term, so a cheaper permutation, when one exists, is
@@ -108,14 +111,37 @@ def pairing(mu: FreeElement, f: LipFn) -> Rat:
 # Min-cost transportation and its least optimal dual
 
 
+def _shortest_paths(n, arcs, sources):
+    """Bellman-Ford over arcs (u, v, weight) on nodes 0..n-1 from sources
+    at distance 0: (dist, parent) with None where no arc reached, or None
+    if a negative cycle is reachable (a change in round n)."""
+    dist = [None] * n
+    parent = [None] * n
+    for s in sources:
+        dist[s] = ZERO
+    for _ in range(n):
+        changed = False
+        for u, v, w in arcs:
+            if dist[u] is not None:
+                nd = dist[u] + w
+                if dist[v] is None or nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = u
+                    changed = True
+        if not changed:
+            return dist, parent
+    return None
+
+
 def _transport(mu: FreeElement):
     """Exact min-cost transport of mu+ onto mu-: (cost, arcs carrying flow).
 
     The net imbalance is absorbed at the base point (delta_0 is the zero
     vector, so this does not change the element). Masses are scaled to
-    integers so every augmentation moves at least one unit; paths are
-    found with Bellman-Ford on the residual graph, so reverse arcs with
-    negative cost are handled exactly. Arcs are (source point, sink point).
+    integers so every augmentation moves at least one unit. Nodes are the
+    sources 0..m-1 and the sinks m..m+k-1; each augmenting path is a
+    shortest path from the live sources on the residual graph, whose
+    reverse arcs carry negative cost. Arcs are (source point, sink point).
     """
     space = mu.space
     net = dict(mu.weights)
@@ -129,80 +155,43 @@ def _transport(mu: FreeElement):
     scale = lcm(*(w.denominator for _, w in pos + neg))
     supply = [int(w * scale) for _, w in pos]
     demand = [int(w * scale) for _, w in neg]
-    spts = [p for p, _ in pos]
-    tpts = [p for p, _ in neg]
-    m, k = len(spts), len(tpts)
+    m, k = len(pos), len(neg)
     flow = [[0] * k for _ in range(m)]
-    cost = [[space.d(spts[i], tpts[j]) for j in range(k)] for i in range(m)]
+    cost = [[space.d(p, q) for q, _ in neg] for p, _ in pos]
+    forward = [(i, m + j, cost[i][j]) for i in range(m) for j in range(k)]
 
     while True:
-        live_sources = [i for i in range(m) if supply[i] > 0]
-        if not live_sources:
+        live = [i for i in range(m) if supply[i] > 0]
+        if not live:
             break
-        # Bellman-Ford over the residual graph from all live sources.
-        dist_s = [None] * m
-        dist_t = [None] * k
-        par_t = [None] * k  # source index feeding each sink
-        par_s = [None] * m  # sink index feeding each source via a reverse arc
-        for i in live_sources:
-            dist_s[i] = ZERO
-        for _ in range(m + k):
-            changed = False
-            for i in range(m):
-                if dist_s[i] is None:
-                    continue
-                for j in range(k):
-                    nd = dist_s[i] + cost[i][j]
-                    if dist_t[j] is None or nd < dist_t[j]:
-                        dist_t[j] = nd
-                        par_t[j] = i
-                        changed = True
-            for j in range(k):
-                if dist_t[j] is None:
-                    continue
-                for i in range(m):
-                    if flow[i][j] > 0:
-                        nd = dist_t[j] - cost[i][j]
-                        if dist_s[i] is None or nd < dist_s[i]:
-                            dist_s[i] = nd
-                            par_s[i] = j
-                            changed = True
-            if not changed:
-                break
-
-        target = None
-        for j in range(k):
-            if demand[j] > 0 and dist_t[j] is not None:
-                if target is None or dist_t[j] < dist_t[target]:
-                    target = j
-        if target is None:
+        residual = forward + [
+            (m + j, i, -cost[i][j]) for i in range(m) for j in range(k) if flow[i][j]
+        ]
+        found = _shortest_paths(m + k, residual, live)
+        if found is None:
+            raise LipcheckError("transport residual graph has a negative cycle")
+        dist, parent = found
+        open_sinks = [j for j in range(k) if demand[j] > 0 and dist[m + j] is not None]
+        if not open_sinks:
             raise LipcheckError("transportation network disconnected")
+        target = min(open_sinks, key=lambda j: dist[m + j])
 
-        # Trace the alternating path back and find the bottleneck.
-        path = []  # (i, j, forward?)
-        j = target
-        while True:
-            i = par_t[j]
-            path.append((i, j, True))
-            if par_s[i] is None:
-                break
-            nj = par_s[i]
-            path.append((i, nj, False))
-            j = nj
-        start = path[-1][0]
-        delta = min(supply[start], demand[target])
-        for i, j, fwd in path:
-            if not fwd:
-                delta = min(delta, flow[i][j])
-        if delta <= 0:
-            raise LipcheckError("transportation augmentation stalled")
-        for i, j, fwd in path:
-            if fwd:
-                flow[i][j] += delta
+        # Follow the parents back to a live source; a sink-to-source step
+        # runs a reverse arc, which caps the amount by the flow it cancels.
+        path = []
+        start = m + target
+        while parent[start] is not None:
+            path.append((parent[start], start))
+            start = parent[start]
+        amount = min([supply[start], demand[target]]
+                     + [flow[v][u - m] for u, v in path if u >= m])
+        for u, v in path:
+            if u < m:
+                flow[u][v - m] += amount
             else:
-                flow[i][j] -= delta
-        supply[start] -= delta
-        demand[target] -= delta
+                flow[v][u - m] -= amount
+        supply[start] -= amount
+        demand[target] -= amount
 
     total_cost = ZERO
     arcs = []
@@ -210,7 +199,7 @@ def _transport(mu: FreeElement):
         for j in range(k):
             if flow[i][j]:
                 total_cost += rat(flow[i][j]) * cost[i][j]
-                arcs.append((spts[i], tpts[j]))
+                arcs.append((pos[i][0], neg[j][0]))
     return total_cost / rat(scale), arcs
 
 
@@ -225,35 +214,27 @@ def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
 
     Each constraint f(a) - f(b) <= w is an arc b -> a of weight w, so
     f(v) >= -dist(v, 0) for the shortest-path distance to the base point,
-    with equality attained (CLRS 24.4). Bellman-Ford finds dist in at most
-    n rounds; a relaxation in round n means a negative cycle, which only a
-    matrix violating the triangle inequality can produce.
+    with equality attained (CLRS 24.4), found from the base point over
+    the reversed arcs. A negative cycle, which only a matrix violating
+    the triangle inequality can produce, leaves no solution.
     """
     n = space.n_points
-    edges = [(q, p, space.d(p, q)) for p in range(n) for q in range(n) if p != q]
-    edges += [(s, t, -space.d(s, t)) for s, t in arcs]
-    dist = [None] * n  # shortest distance from each point to the base point
-    dist[0] = ZERO
-    for _ in range(n):
-        changed = False
-        for u, v, w in edges:
-            if dist[v] is not None:
-                nd = w + dist[v]
-                if dist[u] is None or nd < dist[u]:
-                    dist[u] = nd
-                    changed = True
-        if not changed:
-            return LipFn(space, tuple(-x for x in dist))
-    raise PreconditionError(
-        "optimal transport arcs admit no 1-Lipschitz dual: "
-        "the distances violate the triangle inequality"
-    )
+    reversed_arcs = [(p, q, space.d(p, q)) for p in range(n) for q in range(n) if p != q]
+    reversed_arcs += [(t, s, -space.d(s, t)) for s, t in arcs]
+    found = _shortest_paths(n, reversed_arcs, [0])
+    if found is None:
+        raise PreconditionError(
+            "optimal transport arcs admit no 1-Lipschitz dual: "
+            "the distances violate the triangle inequality"
+        )
+    return LipFn(space, tuple(-x for x in found[0]))
 
 
 @dataclass(frozen=True)
 class FreeNormResult:
     value: Rat
     witness: LipFn
+    witness_norm: Rat
 
 
 def free_norm_lp(mu: FreeElement) -> FreeNormResult:
@@ -261,21 +242,24 @@ def free_norm_lp(mu: FreeElement) -> FreeNormResult:
 
     By Kantorovich-Rubinstein duality and complementary slackness, the
     optimal f are the 1-Lipschitz f with f(0) = 0 that are tight on every
-    arc of an optimal transport plan. The witness is the pointwise-least
-    of them, hence also the lexicographically smallest optimal point. It
-    sits in the unit ball and pairs with mu to the transport cost, which
-    certifies both as optimal by weak duality.
+    arc of an optimal transport plan, whichever optimal plan is found. The
+    witness is the pointwise-least of them, hence also the
+    lexicographically smallest optimal point. It is returned only after it
+    is certified by weak duality: its norm (``witness_norm``) is at most 1
+    and it pairs with mu to the transport cost. A failed certificate
+    raises ``LipcheckError``.
     """
     space = mu.space
     if not mu.weights:
-        return FreeNormResult(ZERO, zero_fn(space))
+        return FreeNormResult(ZERO, zero_fn(space), ZERO)
     value, arcs = _transport(mu)
     witness = _least_optimal_dual(space, arcs)
-    if lip_norm(witness) > ONE:
+    witness_norm = lip_norm(witness)
+    if witness_norm > ONE:
         raise LipcheckError("dual witness escaped the unit ball")
     if pairing(mu, witness) != value:
         raise LipcheckError("dual witness does not pair to the transport cost")
-    return FreeNormResult(value, witness)
+    return FreeNormResult(value, witness, witness_norm)
 
 
 # ---------------------------------------------------------------------------

@@ -352,8 +352,8 @@ def sample_analytic(function_id: str, resolution: int, horizon: int,
     """
     if function_id not in ANALYTIC_FUNCTIONS:
         raise PreconditionError(f"unknown analytic function {function_id!r}")
-    if resolution <= 0 or horizon <= 0:
-        raise PreconditionError("resolution and horizon must be positive")
+    if resolution <= 0 or horizon <= 0 or not 0.0 < span < float("inf"):
+        raise PreconditionError("resolution, horizon and span must be positive and finite")
     f = ANALYTIC_FUNCTIONS[function_id]
     xs = [-span + 2.0 * span * i / resolution for i in range(resolution + 1)]
     ys = [f(x) for x in xs]

@@ -1,3 +1,4 @@
+import json
 import sys
 
 import pytest
@@ -22,3 +23,15 @@ def count_calls(monkeypatch):
         return calls
 
     return install
+
+
+@pytest.fixture(scope="session")
+def acceptance_report(tmp_path_factory):
+    """One ``lipcheck report`` run shared by the acceptance tests: its exit
+    code, the JSON report and the markdown summary."""
+    from lipcheck.cli import main
+
+    path = tmp_path_factory.mktemp("report") / "acc.json"
+    code = main(["report", "--out", str(path)])
+    report = json.loads(path.read_text(encoding="utf-8"))
+    return code, report, path.with_suffix(".md").read_text(encoding="utf-8")

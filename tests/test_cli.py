@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lipcheck
-from lipcheck import cli, metric
+from lipcheck import cli, freespace, metric
 from lipcheck.cli import main, sample_analytic
 from lipcheck.metric import LipcheckError, PreconditionError
 
@@ -101,6 +101,21 @@ def test_free_norm_strictly_below_two(tmp_path):
     assert blob["flow_value"] == "17/9"
     assert blob["routes_agree"] is True
     assert blob["witness_achieves"] is True
+
+
+def test_free_norm_runs_one_transport(tmp_path, count_calls):
+    """One free-norm job is one transport; the report's flow value and
+    witness norm come from that solve and its certificate."""
+    calls = count_calls(freespace._transport)
+    element = {"weights": {"1": "1", "3": "-2/3", "4": "1/2"}}
+    code, path = run(tmp_path, "free-norm", "--space", "dmqr41", "--n", "6",
+                     "--element", json.dumps(element))
+    assert code == 0
+    assert len(calls) == 1
+    blob = read(path)
+    assert blob["flow_value"] == blob["value"]
+    assert blob["witness_lip_norm"] == "1"
+    assert blob["routes_agree"] is blob["witness_achieves"] is blob["passed"] is True
 
 
 def test_check_pass_and_fail(tmp_path):
@@ -193,13 +208,19 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["verify", "--theorem", "prop23", "--support", "-1"], None),
     (["verify", "--theorem", "prop23", "--rand-count", "-1"], None),
     (["verify", "--theorem", "prop23", "--rand-count", str(cli.MAX_RAND_COUNT + 1)], None),
+    (["sample-analytic", "--span", "0"], None),
+    (["sample-analytic", "--span", "-5"], None),
+    (["sample-analytic", "--span", "nan"], None),
+    (["sample-analytic", "--span", "inf"], None),
+    (["sample-analytic", "--resolution", str(cli.MAX_RESOLUTION + 1)], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, space_json):
     """Bad shapes in space files, elements and --values, unknown --param
-    keys of a standard instance, and sizes outside 2..MAX_N, exit 2 with
-    one error line, never with a traceback (exit 1 is reserved for failed
-    checks). Battery sizes outside their bounds are refused before any
-    family is built."""
+    keys of a standard instance, sizes outside 2..MAX_N, and sampling
+    spans that are not finite and positive or resolutions past
+    MAX_RESOLUTION, exit 2 with one error line, never with a traceback
+    (exit 1 is reserved for failed checks). Battery sizes outside their
+    bounds are refused before any family is built."""
     def must_not_build(*args, **kwargs):
         raise AssertionError("a malformed verify built its family")
 
@@ -430,11 +451,9 @@ def test_sample_analytic_cli(tmp_path):
     assert blob["passed"] is True
 
 
-def test_report_command(tmp_path):
-    path = tmp_path / "acc.json"
-    assert main(["report", "--out", str(path)]) == 0
-    blob = read(path)
+def test_report_command(acceptance_report):
+    code, blob, md = acceptance_report
+    assert code == 0
     assert blob["passed"] is True
     assert [row["id"] for row in blob["criteria"]] == list(range(1, 12))
-    md = (tmp_path / "acc.md").read_text()
     assert md.count("| pass |") == 11

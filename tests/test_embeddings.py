@@ -29,7 +29,7 @@ from lipcheck.embeddings import (
     verify_isometry,
     verify_standard,
 )
-from lipcheck.lipfun import combine, defect, lip_norm, lipfn, pointwise_sup, slope
+from lipcheck.lipfun import combine, defect, lip_norm, lipfn, pointwise_sup, slope, strong_pairs
 from lipcheck.metric import (
     ModelError,
     PreconditionError,
@@ -379,15 +379,16 @@ def test_standard_family_sizes_and_targets():
 
 
 def test_verify_computes_one_norm_per_vector(count_calls):
-    """verify_isometry takes each combination's norm once and reuses it for
-    the defect and the strong pairs (thm43 is asymptotic, so every nonzero
-    vector also asks for its strong pairs)."""
+    """verify_isometry scans each combination's pairs once: thm43 has no
+    designated witness pair, so one strong_pairs scan gives the norm and
+    the recorded pair, reused for the defect."""
     built = standard_family("thm43")
     battery = standard_battery(built.size)
-    calls = count_calls(lip_norm)
+    norms = count_calls(lip_norm)
+    scans = count_calls(strong_pairs)
     report = verify_standard(built)
     assert report.expectation_pass
-    assert len(calls) == len(battery) == len(report.witnesses)
+    assert len(norms) + len(scans) == len(battery) == len(report.witnesses)
 
 
 def test_thm57_deflated():

@@ -126,11 +126,13 @@ ALL_MODELS = sorted(CATALOG_NAMES)
 
 
 @pytest.mark.parametrize("name", ALL_MODELS)
-def test_catalog_validates_at_n64(name):
-    model = catalog(name)
-    space = truncate(model, 64)
+def test_catalog_validates_at_n64(name, count_calls):
+    """truncate checks the axioms once and raises on a violation, so a
+    returned space has passed."""
+    calls = count_calls(validate)
+    space = truncate(catalog(name), 64)
     assert space.n_points == 64
-    assert validate(space).passed
+    assert len(calls) == 1
 
 
 def test_catalog_rejects_unknown_and_bad_params():

@@ -20,7 +20,7 @@ from lipcheck.freespace import (
     free_norm_lp,
     molecule,
 )
-from lipcheck.lipfun import LipFn, zero_fn
+from lipcheck.lipfun import LipFn, lip_norm, zero_fn
 from lipcheck.metric import (
     CATALOG_NAMES,
     LipcheckError,
@@ -137,7 +137,7 @@ def lp_oracle(mu):
     space = mu.space
     n = space.n_points
     if not mu.weights:
-        return FreeNormResult(ZERO, zero_fn(space)), log
+        return FreeNormResult(ZERO, zero_fn(space), ZERO), log
 
     n_struct = 2 * (n - 1)
     pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
@@ -175,7 +175,8 @@ def lp_oracle(mu):
     values = [ZERO] * n
     for p in range(1, n):
         values[p] = x[ucol(p)] - x[vcol(p)]
-    return FreeNormResult(sx.value(0), LipFn(space, tuple(values))), log
+    witness = LipFn(space, tuple(values))
+    return FreeNormResult(sx.value(0), witness, lip_norm(witness)), log
 
 
 def _random_weights(rng, n):
@@ -199,6 +200,7 @@ def _assert_same(mu):
     old, log = lp_oracle(mu)
     assert new.value == old.value
     assert new.witness.values == old.witness.values
+    assert new.witness_norm == old.witness_norm
     return len(log)
 
 
@@ -218,6 +220,19 @@ def test_matches_dense_oracle_on_catalog_truncations(name):
     rng = random.Random(f"oracle:{name}")
     _assert_same(_molecule_sum(rng, space))
     _assert_same(free_element(space, _random_weights(rng, 10)))
+
+
+@pytest.mark.parametrize("name", ["discrete", "prop53"])
+def test_matches_dense_oracle_on_tie_heavy_elements(name):
+    """Every distance of these truncations is 1 and the weights are small
+    integers, so each element has many optimal transport plans. The
+    witness must not depend on which one the transport finds."""
+    space = truncate(catalog(name), 8)
+    rng = random.Random(f"ties:{name}")
+    for _ in range(24):
+        rows = rng.sample(range(space.n_points), rng.randint(2, 7))
+        weights = {p: rat(rng.choice((-2, -1, 1, 2))) for p in rows}
+        _assert_same(free_element(space, weights))
 
 
 def test_non_unimodular_pivots_fall_back_to_fractions():
