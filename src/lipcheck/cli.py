@@ -32,7 +32,7 @@ import tempfile
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .rational import format_rat, is_rational, parse_rat, rat
+from .rational import ZERO, format_rat, is_rational, parse_rat, rat
 from .metric import (
     CATALOG_NAMES,
     LipcheckError,
@@ -45,7 +45,7 @@ from .metric import (
     space_from_json,
     truncate,
 )
-from .lipfun import lip_norm, lipfn, pointwise_sup, strong_pairs
+from .lipfun import lipfn, pointwise_sup, slope, strong_pairs
 from .freespace import free_from_json, free_norm_lp
 from .plfun import ANALYTIC_FUNCTIONS, sample_analytic
 from .embeddings import (
@@ -256,14 +256,15 @@ def cmd_norm(config: RunConfig) -> int:
     if config.values is None:
         raise PreconditionError("--values is required")
     f = lipfn(space, _parse_values(config.values))
-    value = lip_norm(f)
+    pairs = strong_pairs(f)
+    value = slope(f, *pairs[0]) if pairs else ZERO
     sup = pointwise_sup(f, 0)
     blob = {
         "command": "norm",
         "space": space.name or config.space,
         "seed": config.seed,
         "lip_norm": format_rat(value),
-        "attaining_pairs": [list(pq) for pq in strong_pairs(f)],
+        "attaining_pairs": [list(pq) for pq in pairs],
         "sup_at_base": format_rat(sup),
         "defect_at_base": format_rat(value - sup),
     }

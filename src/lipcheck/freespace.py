@@ -328,11 +328,11 @@ def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
     """Is the identity matching u_i -> v_i minimum-weight among all
     bijections of {u_i} onto {v_j}? False comes with a cheaper permutation.
 
-    One Hungarian solve on the integer costs int(c_ij * D) * k**k +
-    j * k**(k-1-i), D the LCM of the cost denominators. The added term of
-    a permutation is the permutation read as a base-k number, below k**k,
-    so it only breaks ties: the reported permutation is the
-    lexicographically first of minimum cost. The identity is reported
+    One Hungarian solve on the integer costs A[u_i][v_j] * k**k +
+    j * k**(k-1-i), with ``A`` the space's integer view (``d == A / D``).
+    The added term of a permutation is the permutation read as a base-k
+    number, below k**k, so it only breaks ties: the reported permutation is
+    the lexicographically first of minimum cost. The identity is reported
     unless it is strictly beaten.
     """
     match_pairs = list(match_pairs)
@@ -343,10 +343,10 @@ def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
         [space.d(u, v) for _, v in match_pairs] for u, _ in match_pairs
     ]
     identity = sum((cost[i][i] for i in range(k)), ZERO)
-    den = lcm(*(c.denominator for row in cost for c in row))
+    A, _ = space.scaled
     perm = _hungarian([
-        [int(c * den) * k ** k + j * k ** (k - 1 - i) for j, c in enumerate(row)]
-        for i, row in enumerate(cost)
+        [A[u][v] * k ** k + j * k ** (k - 1 - i) for j, (_, v) in enumerate(match_pairs)]
+        for i, (u, _) in enumerate(match_pairs)
     ])
     best = sum((cost[i][perm[i]] for i in range(k)), ZERO)
     if best < identity:

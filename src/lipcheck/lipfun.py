@@ -3,13 +3,20 @@
 A function is a value per row with value 0 at the base (row 0). The norm
 is the largest absolute difference quotient; on a finite space that is a
 maximum, so attainment questions become equalities between rationals.
+
+The scans (:func:`lip_norm`, :func:`strong_pairs`, :func:`pointwise_sup`)
+run on integers: distances as ``A / D`` from the space's cached integer
+view, values as ``F / L`` with L the LCM of their denominators, lifted once
+per call. A slope's size is ``|F[q] - F[p]| * D / (A[p][q] * L)``, so the
+quotients ``|F[q] - F[p]| / A[p][q]`` are compared by integer
+cross-multiplication, and one Fraction is built at the API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .metric import FiniteMetricSpace, PreconditionError, StructureError
+from .metric import FiniteMetricSpace, PreconditionError, StructureError, common_denominator
 from .rational import Rat, ZERO, rat
 
 
@@ -45,17 +52,24 @@ def slope(f: LipFn, p: int, q: int) -> Rat:
     return (f.values[q] - f.values[p]) / f.space.d(p, q)
 
 
+def _lifted(f: LipFn):
+    """``(F, L)``: integer values over one denominator, ``f(p) == F[p] / L``."""
+    L, mult = common_denominator(f.values)
+    return [v.numerator * mult[v.denominator] for v in f.values], L
+
+
 def lip_norm(f: LipFn) -> Rat:
-    best = ZERO
-    n = f.space.n_points
+    A, D = f.space.scaled
+    F, L = _lifted(f)
+    num, den = 0, 1
+    n = len(F)
     for p in range(n):
+        Ap, fp = A[p], F[p]
         for q in range(p + 1, n):
-            s = slope(f, p, q)
-            if s < ZERO:
-                s = -s
-            if s > best:
-                best = s
-    return best
+            df = abs(F[q] - fp)
+            if df * den > num * Ap[q]:
+                num, den = df, Ap[q]
+    return Rat(num * D, den * L)
 
 
 def strong_pairs(f: LipFn):
@@ -64,19 +78,23 @@ def strong_pairs(f: LipFn):
     The zero function attains nothing, so it gets an empty list. The norm
     is found in the same scan: a larger slope restarts the list.
     """
-    best = ZERO
+    A, _ = f.space.scaled
+    F, _ = _lifted(f)
+    num, den = 0, 1
     pairs = []
-    n = f.space.n_points
+    n = len(F)
     for p in range(n):
+        Ap, fp = A[p], F[p]
         for q in range(p + 1, n):
-            s = slope(f, p, q)
-            if s < ZERO:
-                s, pair = -s, (q, p)
+            df = F[q] - fp
+            if df < 0:
+                df, pair = -df, (q, p)
             else:
                 pair = (p, q)
-            if s > best:
-                best, pairs = s, [pair]
-            elif s == best and s != ZERO:
+            lhs, rhs = df * den, num * Ap[q]
+            if lhs > rhs:
+                num, den, pairs = df, Ap[q], [pair]
+            elif lhs == rhs and df:
                 pairs.append(pair)
     pairs.sort()
     return pairs
@@ -86,16 +104,17 @@ def pointwise_sup(f: LipFn, p: int) -> Rat:
     """Largest absolute slope over pairs through p (a max, finitely)."""
     if f.space.n_points < 2:
         raise PreconditionError("pointwise sup needs at least two points")
-    best = ZERO
-    for q in f.space.points():
+    A, D = f.space.scaled
+    F, L = _lifted(f)
+    Ap, fp = A[p], F[p]
+    num, den = 0, 1
+    for q in range(len(F)):
         if q == p:
             continue
-        s = slope(f, p, q)
-        if s < ZERO:
-            s = -s
-        if s > best:
-            best = s
-    return best
+        df = abs(F[q] - fp)
+        if df * den > num * Ap[q]:
+            num, den = df, Ap[q]
+    return Rat(num * D, den * L)
 
 
 def defect(f: LipFn, p: int) -> Rat:

@@ -6,6 +6,13 @@ metric axioms, and models carry whatever tail data (limits along the index
 set) the downstream checkers need. A model that cannot supply a limit says
 so through an error instead of letting callers guess one numerically.
 
+Integer view: each space clears its denominators once
+(:attr:`FiniteMetricSpace.scaled`, ``dist[i][j] == A[i][j] / D``), and the
+axiom check compares the integers ``A``; since ``D > 0`` every comparison
+and sum means the same thing on ``A / D`` as on the rationals. Fractions
+are built only at the API boundary: violations carry the original
+``dist`` entries, in the order the rational scan found them.
+
 Row convention: the base point is always row 0. Models whose base point is
 the first sequence element alias row i to p_{i+1}; models with a separate
 base map row i to p_i for i >= 1.
@@ -14,7 +21,9 @@ base map row i to p_i for i >= 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 from typing import Callable, Optional
 
 from .rational import Rat, ZERO, ONE, format_rat, is_rational, parse_rat, rat
@@ -113,6 +122,16 @@ class FiniteMetricSpace:
     labels: tuple
     name: str = ""
 
+    @cached_property
+    def scaled(self):
+        """``(A, D)``: integer rows and one denominator D > 0 with
+        ``dist[i][j] == A[i][j] / D``, computed once per space."""
+        D, mult = common_denominator(x for row in self.dist for x in row)
+        A = tuple(
+            tuple(x.numerator * mult[x.denominator] for x in row) for row in self.dist
+        )
+        return A, D
+
     @property
     def n_points(self) -> int:
         return len(self.dist)
@@ -139,6 +158,15 @@ class FiniteMetricSpace:
         )
         labs = tuple(self.labels[a] for a in idx)
         return FiniteMetricSpace(rows, labs, name=self.name)
+
+
+def common_denominator(values):
+    """``(D, mult)``: D is the LCM of the distinct denominators of
+    ``values`` (1 when there are none) and ``mult[den] == D // den``, so
+    ``x == x.numerator * mult[x.denominator] / D`` for every x."""
+    dens = {x.denominator for x in values}
+    D = lcm(*dens)
+    return D, {den: D // den for den in dens}
 
 
 def make_space(dist_rows, labels=None, name: str = "") -> FiniteMetricSpace:
@@ -168,31 +196,32 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
             if not is_rational(x):
                 raise StructureError(f"non-rational entry in row {i}")
 
+    dist = space.dist
+    A, _ = space.scaled
     violations = []
     for i in range(n):
-        if space.dist[i][i] != ZERO:
-            violations.append(Violation("positivity", (i, i), (space.dist[i][i],)))
+        if A[i][i] != 0:
+            violations.append(Violation("positivity", (i, i), (dist[i][i],)))
         for j in range(i + 1, n):
-            if space.dist[i][j] <= ZERO:
-                violations.append(Violation("positivity", (i, j), (space.dist[i][j],)))
-            if space.dist[i][j] != space.dist[j][i]:
+            if A[i][j] <= 0:
+                violations.append(Violation("positivity", (i, j), (dist[i][j],)))
+            if A[i][j] != A[j][i]:
                 violations.append(
-                    Violation("symmetry", (i, j), (space.dist[i][j], space.dist[j][i]))
+                    Violation("symmetry", (i, j), (dist[i][j], dist[j][i]))
                 )
     for i in range(n):
+        Ai = A[i]
         for j in range(n):
             if j == i:
                 continue
-            d_ij = space.dist[i][j]
+            a_ij, Aj = Ai[j], A[j]
             for k in range(j + 1, n):
-                if k == i:
-                    continue
-                if space.dist[j][k] > d_ij + space.dist[i][k]:
+                if k != i and Aj[k] > a_ij + Ai[k]:
                     violations.append(
                         Violation(
                             "triangle",
                             (j, i, k),
-                            (space.dist[j][k], d_ij, space.dist[i][k]),
+                            (dist[j][k], dist[i][j], dist[i][k]),
                         )
                     )
     return ValidationReport(passed=not violations, violations=tuple(violations))

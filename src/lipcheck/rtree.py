@@ -19,6 +19,12 @@ constructions:
 Either way the selected (point, partner) pairs must pass the bump-family
 hypothesis check before anything is built; a failure is reported as a
 structured refusal naming the check, never as a silently degraded family.
+
+The four-point check scans the space's integer view ``A / D``
+(:attr:`~lipcheck.metric.FiniteMetricSpace.scaled`): pair sums and their
+comparisons are integer operations, exact because ``D > 0``. Fractions are
+built only at the API boundary: a failing quadruple's three sums are
+rebuilt from the original ``dist`` entries.
 """
 
 from dataclasses import dataclass
@@ -226,19 +232,24 @@ def four_point_check(space: FiniteMetricSpace) -> CheckResult:
     witness is the lexicographically first violating quadruple with all
     three pairing sums.
     """
-    n = space.n_points
+    A, _ = space.scaled
+    n = len(A)
     for p in range(n):
+        Ap = A[p]
         for q in range(p + 1, n):
+            Aq, a_pq = A[q], Ap[q]
             for r in range(q + 1, n):
+                Ar, a_pr, a_qr = A[r], Ap[r], Aq[r]
                 for s in range(r + 1, n):
-                    s1 = space.d(p, q) + space.d(r, s)
-                    s2 = space.d(p, r) + space.d(q, s)
-                    s3 = space.d(p, s) + space.d(q, r)
+                    s1 = a_pq + Ar[s]
+                    s2 = a_pr + Aq[s]
+                    s3 = Ap[s] + a_qr
                     top = max(s1, s2, s3)
                     if (s1, s2, s3).count(top) < 2:
+                        d = space.dist
                         return CheckResult(
-                            False, "four-point", "quadruple",
-                            (p, q, r, s), (s1, s2, s3),
+                            False, "four-point", "quadruple", (p, q, r, s),
+                            (d[p][q] + d[r][s], d[p][r] + d[q][s], d[p][s] + d[q][r]),
                         )
     return CheckResult(True, "four-point")
 

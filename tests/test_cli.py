@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import lipcheck
-from lipcheck import cli, freespace, metric
+from lipcheck import cli, freespace, lipfun, metric
 from lipcheck.cli import main, sample_analytic
 from lipcheck.metric import LipcheckError, PreconditionError
 
@@ -65,6 +65,16 @@ def test_validate_checks_the_axioms_once(tmp_path, count_calls, space):
     assert blob["passed"] is True and blob["violations"] == []
 
 
+def test_validate_prop24_at_the_size_cap(tmp_path):
+    """The largest truncation ``--n`` admits is validated in seconds even
+    for prop24, whose distances have denominators up to 2**(127**2)."""
+    code, path = run(tmp_path, "validate", "--space", "prop24", "--n", str(cli.MAX_N))
+    assert code == 0
+    blob = read(path)
+    assert blob["passed"] is True and blob["violations"] == []
+    assert blob["n_points"] == cli.MAX_N
+
+
 def test_validate_space_file_breaking_an_axiom_is_a_model_error(tmp_path, capsys):
     space_file = tmp_path / "space.json"
     space_file.write_text(json.dumps({
@@ -87,6 +97,26 @@ def test_norm_command(tmp_path):
     blob = read(path)
     assert blob["lip_norm"] == "2"
     assert [1, 2] in blob["attaining_pairs"] or [2, 1] in blob["attaining_pairs"]
+
+
+def test_norm_scans_the_pairs_once(tmp_path, count_calls):
+    """A norm job reads the norm off the attaining pairs of its one
+    ``strong_pairs`` scan; it makes no separate ``lip_norm`` scan."""
+    norms = count_calls(lipfun.lip_norm)
+    pair_scans = count_calls(lipfun.strong_pairs)
+    code, path = run(
+        tmp_path, "norm", "--space", "example33", "--n", "5",
+        "--values", '["0", "1/2", "-1/3", "1", "0"]',
+    )
+    assert code == 0
+    assert (len(norms), len(pair_scans)) == (0, 1)
+    blob = read(path)
+    assert blob["lip_norm"] == "1"
+    assert blob["attaining_pairs"] == [[2, 3]]
+    code, path = run(tmp_path, "norm", "--space", "discrete", "--n", "3",
+                     "--values", '["0", "0", "0"]', name="zero.json")
+    assert code == 0
+    assert read(path)["lip_norm"] == "0" and read(path)["attaining_pairs"] == []
 
 
 def test_free_norm_strictly_below_two(tmp_path):

@@ -1,0 +1,332 @@
+"""Differential oracles for the integer-lifted kernels.
+
+``validate``, ``four_point_check``, ``lip_norm``, ``strong_pairs`` and
+``pointwise_sup`` scan integers (distances as ``A / D``, function values as
+``F / L``). The Fraction kernels they replaced are kept here verbatim, and
+the two must agree exactly on seeded inputs: the same violation lists in the
+same order, the same first violating quadruple with its three sums, and the
+same norms and attaining pairs in the same order.
+"""
+
+import random
+from fractions import Fraction
+from math import lcm
+
+import pytest
+
+from lipcheck.lipfun import LipFn, lip_norm, lipfn, pointwise_sup, slope, strong_pairs, zero_fn
+from lipcheck.metric import (
+    CheckResult,
+    FiniteMetricSpace,
+    StructureError,
+    ValidationReport,
+    Violation,
+    catalog,
+    make_space,
+    truncate,
+    validate,
+)
+from lipcheck.rational import ZERO, is_rational, rat
+from lipcheck.rtree import four_point_check, tree_metric, weighted_tree
+
+
+# ---------------------------------------------------------------------------
+# The Fraction kernels, verbatim
+
+
+def _validate_oracle(space: FiniteMetricSpace) -> ValidationReport:
+    n = space.n_points
+    for i, row in enumerate(space.dist):
+        if len(row) != n:
+            raise StructureError(f"row {i} has length {len(row)}, expected {n}")
+        for x in row:
+            if not is_rational(x):
+                raise StructureError(f"non-rational entry in row {i}")
+
+    violations = []
+    for i in range(n):
+        if space.dist[i][i] != ZERO:
+            violations.append(Violation("positivity", (i, i), (space.dist[i][i],)))
+        for j in range(i + 1, n):
+            if space.dist[i][j] <= ZERO:
+                violations.append(Violation("positivity", (i, j), (space.dist[i][j],)))
+            if space.dist[i][j] != space.dist[j][i]:
+                violations.append(
+                    Violation("symmetry", (i, j), (space.dist[i][j], space.dist[j][i]))
+                )
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            d_ij = space.dist[i][j]
+            for k in range(j + 1, n):
+                if k == i:
+                    continue
+                if space.dist[j][k] > d_ij + space.dist[i][k]:
+                    violations.append(
+                        Violation(
+                            "triangle",
+                            (j, i, k),
+                            (space.dist[j][k], d_ij, space.dist[i][k]),
+                        )
+                    )
+    return ValidationReport(passed=not violations, violations=tuple(violations))
+
+
+def _four_point_oracle(space: FiniteMetricSpace) -> CheckResult:
+    n = space.n_points
+    for p in range(n):
+        for q in range(p + 1, n):
+            for r in range(q + 1, n):
+                for s in range(r + 1, n):
+                    s1 = space.d(p, q) + space.d(r, s)
+                    s2 = space.d(p, r) + space.d(q, s)
+                    s3 = space.d(p, s) + space.d(q, r)
+                    top = max(s1, s2, s3)
+                    if (s1, s2, s3).count(top) < 2:
+                        return CheckResult(
+                            False, "four-point", "quadruple",
+                            (p, q, r, s), (s1, s2, s3),
+                        )
+    return CheckResult(True, "four-point")
+
+
+def _lip_norm_oracle(f: LipFn):
+    best = ZERO
+    n = f.space.n_points
+    for p in range(n):
+        for q in range(p + 1, n):
+            s = slope(f, p, q)
+            if s < ZERO:
+                s = -s
+            if s > best:
+                best = s
+    return best
+
+
+def _strong_pairs_oracle(f: LipFn):
+    best = ZERO
+    pairs = []
+    n = f.space.n_points
+    for p in range(n):
+        for q in range(p + 1, n):
+            s = slope(f, p, q)
+            if s < ZERO:
+                s, pair = -s, (q, p)
+            else:
+                pair = (p, q)
+            if s > best:
+                best, pairs = s, [pair]
+            elif s == best and s != ZERO:
+                pairs.append(pair)
+    pairs.sort()
+    return pairs
+
+
+def _pointwise_sup_oracle(f: LipFn, p: int):
+    best = ZERO
+    for q in f.space.points():
+        if q == p:
+            continue
+        s = slope(f, p, q)
+        if s < ZERO:
+            s = -s
+        if s > best:
+            best = s
+    return best
+
+
+# ---------------------------------------------------------------------------
+# The integer view
+
+
+def test_scaled_view_clears_the_distinct_denominators_once():
+    space = truncate(catalog("example48"), 9)
+    A, D = space.scaled
+    assert D == lcm(*{x.denominator for row in space.dist for x in row})
+    assert all(Fraction(a, D) == x for ra, row in zip(A, space.dist) for a, x in zip(ra, row))
+    assert all(type(a) is int for row in A for a in row)
+    assert space.scaled is space.scaled
+    # Plain int entries lift too, over D = 1.
+    ints = FiniteMetricSpace(((0, 2), (2, 0)), ("a", "b"))
+    assert ints.scaled == (((0, 2), (2, 0)), 1)
+
+
+# ---------------------------------------------------------------------------
+# validate on non-metrics
+
+# Entries that break positivity (0, negatives) or mix denominators.
+_ENTRY_POOL = (
+    rat(0), rat(-1), rat(-1, 3), rat(1), rat(2), rat(1, 2), rat(1, 3), rat(5, 6),
+    rat(7, 4), rat(3), rat(2, 3), rat(9, 10), rat(1, 12),
+)
+
+
+def _random_matrix(rng, n):
+    """A symmetric matrix with zero diagonal, then a few seeded defects:
+    nonzero diagonal entries, asymmetric entries, zero or negative ones."""
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = rows[j][i] = rat(rng.randint(1, 12), rng.randint(1, 6))
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows[i][j] = rng.choice(_ENTRY_POOL)
+    return FiniteMetricSpace(tuple(map(tuple, rows)), tuple(f"x{i}" for i in range(n)))
+
+
+def _assert_same_report(space):
+    got, want = validate(space), _validate_oracle(space)
+    assert got == want
+    assert got.to_json() == want.to_json()
+    return want
+
+
+def test_validate_matches_the_oracle_on_seeded_non_metrics():
+    rng = random.Random(20261018)
+    axioms = set()
+    failing = 0
+    for _ in range(400):
+        space = _random_matrix(rng, rng.randint(1, 7))
+        want = _assert_same_report(space)
+        failing += not want.passed
+        axioms.update(v.axiom for v in want.violations)
+    assert axioms == {"positivity", "symmetry", "triangle"}
+    assert 100 < failing < 400
+
+
+def test_validate_matches_the_oracle_on_perturbed_catalog_truncations():
+    rng = random.Random(7)
+    for name in ("example33", "example48", "prop24", "dmqr44", "thm57"):
+        base = truncate(catalog(name), 9)
+        _assert_same_report(base)
+        for _ in range(6):
+            rows = [list(r) for r in base.dist]
+            i, j = rng.sample(range(9), 2)
+            bump = rng.choice((rat(1, 2), rat(3), rat(-1, 7), -rows[i][j]))
+            rows[i][j] = rows[j][i] = rows[i][j] + bump
+            _assert_same_report(FiniteMetricSpace(tuple(map(tuple, rows)), base.labels))
+
+
+def test_validate_lists_every_violation_in_scan_order():
+    # A nonzero diagonal, a zero entry, asymmetric pairs and a triangle
+    # violation, with int and Fraction entries mixed in one matrix.
+    space = FiniteMetricSpace(
+        ((rat(1, 2), 1, rat(4)), (1, 0, 0), (rat(9, 2), rat(1, 3), 0)),
+        ("a", "b", "c"),
+    )
+    want = _assert_same_report(space)
+    assert [(v.axiom, v.indices) for v in want.violations] == [
+        ("positivity", (0, 0)), ("symmetry", (0, 2)), ("positivity", (1, 2)),
+        ("symmetry", (1, 2)), ("triangle", (0, 1, 2)),
+    ]
+
+
+def test_validate_structure_errors_come_first():
+    for space in (
+        FiniteMetricSpace(((rat(0), rat(1)), (rat(1),)), ("a", "b")),
+        FiniteMetricSpace(((rat(0), 1.0), (rat(1), rat(0))), ("a", "b")),
+    ):
+        with pytest.raises(StructureError) as new:
+            validate(space)
+        with pytest.raises(StructureError) as old:
+            _validate_oracle(space)
+        assert str(new.value) == str(old.value)
+
+
+# ---------------------------------------------------------------------------
+# four_point_check on perturbed tree metrics
+
+
+def _random_tree_metric(rng, n):
+    edges = [(rng.randrange(i), i, rat(rng.randint(1, 8), rng.randint(1, 4)))
+             for i in range(1, n)]
+    return tree_metric(weighted_tree(n, edges))
+
+
+def _perturbed(rng, space):
+    rows = [list(r) for r in space.dist]
+    n = space.n_points
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.sample(range(n), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] + rng.choice(
+            (rat(1, 5), rat(-1, 3), rat(1, 2), rat(-1, 8)))
+    return make_space(rows)
+
+
+def test_four_point_check_matches_the_oracle_on_perturbed_trees():
+    rng = random.Random(4242)
+    failed = 0
+    for _ in range(150):
+        tree = _random_tree_metric(rng, rng.randint(4, 9))
+        assert four_point_check(tree) == _four_point_oracle(tree)
+        assert four_point_check(tree).ok
+        bent = _perturbed(rng, tree)
+        got, want = four_point_check(bent), _four_point_oracle(bent)
+        assert got == want
+        assert got.to_json() == want.to_json()
+        failed += not want.ok
+    assert failed > 100
+
+
+def test_four_point_witness_sums_are_the_rational_sums():
+    cycle = make_space([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
+    got = four_point_check(cycle)
+    assert got == _four_point_oracle(cycle)
+    assert got.witness_indices == (0, 1, 2, 3)
+    assert got.witness_values == (rat(2), rat(4), rat(2))
+    assert all(type(v) is Fraction for v in got.witness_values)
+
+
+# ---------------------------------------------------------------------------
+# lip_norm, strong_pairs and pointwise_sup on tie-heavy functions
+
+# Two- and three-valued distances (many ties), and mixed denominators.
+_NORM_SPACES = (
+    truncate(catalog("discrete"), 7),
+    truncate(catalog("thm51star"), 9),
+    truncate(catalog("prop23"), 6),
+    truncate(catalog("example33"), 7),
+    truncate(catalog("example48"), 6),
+    truncate(catalog("prop24"), 5),
+)
+_TIE_VALUES = (rat(-1), rat(-1, 2), ZERO, ZERO, rat(1, 2), rat(1))
+_MIXED_VALUES = (rat(1, 3), rat(-1, 6), rat(2, 5), rat(-3, 10), rat(7, 4), rat(5, 12))
+
+
+def _functions(rng, space):
+    n = space.n_points
+    yield zero_fn(space)
+    for _ in range(25):
+        yield lipfn(space, [0] + [rng.choice(_TIE_VALUES) for _ in range(n - 1)])
+    for _ in range(15):
+        yield lipfn(space, [0] + [rng.choice(_MIXED_VALUES + _TIE_VALUES) for _ in range(n - 1)])
+    # Multiples of the distance to the base tie slopes across pairs whose
+    # distances have different denominators.
+    for c in (rat(1), rat(-2, 3)):
+        yield lipfn(space, [c * space.d(0, p) for p in space.points()])
+
+
+def test_norm_kernels_match_the_oracles_on_tie_heavy_functions():
+    rng = random.Random(20260815)
+    tied = 0
+    for space in _NORM_SPACES:
+        for f in _functions(rng, space):
+            norm = lip_norm(f)
+            assert type(norm) is Fraction
+            assert norm == _lip_norm_oracle(f)
+            pairs = strong_pairs(f)
+            assert pairs == _strong_pairs_oracle(f)
+            tied += len(pairs) > 1
+            for p in space.points():
+                sup = pointwise_sup(f, p)
+                assert type(sup) is Fraction
+                assert sup == _pointwise_sup_oracle(f, p)
+    assert tied > 60
+
+
+def test_zero_function_attains_nothing():
+    f = zero_fn(_NORM_SPACES[0])
+    assert lip_norm(f) == _lip_norm_oracle(f) == ZERO
+    assert strong_pairs(f) == _strong_pairs_oracle(f) == []
+    assert pointwise_sup(f, 3) == _pointwise_sup_oracle(f, 3) == ZERO
