@@ -226,7 +226,12 @@ def load_space(config: RunConfig):
     if sel.startswith("@") or sel.endswith(".json"):
         path = sel[1:] if sel.startswith("@") else sel
         with open(path, encoding="utf-8") as fh:
-            return space_from_json(json.load(fh))
+            obj = json.load(fh)
+        # validation is cubic in the rows, so the file is held to the --n cap
+        rows = obj.get("dist") if isinstance(obj, dict) else None
+        if isinstance(rows, list) and len(rows) > MAX_N:
+            raise PreconditionError(f"space file has {len(rows)} rows; at most {MAX_N} are allowed")
+        return space_from_json(obj)
     return truncate(load_model(sel, config.params), _require_n(config))
 
 

@@ -32,7 +32,17 @@ from itertools import product
 from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
-from .lipfun import LipFn, combine, lip_norm, lipfn, pointwise_sup, slope, strong_pairs
+from .lipfun import (
+    LipFn,
+    combine,
+    lip_norm,
+    lipfn,
+    max_quotient,
+    max_quotient_at,
+    pointwise_sup,
+    slope,
+    strong_pairs,
+)
 from .freespace import check_thm310
 from .metric import (
     CheckResult,
@@ -43,6 +53,7 @@ from .metric import (
     PreconditionError,
     TailDataError,
     catalog,
+    common_denominator,
     integer_line,
     min_positive_radius,
     truncate,
@@ -919,52 +930,62 @@ def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None):
     ``nodes`` are the model-side indices the rule loops over (sequence
     indices, or selection indices); ``dist`` and ``row_of`` translate them.
     The pointwise sup is taken at node ``designated``, by default the head
-    of the dominant member's orbit. The recomputation walks every node pair
-    with the closed-form distances, entirely apart from the truncated-matrix
-    path the LipFn route uses.
+    of the dominant member's orbit. Each member is witnessed by its orbit's
+    head and deepest node; with a designated node, by its deepest node and
+    the designated one (a constant orbit attains toward it).
+
+    The recomputation walks every node pair with the closed-form distances,
+    entirely apart from the truncated-matrix path the LipFn route uses. The
+    first call lifts the distance table (``dist(u, v) == T[x][y] / D``) and
+    the value maps (over one denominator) to integers; each vector then
+    sums integer values and compares slopes by cross-multiplication.
     """
+    nodes = tuple(nodes)
+    lifted = None
+
+    def lift():
+        pos = {u: x for x, u in enumerate(nodes)}
+        rows = [[dist(u, v) if u != v else ZERO for v in nodes] for u in nodes]
+        D, mult = common_denominator(x for row in rows for x in row)
+        T = [[x.numerator * mult[x.denominator] for x in row] for row in rows]
+        Lv, vmult = common_denominator(v for vm in value_maps for v in vm.values())
+        V, checks = [], []
+        for key, vm in zip(members, value_maps):
+            lv = {node: v.numerator * vmult[v.denominator] for node, v in vm.items()}
+            V.append(tuple((pos[node], v) for node, v in lv.items()))
+            head, deep = min(vm), max(vm)
+            if designated is None:
+                u, v, dv = head, deep, abs(lv[head] - lv[deep])
+            else:
+                u, v, dv = deep, designated, abs(lv[deep])
+            checks.append((key, row_of(u), row_of(v), dv * D, Lv * T[pos[u]][pos[v]]))
+        return pos, T, D, Lv, V, checks
+
     def rule(coeffs):
-        val = {node: ZERO for node in nodes}
-        support = []
-        for i, a in enumerate(coeffs):
-            if a == ZERO:
-                continue
-            support.append(i)
-            for node, v in value_maps[i].items():
-                val[node] = val[node] + a * v
-        best = ZERO
-        node_list = list(nodes)
-        for x in range(len(node_list)):
-            for y in range(x + 1, len(node_list)):
-                u, v = node_list[x], node_list[y]
-                dv = val[u] - val[v]
-                if dv == ZERO:
-                    continue
-                s = abs(dv) / dist(u, v)
-                if s > best:
-                    best = s
+        nonlocal lifted
+        if lifted is None:
+            lifted = lift()
+        pos, T, D, Lv, V, member_checks = lifted
+        K, mult = common_denominator(coeffs)
+        C = [a.numerator * mult[a.denominator] for a in coeffs]
+        W = [0] * len(nodes)
         checks = []
-        for i in support:
-            vm = value_maps[i]
-            head_node = min(vm.keys())
-            deep_node = max(vm.keys())
-            su = abs(coeffs[i]) * abs(vm[head_node] - vm[deep_node]) / dist(
-                head_node, deep_node
-            )
-            checks.append((members[i], row_of(head_node), row_of(deep_node), su))
-        n0 = _argmax_member(coeffs)
+        for i, c in enumerate(C):
+            if not c:
+                continue
+            for x, v in V[i]:
+                W[x] += c * v
+            key, row_u, row_v, num, den = member_checks[i]
+            checks.append((key, row_u, row_v, Rat(abs(c) * num, K * den)))
+        scale = K * Lv
+        num, den = max_quotient(T, W)
+        n0 = _argmax_member(C)
         x0 = min(value_maps[n0]) if designated is None else designated
-        sup_best = ZERO
-        for u in nodes:
-            if u == x0:
-                continue
-            dv = val[x0] - val[u]
-            if dv == ZERO:
-                continue
-            s = abs(dv) / dist(x0, u)
-            if s > sup_best:
-                sup_best = s
-        return RuleData(best, tuple(checks), row_of(x0), sup_best)
+        sup_num, sup_den = max_quotient_at(T[pos[x0]], W, pos[x0])
+        return RuleData(
+            Rat(num * D, den * scale), tuple(checks), row_of(x0),
+            Rat(sup_num * D, sup_den * scale),
+        )
 
     return rule
 
@@ -1042,26 +1063,12 @@ def _orbit_expectation(spec, members, value_maps):
 def _thm45_expectation(spec, members, value_maps):
     model = spec.model
     nodes, dist, row_of = _model_nodes(model, model.n_seq(spec.N))
-    base_node = 1 if model.base_aliases_p1 else 0
     # the constant orbit attains toward the base
-    rule = _orbit_rule(members, value_maps, nodes, dist, row_of, designated=base_node)
-
-    def rule_with_base_pairs(coeffs):
-        data = rule(coeffs)
-        # the member witness pair is (deepest orbit point, base)
-        checks = []
-        for i, a in enumerate(coeffs):
-            if a == ZERO:
-                continue
-            vmap = value_maps[i]
-            deep = max(vmap.keys())
-            s = abs(a * vmap[deep]) / dist(deep, base_node)
-            checks.append((members[i], row_of(deep), row_of(base_node), s))
-        return RuleData(
-            data.expected_norm, tuple(checks), data.designated_point, data.expected_sup
-        )
-
-    return Expectation("asymptotic", rule=rule_with_base_pairs)
+    base_node = 1 if model.base_aliases_p1 else 0
+    return Expectation(
+        "asymptotic",
+        rule=_orbit_rule(members, value_maps, nodes, dist, row_of, designated=base_node),
+    )
 
 
 def _sign_pattern_expectation(pair_of_group):
@@ -1569,7 +1576,8 @@ def ell1_sign_check(family, coeffs, pair, require_strong: bool = False) -> bool:
     u, v = pair
     f = combine(family, coeffs)
     if require_strong:
-        if slope(f, u, v) != lip_norm(f) or lip_norm(f) == ZERO:
+        norm = lip_norm(f)
+        if slope(f, u, v) != norm or norm == ZERO:
             raise PreconditionError("pair does not strongly attain the norm")
     for i, a in enumerate(coeffs):
         if a == ZERO:

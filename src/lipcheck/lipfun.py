@@ -4,17 +4,22 @@ A function is a value per row with value 0 at the base (row 0). The norm
 is the largest absolute difference quotient; on a finite space that is a
 maximum, so attainment questions become equalities between rationals.
 
-The scans (:func:`lip_norm`, :func:`strong_pairs`, :func:`pointwise_sup`)
-run on integers: distances as ``A / D`` from the space's cached integer
-view, values as ``F / L`` with L the LCM of their denominators, lifted once
-per call. A slope's size is ``|F[q] - F[p]| * D / (A[p][q] * L)``, so the
-quotients ``|F[q] - F[p]| / A[p][q]`` are compared by integer
-cross-multiplication, and one Fraction is built at the API boundary.
+The kernels run on integers. Distances are ``A / D`` from the space's
+cached integer view, and values are ``F / L`` from the function's cached
+integer view ``LipFn.lifted``, lifted once per function. :func:`combine`
+sums integer products and hands its result that view, so the scans that
+follow lift nothing. The scans (:func:`lip_norm`, :func:`strong_pairs`,
+:func:`pointwise_sup`) compare the quotients ``|F[q] - F[p]| / A[p][q]``
+by integer cross-multiplication: a slope's size is
+``|F[q] - F[p]| * D / (A[p][q] * L)``, and one Fraction is built at the
+API boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
 from .metric import FiniteMetricSpace, PreconditionError, StructureError, common_denominator
 from .rational import Rat, ZERO, rat
@@ -36,6 +41,14 @@ class LipFn:
     def __call__(self, p: int) -> Rat:
         return self.values[p]
 
+    @cached_property
+    def lifted(self):
+        """``(F, L)``: integer values over one denominator L > 0 with
+        ``f(p) == F[p] / L``, computed once per function. L need not be in
+        lowest terms; every consumer only divides by it."""
+        L, mult = common_denominator(self.values)
+        return tuple(v.numerator * mult[v.denominator] for v in self.values), L
+
 
 def lipfn(space: FiniteMetricSpace, values) -> LipFn:
     return LipFn(space, tuple(rat(v) for v in values))
@@ -52,15 +65,10 @@ def slope(f: LipFn, p: int, q: int) -> Rat:
     return (f.values[q] - f.values[p]) / f.space.d(p, q)
 
 
-def _lifted(f: LipFn):
-    """``(F, L)``: integer values over one denominator, ``f(p) == F[p] / L``."""
-    L, mult = common_denominator(f.values)
-    return [v.numerator * mult[v.denominator] for v in f.values], L
-
-
-def lip_norm(f: LipFn) -> Rat:
-    A, D = f.space.scaled
-    F, L = _lifted(f)
+def max_quotient(A, F):
+    """``(num, den) == (|F[q] - F[p]|, A[p][q])`` at the first pair p < q in
+    scan order with the largest quotient, found by cross-multiplication;
+    ``(0, 1)`` when no pair has a nonzero difference."""
     num, den = 0, 1
     n = len(F)
     for p in range(n):
@@ -69,6 +77,27 @@ def lip_norm(f: LipFn) -> Rat:
             df = abs(F[q] - fp)
             if df * den > num * Ap[q]:
                 num, den = df, Ap[q]
+    return num, den
+
+
+def max_quotient_at(Ap, F, p):
+    """``(num, den)`` as :func:`max_quotient`, over the pairs through p only,
+    with ``Ap`` the distance row of p."""
+    fp = F[p]
+    num, den = 0, 1
+    for q in range(len(F)):
+        if q == p:
+            continue
+        df = abs(F[q] - fp)
+        if df * den > num * Ap[q]:
+            num, den = df, Ap[q]
+    return num, den
+
+
+def lip_norm(f: LipFn) -> Rat:
+    A, D = f.space.scaled
+    F, L = f.lifted
+    num, den = max_quotient(A, F)
     return Rat(num * D, den * L)
 
 
@@ -79,7 +108,7 @@ def strong_pairs(f: LipFn):
     is found in the same scan: a larger slope restarts the list.
     """
     A, _ = f.space.scaled
-    F, _ = _lifted(f)
+    F, _ = f.lifted
     num, den = 0, 1
     pairs = []
     n = len(F)
@@ -105,15 +134,8 @@ def pointwise_sup(f: LipFn, p: int) -> Rat:
     if f.space.n_points < 2:
         raise PreconditionError("pointwise sup needs at least two points")
     A, D = f.space.scaled
-    F, L = _lifted(f)
-    Ap, fp = A[p], F[p]
-    num, den = 0, 1
-    for q in range(len(F)):
-        if q == p:
-            continue
-        df = abs(F[q] - fp)
-        if df * den > num * Ap[q]:
-            num, den = df, Ap[q]
+    F, L = f.lifted
+    num, den = max_quotient_at(A[p], F, p)
     return Rat(num * D, den * L)
 
 
@@ -140,7 +162,13 @@ def scale(f: LipFn, c) -> LipFn:
 
 
 def combine(fns, coeffs) -> LipFn:
-    """Linear combination of the first len(coeffs) members, in one pass."""
+    """Linear combination of the first len(coeffs) members, on integers.
+
+    The nonzero coefficients are lifted over their LCM K (``c_i == C_i / K``)
+    and the members' views ``F_i / L_i`` over the LCM M of the L_i, so each
+    value is ``sum(C_i * (M // L_i) * F_i[p]) / (K * M)``. The result carries
+    that integer view; one Fraction is built per point.
+    """
     fns = list(fns)
     coeffs = [rat(c) for c in coeffs]
     if len(coeffs) > len(fns):
@@ -150,7 +178,16 @@ def combine(fns, coeffs) -> LipFn:
     space = fns[0].space
     terms = list(zip(coeffs, fns))
     for _, f in terms:
-        if f.space.dist != space.dist:
+        if f.space is not space and f.space.dist != space.dist:
             raise PreconditionError("cannot add functions on different spaces")
-    values = (sum((c * f.values[p] for c, f in terms), ZERO) for p in space.points())
-    return LipFn(space, tuple(values))
+    terms = [(c, f.lifted) for c, f in terms if c]
+    K, mult = common_denominator(c for c, _ in terms)
+    M = lcm(*(L for _, (_, L) in terms))
+    S = [0] * space.n_points
+    for c, (F, L) in terms:
+        w = c.numerator * mult[c.denominator] * (M // L)
+        S = [s + w * x for s, x in zip(S, F)]
+    den = K * M
+    out = LipFn(space, tuple(Rat(s, den) if s else ZERO for s in S))
+    object.__setattr__(out, "lifted", (tuple(S), den))
+    return out

@@ -576,10 +576,21 @@ def _dmqr44(c) -> MetricModel:
     )
 
 
-def _thm51star(levels) -> MetricModel:
+# thm51star and prop53 have 2 ** levels point pairs; far more than any
+# truncation can reach, and small enough to build without cost.
+MAX_LEVELS = 64
+
+
+def _check_levels(name: str, levels) -> int:
+    """``levels`` as an int in 1..MAX_LEVELS, checked before 2 ** levels is formed."""
     levels = int(levels)
-    if levels < 1:
-        raise ModelError("thm51star needs levels >= 1")
+    if not 1 <= levels <= MAX_LEVELS:
+        raise ModelError(f"{name} needs 1 <= levels <= {MAX_LEVELS}, got {levels}")
+    return levels
+
+
+def _thm51star(levels) -> MetricModel:
+    levels = _check_levels("thm51star", levels)
     two = rat(2)
     n_pairs = 2 ** levels
 
@@ -603,9 +614,7 @@ def _thm51star(levels) -> MetricModel:
 
 
 def _prop53(levels) -> MetricModel:
-    levels = int(levels)
-    if levels < 1:
-        raise ModelError("prop53 needs levels >= 1")
+    levels = _check_levels("prop53", levels)
     n_pairs = 2 ** levels
 
     def row_dist(i, j):

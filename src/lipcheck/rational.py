@@ -24,6 +24,8 @@ _RAT_RE = re.compile(r"^(0|-?[1-9][0-9]*)(?:/([1-9][0-9]*))?$")
 
 def rat(num, den=None) -> Rat:
     """Build a rational from ints, a rational, or a canonical string."""
+    if den is None and type(num) is Fraction:
+        return num  # immutable, so the same object serves
     if isinstance(num, str):
         if den is not None:
             raise ValueError("string input takes no denominator")

@@ -88,6 +88,36 @@ def test_validate_space_file_breaking_an_axiom_is_a_model_error(tmp_path, capsys
     )
 
 
+def test_space_file_past_the_size_cap_is_refused_before_its_entries(tmp_path, capsys):
+    """A --space file holds at most MAX_N rows. A longer one exits 2 before
+    any entry is parsed, so its junk entries never surface; the library
+    loader keeps no cap and reaches them."""
+    blob = {"dist": [["junk"]] * (cli.MAX_N + 1)}
+    space_file = tmp_path / "space.json"
+    space_file.write_text(json.dumps(blob))
+    code, path = run(tmp_path, "validate", "--space", str(space_file))
+    assert code == 2
+    assert not path.exists()
+    assert capsys.readouterr().err == (
+        f"error: space file has {cli.MAX_N + 1} rows; at most {cli.MAX_N} are allowed\n"
+    )
+    with pytest.raises(metric.StructureError, match="canonical"):
+        metric.space_from_json(blob)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--theorem", "thm51", "--param", "levels=20000"],
+    ["validate", "--space", "prop53", "--n", "8", "--param", "levels=20000"],
+    ["validate", "--space", "thm51star", "--n", "8", "--param", "levels=65"],
+])
+def test_levels_past_the_cap_are_a_model_error(tmp_path, capsys, argv):
+    code, path = run(tmp_path, *argv)
+    assert code == 3
+    assert not path.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("model error: ") and "1 <= levels <= 64" in err
+
+
 def test_norm_command(tmp_path):
     code, path = run(
         tmp_path, "norm", "--space", "discrete", "--n", "4",
@@ -379,6 +409,23 @@ GOLDEN_VERIFY = {
     "prop53": "cdb5b8d8e6268b5a85f42dfa5b69caf44591a2220bbc8ae6615290a6d55d7c7a",
     "thm57": "dc3b94c14ccb5e9538bb77533aad16c719d31b6f140fe5b9e22b77c7249e1387",
 }
+
+# sha256 of each pipeline report at N=30, recorded before the coefficient
+# battery moved to integers; one model per case
+GOLDEN_PIPELINE = {
+    "power_line": ("II", "65a011809b9850da71f53dddd51a9336b4459fc2a2b7c00453e24617d4ddae66"),
+    "example48": ("I-(ii)", "1b5c8466981a1e4042f2498865437134eae0ae971eac6672c171e228f2641ad1"),
+    "dmqr41": ("I-(i)", "6053fb39a0e16962968be991bf454e9796078e3174a529e508734b301af13909"),
+}
+
+
+@pytest.mark.parametrize("model", list(GOLDEN_PIPELINE))
+def test_pipeline_reports_match_golden_digests(tmp_path, model):
+    case, digest = GOLDEN_PIPELINE[model]
+    code, path = run(tmp_path, "pipeline", "--model", model, "--n", "30")
+    assert code == 0
+    assert read(path)["case"] == case
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_check_and_verify_reports_match_golden_digests(tmp_path):

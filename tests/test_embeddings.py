@@ -691,6 +691,15 @@ def test_ell1_sign_check_require_strong():
         ell1_sign_check(built.functions, a, (0, 1), require_strong=True)
 
 
+def test_ell1_sign_check_scans_the_norm_once(count_calls):
+    built = standard_family("thm51")
+    calls = count_calls(lip_norm)
+    g0 = 1 + 4 + 8 + 16
+    a = (rat(1), rat(-1), rat(1), ZERO, ZERO)
+    assert ell1_sign_check(built.functions, a, (2 * g0, 2 * g0 + 1), require_strong=True)
+    assert len(calls) == 1
+
+
 def test_ell1_sign_check_coeff_count():
     built = standard_family("thm51")
     with pytest.raises(PreconditionError):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from lipcheck.metric import (
     CATALOG_NAMES,
     FiniteMetricSpace,
+    MAX_LEVELS,
     ModelError,
     PreconditionError,
     StructureError,
@@ -148,6 +149,17 @@ def test_catalog_rejects_unknown_and_bad_params():
         catalog("thm51star", levels=0)
     with pytest.raises(ModelError):
         catalog("discrete", levels=3)
+
+
+def test_levels_cap_comes_before_the_point_count():
+    """thm51star and prop53 have 2 ** levels point pairs; levels past
+    MAX_LEVELS are refused, the largest allowed value still builds."""
+    assert MAX_LEVELS == 64
+    assert catalog("thm51star", levels=MAX_LEVELS).max_points == 2 ** 65
+    assert catalog("prop53", levels=MAX_LEVELS).max_points == 2 ** 65 + 1
+    for name in ("thm51star", "prop53"):
+        with pytest.raises(ModelError, match=r"1 <= levels <= 64, got 65"):
+            catalog(name, levels=MAX_LEVELS + 1)
 
 
 def test_dmqr44_eps_range():
