@@ -12,6 +12,13 @@ the unit ball and pairs with mu to the transport cost). The tests keep a
 dense exact simplex over the dual ball and a brute-force vertex oracle
 as independent routes.
 
+Both passes run on the space's integer view ``A / D``
+(:attr:`~lipcheck.metric.FiniteMetricSpace.scaled`) and the masses scaled
+to integers: path lengths are integer sums, and since ``D > 0`` every
+comparison and tie is the one the rationals give, so the paths and arcs
+are too. One Fraction is built per result: the transport cost, and each
+witness value, whose integer view is handed on to the certificate.
+
 The matching criterion is one exact Hungarian solve whose integer costs
 carry a tie-break term, so a cheaper permutation, when one exists, is
 reported as the lexicographically first of minimum cost.
@@ -112,13 +119,14 @@ def pairing(mu: FreeElement, f: LipFn) -> Rat:
 
 
 def _shortest_paths(n, arcs, sources):
-    """Bellman-Ford over arcs (u, v, weight) on nodes 0..n-1 from sources
-    at distance 0: (dist, parent) with None where no arc reached, or None
-    if a negative cycle is reachable (a change in round n)."""
+    """Bellman-Ford over arcs (u, v, weight) with integer weights on nodes
+    0..n-1 from sources at distance 0: (dist, parent) with None where no
+    arc reached, or None if a negative cycle is reachable (a change in
+    round n)."""
     dist = [None] * n
     parent = [None] * n
     for s in sources:
-        dist[s] = ZERO
+        dist[s] = 0
     for _ in range(n):
         changed = False
         for u, v, w in arcs:
@@ -138,10 +146,11 @@ def _transport(mu: FreeElement):
 
     The net imbalance is absorbed at the base point (delta_0 is the zero
     vector, so this does not change the element). Masses are scaled to
-    integers so every augmentation moves at least one unit. Nodes are the
-    sources 0..m-1 and the sinks m..m+k-1; each augmenting path is a
-    shortest path from the live sources on the residual graph, whose
-    reverse arcs carry negative cost. Arcs are (source point, sink point).
+    integers so every augmentation moves at least one unit, and costs are
+    the integer distances ``A`` (``d == A / D``). Nodes are the sources
+    0..m-1 and the sinks m..m+k-1; each augmenting path is a shortest path
+    from the live sources on the residual graph, whose reverse arcs carry
+    negative cost. Arcs are (source point, sink point).
     """
     space = mu.space
     net = dict(mu.weights)
@@ -153,11 +162,12 @@ def _transport(mu: FreeElement):
         return ZERO, []
 
     scale = lcm(*(w.denominator for _, w in pos + neg))
-    supply = [int(w * scale) for _, w in pos]
-    demand = [int(w * scale) for _, w in neg]
+    supply = [w.numerator * (scale // w.denominator) for _, w in pos]
+    demand = [w.numerator * (scale // w.denominator) for _, w in neg]
     m, k = len(pos), len(neg)
     flow = [[0] * k for _ in range(m)]
-    cost = [[space.d(p, q) for q, _ in neg] for p, _ in pos]
+    A, D = space.scaled
+    cost = [[A[p][q] for q, _ in neg] for p, _ in pos]
     forward = [(i, m + j, cost[i][j]) for i in range(m) for j in range(k)]
 
     while True:
@@ -193,14 +203,14 @@ def _transport(mu: FreeElement):
         supply[start] -= amount
         demand[target] -= amount
 
-    total_cost = ZERO
+    total_cost = 0
     arcs = []
     for i in range(m):
         for j in range(k):
             if flow[i][j]:
-                total_cost += rat(flow[i][j]) * cost[i][j]
+                total_cost += flow[i][j] * cost[i][j]
                 arcs.append((pos[i][0], neg[j][0]))
-    return total_cost / rat(scale), arcs
+    return Rat(total_cost, scale * D), arcs
 
 
 def free_norm_flow(mu: FreeElement) -> Rat:
@@ -216,18 +226,24 @@ def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
     f(v) >= -dist(v, 0) for the shortest-path distance to the base point,
     with equality attained (CLRS 24.4), found from the base point over
     the reversed arcs. A negative cycle, which only a matrix violating
-    the triangle inequality can produce, leaves no solution.
+    the triangle inequality can produce, leaves no solution. The pass runs
+    on the integer distances ``A`` (``d == A / D``), so ``f == F / D`` with
+    ``F`` minus the integer path lengths; the witness carries that view.
     """
+    A, D = space.scaled
     n = space.n_points
-    reversed_arcs = [(p, q, space.d(p, q)) for p in range(n) for q in range(n) if p != q]
-    reversed_arcs += [(t, s, -space.d(s, t)) for s, t in arcs]
+    reversed_arcs = [(p, q, A[p][q]) for p in range(n) for q in range(n) if p != q]
+    reversed_arcs += [(t, s, -A[s][t]) for s, t in arcs]
     found = _shortest_paths(n, reversed_arcs, [0])
     if found is None:
         raise PreconditionError(
             "optimal transport arcs admit no 1-Lipschitz dual: "
             "the distances violate the triangle inequality"
         )
-    return LipFn(space, tuple(-x for x in found[0]))
+    F = tuple(-x for x in found[0])
+    out = LipFn(space, tuple(Rat(x, D) for x in F))
+    object.__setattr__(out, "lifted", (F, D))
+    return out
 
 
 @dataclass(frozen=True)

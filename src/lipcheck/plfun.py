@@ -14,6 +14,7 @@ code path, labeled as such in its output.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .metric import LipcheckError, PreconditionError, StructureError
@@ -63,13 +64,12 @@ def pl_eval(f: PLFn, x) -> Rat:
         if not f.right_extension:
             raise PreconditionError("x right of the domain and no extension")
         return f.values[-1]
-    for i in range(len(bps) - 1):
-        if bps[i] <= x <= bps[i + 1]:
-            if x == bps[i]:
-                return f.values[i]
-            t = (x - bps[i]) / (bps[i + 1] - bps[i])
-            return f.values[i] + t * (f.values[i + 1] - f.values[i])
-    return f.values[-1]
+    # bps[i] <= x < bps[i + 1], or x is the last breakpoint
+    i = bisect_right(bps, x) - 1
+    if x == bps[i]:
+        return f.values[i]
+    t = (x - bps[i]) / (bps[i + 1] - bps[i])
+    return f.values[i] + t * (f.values[i + 1] - f.values[i])
 
 
 def segment_slopes(f: PLFn):

@@ -24,20 +24,23 @@ The four-point check scans the space's integer view ``A / D``
 (:attr:`~lipcheck.metric.FiniteMetricSpace.scaled`): pair sums and their
 comparisons are integer operations, exact because ``D > 0``. Fractions are
 built only at the API boundary: a failing quadruple's three sums are
-rebuilt from the original ``dist`` entries.
+rebuilt from the original ``dist`` entries. ``tree_metric`` builds that
+view itself, walking the edge lengths lifted over one denominator, and
+hands it to the space with one Fraction per distinct distance, so the
+four-point check on a tree metric lifts nothing.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import ZERO, format_rat, parse_rat, rat
+from .rational import Rat, ZERO, format_rat, parse_rat, rat
 from .metric import (
     CheckResult,
     FiniteMetricSpace,
     LipcheckError,
     PreconditionError,
     StructureError,
-    make_space,
+    common_denominator,
 )
 from .embeddings import (
     BATTERY_SEED,
@@ -184,18 +187,23 @@ def tree_metric(tree: WeightedTree) -> FiniteMetricSpace:
     """Path-length metric of a weighted tree as a FiniteMetricSpace.
 
     Row 0 is the tree's base vertex; the remaining vertices follow in
-    ascending id order. Labels keep the original vertex ids.
+    ascending id order. Labels keep the original vertex ids. The walks run
+    on the edge lengths lifted over their LCM, and the space gets that
+    integer view as :attr:`FiniteMetricSpace.scaled`.
     """
     n = tree.n_vertices
-    adj = _adjacency(n, tree.edges)
+    D, mult = common_denominator(w for _, _, w in tree.edges)
+    adj = _adjacency(
+        n, [(u, v, w.numerator * mult[w.denominator]) for u, v, w in tree.edges]
+    )
     order = _vertex_order(tree)
     pos = {v: i for i, v in enumerate(order)}
 
     # One traversal per vertex; the tree has a unique path between any two
     # vertices, so accumulated lengths are the metric.
-    dist = [[ZERO] * n for _ in range(n)]
+    A = [[0] * n for _ in range(n)]
     for src in range(n):
-        acc = {src: ZERO}
+        acc = {src: 0}
         stack = [src]
         while stack:
             x = stack.pop()
@@ -203,11 +211,19 @@ def tree_metric(tree: WeightedTree) -> FiniteMetricSpace:
                 if y not in acc:
                     acc[y] = acc[x] + w
                     stack.append(y)
+        row = A[pos[src]]
         for v, d in acc.items():
-            dist[pos[src]][pos[v]] = d
+            row[pos[v]] = d
 
-    labels = [f"v{v}" for v in order]
-    return make_space(dist, labels=labels, name=f"tree{n}")
+    # Every edge length is itself a distance, so D, the LCM of the edges'
+    # denominators, is the LCM of the distances' denominators: the view is
+    # the one ``scaled`` computes.
+    A = tuple(map(tuple, A))
+    as_rat = {x: Rat(x, D) for x in set().union(*A)}
+    dist = tuple(tuple(as_rat[x] for x in row) for row in A)
+    space = FiniteMetricSpace(dist, tuple(f"v{v}" for v in order), name=f"tree{n}")
+    object.__setattr__(space, "scaled", (A, D))
+    return space
 
 
 def branching_points(tree: WeightedTree):

@@ -14,6 +14,7 @@ import lipcheck
 from lipcheck import cli, freespace, lipfun, metric
 from lipcheck.cli import main, sample_analytic
 from lipcheck.metric import LipcheckError, PreconditionError
+from lipcheck.rational import format_rat, parse_rat, rat
 
 
 def run(tmp_path, *argv, name="out.json"):
@@ -73,6 +74,20 @@ def test_validate_prop24_at_the_size_cap(tmp_path):
     blob = read(path)
     assert blob["passed"] is True and blob["violations"] == []
     assert blob["n_points"] == cli.MAX_N
+
+
+def test_norm_past_the_int_digit_limit(tmp_path):
+    """prop24 at N = 121 has a norm whose denominator runs past Python's
+    4300-digit int/str limit; the report still carries it exactly."""
+    n = 121
+    values = ["0"] + ["1"] * (n - 1)
+    code, path = run(tmp_path, "norm", "--space", "prop24", "--n", str(n),
+                     "--values", json.dumps(values))
+    assert code == 0
+    text = read(path)["lip_norm"]
+    assert len(text) > 4300
+    space = metric.truncate(metric.catalog("prop24"), n)
+    assert parse_rat(text) == lipfun.lip_norm(lipfun.lipfn(space, values))
 
 
 def test_validate_space_file_breaking_an_axiom_is_a_model_error(tmp_path, capsys):
@@ -425,6 +440,45 @@ def test_pipeline_reports_match_golden_digests(tmp_path, model):
     code, path = run(tmp_path, "pipeline", "--model", model, "--n", "30")
     assert code == 0
     assert read(path)["case"] == case
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def _alternating_element(n):
+    """Full support: weight (-1)**p * p / (p + 1) at every row p >= 1."""
+    return json.dumps({"weights": {
+        str(p): format_rat(rat((-1) ** p * p, p + 1)) for p in range(1, n)
+    }})
+
+
+# sha256 of each free-norm report, recorded before the transport and its
+# dual moved to the integer view: a full-support element, a tie-heavy one,
+# and a full-support element at the size cap
+GOLDEN_FREE_NORM = {
+    ("dmqr41", 10): (
+        _alternating_element(10),
+        "e69833ea9b2372868ec359bbb460b9ec8d6d18cf5e213fb88c0025de938c976e",
+    ),
+    ("discrete", 8): (
+        json.dumps({"weights": {"1": "2", "2": "-1", "3": "1", "4": "-2",
+                                "5": "1", "6": "-1", "7": "1"}}),
+        "1e0ae5ea1c1ef93a621365a9f6ba36db894a909da31bf506aaeb08d5ae5a6e2c",
+    ),
+    ("example48", cli.MAX_N): (
+        _alternating_element(cli.MAX_N),
+        "958779ce9bfa83628ff0ef14c867ba7f428405d2aa1b9c38323fa5922c9f1e14",
+    ),
+}
+
+
+@pytest.mark.parametrize("space,n", list(GOLDEN_FREE_NORM))
+def test_free_norm_reports_match_golden_digests(tmp_path, space, n):
+    """The size-cap case solves a 128-point full-support element in seconds."""
+    element, digest = GOLDEN_FREE_NORM[space, n]
+    code, path = run(tmp_path, "free-norm", "--space", space, "--n", str(n),
+                     "--element", element)
+    assert code == 0
+    blob = read(path)
+    assert blob["passed"] is True and len(blob["dual_witness"]) == n
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -60,6 +62,43 @@ def test_pointwise_sup_segment_check_raises(monkeypatch):
     )
     with pytest.raises(LipcheckError, match="segment monotonicity"):
         pl_pointwise_sup(f, 0)
+
+
+def _pl_eval_oracle(f, x):
+    """The linear-scan pl_eval that bisection replaced, verbatim."""
+    x = rat(x)
+    bps = f.breakpoints
+    if x < bps[0]:
+        if not f.left_extension:
+            raise PreconditionError("x left of the domain and no extension")
+        return f.values[0]
+    if x > bps[-1]:
+        if not f.right_extension:
+            raise PreconditionError("x right of the domain and no extension")
+        return f.values[-1]
+    for i in range(len(bps) - 1):
+        if bps[i] <= x <= bps[i + 1]:
+            if x == bps[i]:
+                return f.values[i]
+            t = (x - bps[i]) / (bps[i + 1] - bps[i])
+            return f.values[i] + t * (f.values[i + 1] - f.values[i])
+    return f.values[-1]
+
+
+def test_eval_matches_linear_scan_oracle():
+    """Breakpoints (the last one included), midpoints, random points inside
+    and both extensions, on seeded functions of 1 to 12 breakpoints."""
+    rng = random.Random(20261018)
+    for k in range(200):
+        n = 1 + k % 12
+        cuts = rng.sample(range(-40, 41), n - 1)
+        bps = sorted({rat(c, 3) for c in cuts} | {rat(0)})
+        values = [rat(0) if b == 0 else rat(rng.randint(-9, 9), rng.randint(1, 4)) for b in bps]
+        f = plfn(bps, values)
+        points = list(bps) + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        points += [rat(rng.randint(-150, 150), 11) for _ in range(10)]
+        for x in points:
+            assert pl_eval(f, x) == _pl_eval_oracle(f, x), (bps, x)
 
 
 def test_tent_1_oracle():

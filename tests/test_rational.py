@@ -62,3 +62,23 @@ def test_arithmetic_matches_cross_multiplication(a, b, c, d):
     x, y = rat(a, b), rat(c, d)
     assert (x + y) * rat(b * d) == rat(a * d + c * b)
     assert (x * y) * rat(b * d) == rat(a * c)
+
+
+@pytest.mark.parametrize("x", [
+    rat(-3, 2 ** (127 * 127)),
+    rat(10 ** 5000 + 7),
+    rat(-(10 ** 4400), 3 ** 9001),
+    rat(1, 10 ** 600),
+])
+def test_format_parse_roundtrip_past_the_int_digit_limit(x):
+    """Numbers longer than Python's default int/str limit (4300 digits)
+    format to their exact decimal digits and parse back."""
+    s = format_rat(x)
+    assert parse_rat(s) == x
+    num, _, den = s.partition("/")
+    assert num.startswith("-") == (x < 0)
+    for digits, n in ((num.lstrip("-"), abs(x.numerator)), (den or "1", x.denominator)):
+        assert digits[0] != "0" or digits == "0"
+        assert 10 ** (len(digits) - 1) <= n < 10 ** len(digits)
+        assert int(digits[-300:]) == n % 10 ** 300
+    assert len(s) > 4300 or x == rat(1, 10 ** 600)
