@@ -81,6 +81,9 @@ MAX_RAND_COUNT = 1000
 # sample-analytic compares every pair of its resolution + 1 grid points in
 # floating point; 4,096 is 64 times the pairs of the default 512.
 MAX_RESOLUTION = 4096
+# Its horizon check allows an error of 4/horizon; at 2**48 that is 2**-46,
+# 64 times float64's spacing at 1.0, so the bound stays above rounding.
+MAX_HORIZON = 2 ** 48
 
 
 @dataclass
@@ -405,6 +408,7 @@ def cmd_report(config: RunConfig) -> int:
 
 def cmd_sample_analytic(config: RunConfig) -> int:
     _check_range("--resolution", config.resolution, 1, MAX_RESOLUTION)
+    _check_range("--horizon", config.horizon, 1, MAX_HORIZON)
     rep = sample_analytic(
         config.function, config.resolution, config.horizon, config.span
     )
@@ -501,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_samp.add_argument("--function", default="x2-over-absx-plus-2",
                         choices=sorted(ANALYTIC_FUNCTIONS))
     p_samp.add_argument("--resolution", type=int, default=512, help=f"1 to {MAX_RESOLUTION}")
-    p_samp.add_argument("--horizon", type=int, default=10 ** 6)
+    p_samp.add_argument("--horizon", type=int, default=10 ** 6, help=f"1 to {MAX_HORIZON}")
     p_samp.add_argument("--span", type=float, default=1000.0, help="finite and positive")
     return parser
 

@@ -8,16 +8,18 @@ norm identities for a battery of coefficient vectors. ``CONSTRUCTIONS`` is
 the one table of them: per construction id its builder, its checker, the
 anchors ``lipcheck check`` uses and its standard instance.
 
-Families come in three flavors and the verification carries that expectation
-explicitly instead of pretending everything is attained at finite scale:
+Each family carries its expectation as one rule per coefficient vector a,
+instead of pretending everything is attained at finite scale. The rule
+states what f_a must show: its exact norm, the slopes of named pairs, and
+the pointwise sup at a designated point. Its ``kind`` labels the report:
 
-- "exact": lip_norm(f_a) equals the coefficient norm outright, with a
-  nameable witness pair (and a zero pointwise defect where claimed);
-- "asymptotic": the norm stays strictly below the coefficient norm on every
-  truncation; we pin the exact finite value through an independent
-  recomputation from the model's closed forms, check the designated witness
-  slopes, and track the pointwise defect at the designated point;
-- "deflated": the norm equals the coefficient norm times an explicit
+- "exact": the norm is the coefficient norm outright, with a nameable
+  witness pair (and a zero pointwise defect where claimed);
+- "asymptotic": the norm stays below the coefficient norm on every
+  truncation; the rule pins the exact finite value through an independent
+  recomputation from the model's closed forms, with the member slopes and
+  the sup at the designated point;
+- "deflated": the norm is the coefficient norm times an explicit
   truncation factor, with the remaining gap at the base pinned exactly.
 
 All arithmetic is exact; no tolerances anywhere.
@@ -436,27 +438,30 @@ class FamilySpec:
 
 @dataclass(frozen=True)
 class RuleData:
-    """Independent recomputation of the quantities an asymptotic family must
-    hit at finite scale: the exact norm value, per-member witness slopes, and
-    the pointwise supremum at the designated attainment point."""
+    """What one combination f_a must show, as its family's rule derives it
+    from a; an unset field names nothing to check."""
 
     expected_norm: Rat
-    member_checks: tuple  # (member_key, row_u, row_v, expected_abs_slope)
-    designated_point: int
-    expected_sup: Rat
+    member_checks: tuple = ()  # (member_key, row_u, row_v, expected_abs_slope)
+    designated_point: Optional[int] = None
+    expected_sup: Optional[Rat] = None  # None: the computed norm, a zero defect
+    base_gap: Optional[Rat] = None  # coefficient norm minus the designated sup
+    witness_pair: Optional[tuple] = None  # (u, v) whose slope is expected_norm
+    ceiling: str = ""  # "<" or "<=": a rule-recomputed norm against the coefficient norm
 
 
 @dataclass(frozen=True)
 class Expectation:
-    """What finite-scale attainment should look like for a family."""
+    """What finite-scale attainment should look like for a family.
 
-    kind: str  # "exact" | "asymptotic" | "deflated"
-    designated_point: object = None  # row, or callable(coeffs) -> row, or None
-    witness_pair: Optional[Callable] = None  # coeffs -> (u, v) positively oriented
-    rule: Optional[Callable] = None  # coeffs -> RuleData (asymptotic only)
-    norm_factor: Rat = ONE  # deflated: expected norm = coeff norm * factor
-    base_gap_factor: Rat = ZERO  # deflated: coeff norm - sup@designated
-    strict: bool = True  # asymptotic: truncation norm strictly below the target
+    ``rule(C, K, norm)`` takes a coefficient vector a as integers over one
+    denominator (``a_n == C[n] / K``) and its norm in the target, and
+    returns the RuleData f_a must meet, or None for a zero vector that only
+    needs a zero norm. ``kind`` ("exact", "deflated" or "asymptotic") only
+    labels the report."""
+
+    kind: str
+    rule: Callable
 
 
 @dataclass(frozen=True)
@@ -526,11 +531,7 @@ def _sign_bit(group: int, member: int) -> Rat:
 
 def _pattern_index(coeffs) -> int:
     """Group whose sign pattern matches the coefficient signs (zero -> +)."""
-    g = 0
-    for n, a in enumerate(coeffs, start=1):
-        if a >= ZERO:
-            g |= 1 << (n - 1)
-    return g
+    return sum(1 << n for n, a in enumerate(coeffs) if a >= 0)
 
 
 # ---------------------------------------------------------------------------
@@ -745,20 +746,23 @@ def build_family(spec: FamilySpec, override: bool = False):
 # Coefficient batteries
 
 
+_TARGET_NORMS = {"sup-norm": lambda sizes: max(sizes, default=0), "sum-norm": sum}
+
+
+def lift_coefficients(coeffs, target: str):
+    """``(C, K, norm)`` for a tuple of rationals: the integers C over one
+    positive denominator K with ``coeffs[n] == C[n] / K``, and the norm of
+    the coefficients in ``target``, taken on C."""
+    norm_of = _TARGET_NORMS.get(target)
+    if norm_of is None:
+        raise PreconditionError(f"unknown target {target!r}")
+    K, mult = common_denominator(coeffs)
+    C = tuple(a.numerator * mult[a.denominator] for a in coeffs)
+    return C, K, Rat(norm_of(map(abs, C)), K)
+
+
 def coefficient_norm(coeffs, target: str) -> Rat:
-    vals = [abs(rat(a)) for a in coeffs]
-    if target == "sup-norm":
-        best = ZERO
-        for v in vals:
-            if v > best:
-                best = v
-        return best
-    if target == "sum-norm":
-        total = ZERO
-        for v in vals:
-            total = total + v
-        return total
-    raise PreconditionError(f"unknown target {target!r}")
+    return lift_coefficients(tuple(rat(a) for a in coeffs), target)[2]
 
 
 def standard_battery(size: int, seed: int = BATTERY_SEED, rand_count: int = BATTERY_RANDOM_COUNT,
@@ -788,18 +792,24 @@ def standard_battery(size: int, seed: int = BATTERY_SEED, rand_count: int = BATT
 # Isometry verification
 
 
-def _resolve_point(designated, coeffs):
-    if designated is None:
-        return None
-    if callable(designated):
-        return designated(coeffs)
-    return designated
+def _slope_parts(f: LipFn, u: int, v: int):
+    """``(num, den)`` with den > 0 and ``slope(f, u, v) == num / den``,
+    read off the integer views."""
+    if u == v:
+        raise PreconditionError("slope needs two distinct points")
+    F, L = f.lifted
+    A, D = f.space.scaled
+    return (F[v] - F[u]) * D, A[u][v] * L
 
 
 def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                     seed: Optional[int] = None) -> VerificationReport:
-    """Check the norm identity and the attainment expectation for every
-    coefficient vector. Failures are collected, never raised."""
+    """Check every coefficient vector against the RuleData its expectation's
+    rule derives from it, in this order: the norm, under a ceiling the norm
+    against the coefficient norm, the members' absolute slopes, the sup at
+    the designated point (a zero defect when no sup is expected) and the
+    base gap, the witness pair's signed slope. Failures are collected, never
+    raised; the first eight are kept, in the order they occur."""
     family = tuple(family)
     if not family:
         raise PreconditionError("empty family")
@@ -813,88 +823,61 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
         nonlocal expect_all
         expect_all = False
         if len(failures) < 8:
-            failures.append(msg)
+            failures.append(f"a=({','.join(format_rat(a) for a in coeffs)}): {msg}")
 
     for coeffs in coeff_set:
         coeffs = tuple(rat(a) for a in coeffs)
-        cn = coefficient_norm(coeffs, target)
+        C, K, cn = lift_coefficients(coeffs, target)
         f = combine(family, coeffs)
-        # Without a designated witness pair, one scan finds the norm and
-        # the attaining pairs that name the recorded witness.
-        if expectation.witness_pair is None:
+        data = expectation.rule(C, K, cn)
+        # Without a witness pair, one scan finds the norm and the attaining
+        # pairs that name the recorded witness.
+        if data is None or data.witness_pair is None:
             attaining = strong_pairs(f)
             ln = slope(f, *attaining[0]) if attaining else ZERO
         else:
             attaining, ln = None, lip_norm(f)
-        gap = cn - ln if cn >= ln else ln - cn
+        gap = abs(cn - ln)
         if gap > worst:
             worst = gap
         if ln != cn:
             exact_all = False
-        label = "(" + ",".join(format_rat(a) for a in coeffs) + ")"
-        point = None
-        point_defect = None
-        pair = None
+        point = point_defect = pair = None
 
-        if expectation.kind == "exact":
-            if ln != cn:
-                fail(f"a={label}: norm {format_rat(ln)} != {format_rat(cn)}")
-            point = _resolve_point(expectation.designated_point, coeffs)
-            if point is not None:
-                point_defect = ln - pointwise_sup(f, point)
-                if point_defect != ZERO:
-                    fail(f"a={label}: defect {format_rat(point_defect)} at {point}")
-            if expectation.witness_pair is not None and cn > ZERO:
-                pair = expectation.witness_pair(coeffs)
-                if pair is not None and slope(f, pair[0], pair[1]) != cn:
-                    fail(f"a={label}: witness pair {pair} misses the norm")
-
-        elif expectation.kind == "deflated":
-            expected = cn * expectation.norm_factor
-            if ln != expected:
-                fail(f"a={label}: norm {format_rat(ln)} != {format_rat(expected)}")
-            point = _resolve_point(expectation.designated_point, coeffs)
-            if point is not None:
-                sup_here = pointwise_sup(f, point)
-                point_defect = ln - sup_here
-                if sup_here != expected:
-                    fail(f"a={label}: sup at {point} is {format_rat(sup_here)}")
-                if cn - sup_here != cn * expectation.base_gap_factor:
-                    fail(f"a={label}: base gap {format_rat(cn - sup_here)} off rule")
-            if expectation.witness_pair is not None and cn > ZERO:
-                pair = expectation.witness_pair(coeffs)
-                if pair is not None and slope(f, pair[0], pair[1]) != expected:
-                    fail(f"a={label}: witness pair {pair} misses the norm")
-
-        elif expectation.kind == "asymptotic":
-            if cn == ZERO:
-                if ln != ZERO:
-                    fail(f"a={label}: zero vector with nonzero norm")
-            else:
-                data = expectation.rule(coeffs)
-                if ln != data.expected_norm:
-                    fail(
-                        f"a={label}: norm {format_rat(ln)} != rule value "
-                        f"{format_rat(data.expected_norm)}"
-                    )
-                if ln > cn:
-                    fail(f"a={label}: truncation norm exceeds the target")
-                elif expectation.strict and ln == cn:
-                    fail(f"a={label}: truncation norm not strictly below target")
-                for key, u, v, expected_slope in data.member_checks:
-                    got = slope(f, u, v)
-                    if abs(got) != expected_slope:
-                        fail(
-                            f"a={label}: member {key} slope {format_rat(abs(got))} "
-                            f"!= {format_rat(expected_slope)}"
-                        )
-                point = data.designated_point
-                sup_here = pointwise_sup(f, point)
-                point_defect = ln - sup_here
-                if sup_here != data.expected_sup:
-                    fail(f"a={label}: sup at {point} is {format_rat(sup_here)}")
+        if data is None:
+            if ln != ZERO:
+                fail("zero vector with nonzero norm")
         else:
-            raise PreconditionError(f"unknown expectation kind {expectation.kind!r}")
+            expected = data.expected_norm
+            if ln != expected:
+                what = "rule value " if data.ceiling else ""
+                fail(f"norm {format_rat(ln)} != {what}{format_rat(expected)}")
+            if data.ceiling:
+                if ln > cn:
+                    fail("truncation norm exceeds the target")
+                elif data.ceiling == "<" and ln == cn:
+                    fail("truncation norm not strictly below target")
+            for key, u, v, want in data.member_checks:
+                num, den = _slope_parts(f, u, v)
+                if abs(num) * want.denominator != want.numerator * den:
+                    fail(f"member {key} slope {format_rat(Rat(abs(num), den))} "
+                         f"!= {format_rat(want)}")
+            point = data.designated_point
+            if point is not None:
+                sup_here = pointwise_sup(f, point)
+                point_defect = ln - sup_here
+                if data.expected_sup is None:
+                    if point_defect != ZERO:
+                        fail(f"defect {format_rat(point_defect)} at {point}")
+                elif sup_here != data.expected_sup:
+                    fail(f"sup at {point} is {format_rat(sup_here)}")
+                if data.base_gap is not None and cn - sup_here != data.base_gap:
+                    fail(f"base gap {format_rat(cn - sup_here)} off rule")
+            pair = data.witness_pair
+            if pair is not None:
+                num, den = _slope_parts(f, *pair)
+                if num * expected.denominator != expected.numerator * den:
+                    fail(f"witness pair {pair} misses the norm")
 
         if pair is None and ln > ZERO:
             pair = (attaining or strong_pairs(f))[0]
@@ -914,18 +897,13 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
 
 
 def _argmax_member(coeffs):
-    """Smallest position carrying the largest absolute coefficient."""
-    best = None
-    pos = None
-    for i, a in enumerate(coeffs):
-        v = abs(a)
-        if best is None or v > best:
-            best, pos = v, i
-    return pos
+    """Smallest position carrying the largest absolute coefficient (0 for
+    an empty vector, the zero vector's answer)."""
+    return max(range(len(coeffs)), key=lambda i: (abs(coeffs[i]), -i), default=0)
 
 
-def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None):
-    """Build the asymptotic-rule closure for an orbit family.
+def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None, strict=True):
+    """Build the asymptotic rule for an orbit family.
 
     ``nodes`` are the model-side indices the rule loops over (sequence
     indices, or selection indices); ``dist`` and ``row_of`` translate them.
@@ -938,7 +916,9 @@ def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None):
     entirely apart from the truncated-matrix path the LipFn route uses. The
     first call lifts the distance table (``dist(u, v) == T[x][y] / D``) and
     the value maps (over one denominator) to integers; each vector then
-    sums integer values and compares slopes by cross-multiplication.
+    sums integer values and compares slopes by cross-multiplication. The
+    norm stays strictly below the coefficient norm, or with ``strict``
+    False at most meets it; the zero vector gets no record.
     """
     nodes = tuple(nodes)
     lifted = None
@@ -961,13 +941,15 @@ def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None):
             checks.append((key, row_of(u), row_of(v), dv * D, Lv * T[pos[u]][pos[v]]))
         return pos, T, D, Lv, V, checks
 
-    def rule(coeffs):
+    ceiling = "<" if strict else "<="
+
+    def rule(C, K, norm):
         nonlocal lifted
+        if not norm:
+            return None
         if lifted is None:
             lifted = lift()
         pos, T, D, Lv, V, member_checks = lifted
-        K, mult = common_denominator(coeffs)
-        C = [a.numerator * mult[a.denominator] for a in coeffs]
         W = [0] * len(nodes)
         checks = []
         for i, c in enumerate(C):
@@ -984,7 +966,7 @@ def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None):
         sup_num, sup_den = max_quotient_at(T[pos[x0]], W, pos[x0])
         return RuleData(
             Rat(num * D, den * scale), tuple(checks), row_of(x0),
-            Rat(sup_num * D, sup_den * scale),
+            Rat(sup_num * D, sup_den * scale), ceiling=ceiling,
         )
 
     return rule
@@ -1017,18 +999,22 @@ def _model_nodes(model: MetricModel, ns: int):
 # The construction table
 
 
-def _exact_witness_pairs(members_pairs):
-    """Witness rule for two-point families: the dominant pair, oriented so
-    the slope is positive."""
+def _dominant_pair_rule(pairs, points=None):
+    """Exact rule for families whose member n spans the row pair
+    ``pairs[n]``: the norm is the coefficient norm, attained on the dominant
+    member's pair oriented so the slope is positive and, with ``points``,
+    at the dominant member's designated row."""
 
-    def witness(coeffs):
-        n0 = _argmax_member(coeffs)
-        if abs(coeffs[n0]) == ZERO:
-            return None
-        p, q = members_pairs[n0]
-        return (q, p) if coeffs[n0] > ZERO else (p, q)
+    def rule(C, K, norm):
+        n0 = _argmax_member(C)
+        pair = None
+        if norm:
+            p, q = pairs[n0]
+            pair = (q, p) if C[n0] > 0 else (p, q)
+        point = None if points is None else points[n0]
+        return RuleData(norm, designated_point=point, witness_pair=pair)
 
-    return witness
+    return rule
 
 
 def _disjoint_pairs(n_points: int):
@@ -1042,22 +1028,12 @@ def _split(pairs):
 
 
 def _pair_expectation(spec, members, value_maps):
-    return Expectation("exact", witness_pair=_exact_witness_pairs(members))
-
-
-def _prop42_expectation(spec, members, value_maps):
-    return Expectation(
-        "exact",
-        designated_point=lambda coeffs: members[_argmax_member(coeffs)],
-        witness_pair=_exact_witness_pairs(tuple((p, p - 1) for p in members)),
-    )
+    return Expectation("exact", _dominant_pair_rule(members))
 
 
 def _orbit_expectation(spec, members, value_maps):
     nodes, dist, row_of = _model_nodes(spec.model, spec.model.n_seq(spec.N))
-    return Expectation(
-        "asymptotic", rule=_orbit_rule(members, value_maps, nodes, dist, row_of)
-    )
+    return Expectation("asymptotic", _orbit_rule(members, value_maps, nodes, dist, row_of))
 
 
 def _thm45_expectation(spec, members, value_maps):
@@ -1067,7 +1043,7 @@ def _thm45_expectation(spec, members, value_maps):
     base_node = 1 if model.base_aliases_p1 else 0
     return Expectation(
         "asymptotic",
-        rule=_orbit_rule(members, value_maps, nodes, dist, row_of, designated=base_node),
+        _orbit_rule(members, value_maps, nodes, dist, row_of, designated=base_node),
     )
 
 
@@ -1075,24 +1051,27 @@ def _sign_pattern_expectation(pair_of_group):
     """Exact sum-norm expectation witnessed by the pair of the group whose
     sign pattern matches the coefficients."""
 
-    def expectation(spec, members, value_maps):
-        return Expectation(
-            "exact", witness_pair=lambda coeffs: pair_of_group(_pattern_index(coeffs))
-        )
+    def rule(C, K, norm):
+        return RuleData(norm, witness_pair=pair_of_group(_pattern_index(C)) if norm else None)
 
-    return expectation
+    return lambda spec, members, value_maps: Expectation("exact", rule)
 
 
 def _thm57_expectation(spec, members, value_maps):
-    c = spec.parameters["c"]
+    """The norm and the sup at the base deflate by 1 - c^-levels, leaving the
+    residue |a| c^-levels as the gap at the base; the deepest point of the
+    sign-matched group witnesses the norm."""
     levels = spec.parameters["levels"]
-    return Expectation(
-        "deflated",
-        designated_point=0,
-        witness_pair=lambda coeffs: (0, (_pattern_index(coeffs) + 1) * levels),
-        norm_factor=ONE - c ** (-levels),
-        base_gap_factor=c ** (-levels),
-    )
+    residue = spec.parameters["c"] ** (-levels)
+    factor = ONE - residue
+
+    def rule(C, K, norm):
+        expected = norm * factor
+        pair = (0, (_pattern_index(C) + 1) * levels) if norm else None
+        return RuleData(expected, designated_point=0, expected_sup=expected,
+                        base_gap=norm * residue, witness_pair=pair)
+
+    return Expectation("deflated", rule)
 
 
 @dataclass(frozen=True)
@@ -1132,8 +1111,8 @@ CONSTRUCTIONS = (
         anchors=lambda model, N: tuple(range(1, N)),
         model=lambda: catalog("prop23"), default_N=16,
         expectation=lambda spec, members, value_maps: Expectation(
-            "exact", designated_point=0,
-            witness_pair=_exact_witness_pairs(tuple((p, 0) for p in members)),
+            "exact",
+            _dominant_pair_rule(tuple((p, 0) for p in members), (0,) * len(members)),
         ),
     ),
     Construction(
@@ -1145,7 +1124,7 @@ CONSTRUCTIONS = (
         model=lambda: integer_line(), default_N=10,
         standard_anchors=lambda model, N: _split((p, p - 1) for p in range(1, N, 2)),
         expectation=lambda spec, members, value_maps: Expectation(
-            "exact", witness_pair=_exact_witness_pairs(tuple(zip(*spec.anchors))),
+            "exact", _dominant_pair_rule(tuple(zip(*spec.anchors))),
         ),
     ),
     Construction(
@@ -1167,7 +1146,9 @@ CONSTRUCTIONS = (
         check=lambda spec: check_prop42(spec.space, spec.anchors), space_check=True,
         anchors=lambda model, N: tuple(range(1, N, 2)),
         model=lambda: integer_line(), default_N=12,
-        expectation=_prop42_expectation,
+        expectation=lambda spec, members, value_maps: Expectation(
+            "exact", _dominant_pair_rule(tuple((p, p - 1) for p in members), members),
+        ),
     ),
     Construction(
         "thm43", build=_build_thm43,
@@ -1383,11 +1364,12 @@ def _pipeline_case_i1(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
     fns, members, value_maps = _orbit_family(
         sub, ns - 1, lambda k: k + 1, lambda n, head: g[n] if head else -g[n], row_of
     )
-    rule = _orbit_rule(members, value_maps, tuple(range(1, ns + 1)), model.d_seq, row_of)
     # the case boundary allows pair gaps to meet tail gaps exactly, so the
-    # combined norm may touch the target on a truncation; only the rule
-    # equality is asserted
-    exp = Expectation("asymptotic", rule=rule, strict=False)
+    # combined norm may touch the target on a truncation
+    rule = _orbit_rule(
+        members, value_maps, tuple(range(1, ns + 1)), model.d_seq, row_of, strict=False
+    )
+    exp = Expectation("asymptotic", rule)
     battery = standard_battery(len(fns))
     report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
     return PipelineResult(
@@ -1456,7 +1438,7 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         if diff != sub.d(srow, trow):
             raise ConstructionError(f"pair values do not span the distance at member {i + 1}")
 
-    exp = Expectation("exact", witness_pair=_exact_witness_pairs(anchor_rows))
+    exp = Expectation("exact", _dominant_pair_rule(anchor_rows))
     battery = standard_battery(len(fns))
     report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
     return PipelineResult(
@@ -1522,13 +1504,14 @@ def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
     def dist(u, v):
         return sub.d(u - 1, v - 1)
 
-    rule = _orbit_rule(
-        members, value_maps, tuple(range(1, k_sel + 1)), dist, lambda node: node - 1
-    )
     # weight sums may meet the distances exactly (the recurrence allows
     # equality), in which case aligned unit coefficients attain the target
     # norm already at finite scale
-    exp = Expectation("asymptotic", rule=rule, strict=False)
+    rule = _orbit_rule(
+        members, value_maps, tuple(range(1, k_sel + 1)), dist, lambda node: node - 1,
+        strict=False,
+    )
+    exp = Expectation("asymptotic", rule)
     battery = standard_battery(len(fns))
     report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
     return PipelineResult(

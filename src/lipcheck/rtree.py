@@ -48,7 +48,7 @@ from .embeddings import (
     Expectation,
     FamilySpec,
     VerificationReport,
-    _exact_witness_pairs,
+    _dominant_pair_rule,
     build_family,
     check_prop31,
     standard_battery,
@@ -520,10 +520,7 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
 
     spec = FamilySpec("prop31", space, anchors=(points, partners))
     fns = build_family(spec, override=True)  # hypothesis check already ran
-    expectation = Expectation(
-        "exact",
-        witness_pair=_exact_witness_pairs(tuple(zip(points, partners))),
-    )
+    expectation = Expectation("exact", _dominant_pair_rule(tuple(zip(points, partners))))
     built = BuiltFamily(spec, fns, "sup-norm", expectation,
                         members=tuple(zip(points, partners)), checker=check)
     battery = standard_battery(built.size)

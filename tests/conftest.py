@@ -28,10 +28,11 @@ def count_calls(monkeypatch):
 @pytest.fixture(scope="session")
 def acceptance_report(tmp_path_factory):
     """One ``lipcheck report`` run shared by the acceptance tests: its exit
-    code, the JSON report and the markdown summary."""
+    code, the JSON report, the markdown summary and the JSON report's path
+    (the summary sits beside it with suffix ``.md``)."""
     from lipcheck.cli import main
 
     path = tmp_path_factory.mktemp("report") / "acc.json"
     code = main(["report", "--out", str(path)])
     report = json.loads(path.read_text(encoding="utf-8"))
-    return code, report, path.with_suffix(".md").read_text(encoding="utf-8")
+    return code, report, path.with_suffix(".md").read_text(encoding="utf-8"), path

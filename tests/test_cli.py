@@ -582,9 +582,37 @@ def test_sample_analytic_cli(tmp_path):
     assert blob["passed"] is True
 
 
+# sha256 of the JSON report and of its markdown summary, recorded before
+# every expectation became one per-vector rule (the same on Python 3.10 and
+# 3.11)
+GOLDEN_REPORT = {
+    ".json": "5a4d3689032ae8714047111ecd7902fdf8595938befd9bee760cdc36baa38c6b",
+    ".md": "5fa7df1d1eba67860a14ec5091a7af799de4a0a8c07d37ca04ea62694794696f",
+}
+
+
+@pytest.mark.parametrize("horizon, code", [
+    (cli.MAX_HORIZON, 0), (cli.MAX_HORIZON + 1, 2), (10 ** 400, 2),
+])
+def test_sample_analytic_horizon_is_capped(tmp_path, capsys, horizon, code):
+    """Up to the cap the horizon check's 4/horizon stays above float64's
+    spacing at 1.0 and the sample passes; past it the horizon is refused
+    with exit 2 before any sampling, never with a traceback."""
+    got, path = run(tmp_path, "sample-analytic", "--resolution", "8", "--horizon", str(horizon))
+    assert got == code
+    err = capsys.readouterr().err
+    if code == 0:
+        assert read(path)["passed"] is True and err == ""
+    else:
+        assert not path.exists()
+        assert err.startswith("error: --horizon ") and err.count("\n") == 1
+
+
 def test_report_command(acceptance_report):
-    code, blob, md = acceptance_report
+    code, blob, md, path = acceptance_report
     assert code == 0
     assert blob["passed"] is True
     assert [row["id"] for row in blob["criteria"]] == list(range(1, 12))
     assert md.count("| pass |") == 11
+    for suffix, digest in GOLDEN_REPORT.items():
+        assert hashlib.sha256(path.with_suffix(suffix).read_bytes()).hexdigest() == digest, suffix

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +8,9 @@ from lipcheck.embeddings import (
     BATTERY_SEED,
     ConstructionError,
     DichotomyError,
+    Expectation,
     FamilySpec,
+    RuleData,
     build_family,
     check_canonical,
     check_prop31,
@@ -20,6 +23,7 @@ from lipcheck.embeddings import (
     coefficient_norm,
     ell1_sign_check,
     first_primes,
+    lift_coefficients,
     main_theorem_pipeline,
     prime_orbits,
     report_json,
@@ -404,7 +408,7 @@ def test_thm57_deflated():
     assert pointwise_sup(f, 0) == rat(3) * scale  # zero defect at the base
     assert rat(3) - pointwise_sup(f, 0) == rat(3, 256)
     # the witness pair is the deepest point of the sign-matched group
-    pr = built.expectation.witness_pair(a)
+    pr = built.expectation.rule(*lift_coefficients(a, built.target)).witness_pair
     assert slope(f, pr[0], pr[1]) == rat(3) * scale
 
 
@@ -476,28 +480,55 @@ def test_thm46_frozen_oracle():
 # isometry verification plumbing
 
 
+def _norm_only(C, K, norm):
+    """The norm is the coefficient norm; nothing more is named."""
+    return RuleData(norm)
+
+
 def test_verify_isometry_reports_failures():
     space = truncate(catalog("prop23"), 4)
     vals = [ZERO] * 4
     vals[1] = rat(2)  # twice the radius: the spike is too tall
-    from lipcheck.embeddings import Expectation
 
     fam = (lipfn(space, vals),)
-    report = verify_isometry(fam, "sup-norm", ((ONE,),), Expectation("exact"))
+    report = verify_isometry(fam, "sup-norm", ((ONE,),), Expectation("exact", _norm_only))
     assert not report.exact_pass
     assert not report.expectation_pass
-    assert report.failures
+    assert report.failures == ("a=(1): norm 2 != 1",)
     assert report.worst_defect == ONE
 
 
-def test_verify_isometry_rejects_bad_input():
-    from lipcheck.embeddings import Expectation
+def test_verify_isometry_reports_deflated_failures_in_order():
+    """thm57 with its norm factor doubled: the norm, the sup at the base and
+    the witness pair miss on every vector, and only the first eight
+    failures are kept."""
+    built = standard_family("thm57")
+    rule = built.expectation.rule
 
+    def doubled(C, K, norm):
+        data = rule(C, K, norm)
+        return replace(data, expected_norm=2 * data.expected_norm,
+                       expected_sup=2 * data.expected_sup)
+
+    report = verify_isometry(built.functions, built.target, standard_battery(built.size),
+                             Expectation("deflated", doubled), seed=BATTERY_SEED)
+    assert report.failures == (
+        "a=(-1,-1,-1): norm 765/256 != 765/128",
+        "a=(-1,-1,-1): sup at 0 is 765/256",
+        "a=(-1,-1,-1): witness pair (0, 8) misses the norm",
+        "a=(-1,-1,0): norm 255/128 != 255/64",
+        "a=(-1,-1,0): sup at 0 is 255/128",
+        "a=(-1,-1,0): witness pair (0, 40) misses the norm",
+        "a=(-1,-1,1): norm 765/256 != 765/128",
+        "a=(-1,-1,1): sup at 0 is 765/256",
+    )
+    assert not report.exact_pass and not report.expectation_pass
+    assert report.worst_defect == rat(83, 2560)
+
+
+def test_verify_isometry_rejects_bad_input():
     with pytest.raises(PreconditionError):
-        verify_isometry((), "sup-norm", ((ONE,),), Expectation("exact"))
-    built = standard_family("thm34", N=6)
-    with pytest.raises(PreconditionError):
-        verify_isometry(built.functions, "sup-norm", ((ONE, ONE),), Expectation("weird"))
+        verify_isometry((), "sup-norm", ((ONE,),), Expectation("exact", _norm_only))
 
 
 def test_witness_records_orientation():

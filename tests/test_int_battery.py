@@ -2,26 +2,28 @@
 
 ``combine`` sums the members' integer views and hands its result one, and
 each asymptotic rule lifts its closed-form distance table and value maps to
-integers on its first call. The Fraction ``combine`` and ``_orbit_rule``
-they replaced (with the thm45 base-pair wrapper) are kept here verbatim.
-The two paths must write the same verification reports, witness records
-and failure lists in order, on every standard family and every pipeline
-case, and the rules must agree vector by vector.
+integers on its first call. The Fraction ``combine`` they replaced is kept
+here verbatim, and the Fraction ``_orbit_rule`` (with the thm45 base-pair
+wrapper) in ``isometry_oracle``, beside the ``verify_isometry`` that read
+it. The two paths must write the same verification reports, witness
+records and failure lists in order, on every standard family and every
+pipeline case, and the rules must agree vector by vector.
 """
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
+import isometry_oracle as oracle
+from isometry_oracle import EXPECTATIONS as ORACLE_EXPECTATIONS, _orbit_rule_oracle
 from lipcheck import embeddings
 from lipcheck.embeddings import (
     VERIFY_THEOREMS,
-    Expectation,
     RuleData,
-    _argmax_member,
-    _model_nodes,
+    lift_coefficients,
     main_theorem_pipeline,
     standard_battery,
     standard_family,
@@ -63,92 +65,6 @@ def _combine_oracle(fns, coeffs) -> LipFn:
             raise PreconditionError("cannot add functions on different spaces")
     values = (sum((c * f.values[p] for c, f in terms), ZERO) for p in space.points())
     return LipFn(space, tuple(values))
-
-
-def _orbit_rule_oracle(members, value_maps, nodes, dist, row_of, designated=None):
-    def rule(coeffs):
-        val = {node: ZERO for node in nodes}
-        support = []
-        for i, a in enumerate(coeffs):
-            if a == ZERO:
-                continue
-            support.append(i)
-            for node, v in value_maps[i].items():
-                val[node] = val[node] + a * v
-        best = ZERO
-        node_list = list(nodes)
-        for x in range(len(node_list)):
-            for y in range(x + 1, len(node_list)):
-                u, v = node_list[x], node_list[y]
-                dv = val[u] - val[v]
-                if dv == ZERO:
-                    continue
-                s = abs(dv) / dist(u, v)
-                if s > best:
-                    best = s
-        checks = []
-        for i in support:
-            vm = value_maps[i]
-            head_node = min(vm.keys())
-            deep_node = max(vm.keys())
-            su = abs(coeffs[i]) * abs(vm[head_node] - vm[deep_node]) / dist(
-                head_node, deep_node
-            )
-            checks.append((members[i], row_of(head_node), row_of(deep_node), su))
-        n0 = _argmax_member(coeffs)
-        x0 = min(value_maps[n0]) if designated is None else designated
-        sup_best = ZERO
-        for u in nodes:
-            if u == x0:
-                continue
-            dv = val[x0] - val[u]
-            if dv == ZERO:
-                continue
-            s = abs(dv) / dist(x0, u)
-            if s > sup_best:
-                sup_best = s
-        return RuleData(best, tuple(checks), row_of(x0), sup_best)
-
-    return rule
-
-
-def _orbit_expectation_oracle(spec, members, value_maps):
-    nodes, dist, row_of = _model_nodes(spec.model, spec.model.n_seq(spec.N))
-    return Expectation(
-        "asymptotic", rule=_orbit_rule_oracle(members, value_maps, nodes, dist, row_of)
-    )
-
-
-def _thm45_expectation_oracle(spec, members, value_maps):
-    model = spec.model
-    nodes, dist, row_of = _model_nodes(model, model.n_seq(spec.N))
-    base_node = 1 if model.base_aliases_p1 else 0
-    # the constant orbit attains toward the base
-    rule = _orbit_rule_oracle(members, value_maps, nodes, dist, row_of, designated=base_node)
-
-    def rule_with_base_pairs(coeffs):
-        data = rule(coeffs)
-        # the member witness pair is (deepest orbit point, base)
-        checks = []
-        for i, a in enumerate(coeffs):
-            if a == ZERO:
-                continue
-            vmap = value_maps[i]
-            deep = max(vmap.keys())
-            s = abs(a * vmap[deep]) / dist(deep, base_node)
-            checks.append((members[i], row_of(deep), row_of(base_node), s))
-        return RuleData(
-            data.expected_norm, tuple(checks), data.designated_point, data.expected_sup
-        )
-
-    return Expectation("asymptotic", rule=rule_with_base_pairs)
-
-
-ORACLE_EXPECTATIONS = {
-    "thm43": _orbit_expectation_oracle,
-    "thm45": _thm45_expectation_oracle,
-    "thm46": _orbit_expectation_oracle,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -267,18 +183,15 @@ def test_max_quotient_reads_the_first_maximal_pair():
 # The asymptotic rules, vector by vector
 
 
-def _outcome(rule, coeffs):
-    try:
-        return rule(coeffs)
-    except TypeError as exc:  # both paths must fail the same way
-        return type(exc)
+ASYMPTOTIC_IDS = ("thm43", "thm45", "thm46")
 
 
 def _standard_rule_pairs():
-    for tid, oracle in ORACLE_EXPECTATIONS.items():
+    for tid in ASYMPTOTIC_IDS:
         built = standard_family(tid)
         _, members, value_maps = embeddings._BY_ID[tid].build(built.spec)
-        yield tid, built.expectation.rule, oracle(built.spec, members, value_maps).rule, built.size
+        old = ORACLE_EXPECTATIONS[tid](built.spec, members, value_maps).rule
+        yield tid, built.expectation.rule, old, built.size
 
 
 def _pipeline_rule_pairs(monkeypatch, model_name):
@@ -296,16 +209,28 @@ def _pipeline_rule_pairs(monkeypatch, model_name):
     monkeypatch.setattr(embeddings, "_orbit_rule", real)
     assert len(seen) == 1
     args, kwargs = seen[0]
-    return result.case, real(*args, **kwargs), _orbit_rule_oracle(*args, **kwargs), len(result.family)
+    assert kwargs.pop("strict") is False
+    new = real(*args, strict=False, **kwargs)
+    return result.case, new, _orbit_rule_oracle(*args, **kwargs), len(result.family)
 
 
-def _assert_rules_agree(new, old, size, seed):
+def _new_outcome(rule, coeffs):
+    """The rule reads the integer lift; the zero vector gets no record."""
+    C, K, norm = lift_coefficients(coeffs, "sup-norm")
+    got = rule(C, K, norm)
+    assert (got is None) == (norm == 0), coeffs
+    return got
+
+
+def _assert_rules_agree(new, old, size, seed, ceiling="<"):
     rng = random.Random(seed)
     for coeffs in _vectors(rng, size):
-        got = _outcome(new, coeffs)
-        assert got == _outcome(old, coeffs), coeffs
-        if isinstance(got, RuleData):
-            assert all(type(c[3]) is Fraction for c in got.member_checks)
+        got = _new_outcome(new, coeffs)
+        if got is None:
+            continue
+        assert got.ceiling == ceiling
+        assert replace(got, ceiling="") == old(coeffs), coeffs
+        assert all(type(c[3]) is Fraction for c in got.member_checks)
 
 
 def test_standard_rules_match_the_oracle_vector_by_vector():
@@ -320,7 +245,7 @@ def test_standard_rules_match_the_oracle_vector_by_vector():
 def test_pipeline_rules_match_the_oracle_vector_by_vector(monkeypatch, model_name, case):
     got_case, new, old, size = _pipeline_rule_pairs(monkeypatch, model_name)
     assert got_case == case
-    _assert_rules_agree(new, old, size, model_name)
+    _assert_rules_agree(new, old, size, model_name, ceiling="<=")
 
 
 def test_rules_read_only_their_distance_closure(monkeypatch):
@@ -334,7 +259,8 @@ def test_rules_read_only_their_distance_closure(monkeypatch):
     monkeypatch.setattr(FiniteMetricSpace, "scaled", property(refuse))
     monkeypatch.setattr(FiniteMetricSpace, "d", refuse)
     for tid, rule, size in rules:
-        assert isinstance(rule((ZERO,) * (size - 1) + (rat(3, 2),)), RuleData), tid
+        coeffs = (ZERO,) * (size - 1) + (rat(3, 2),)
+        assert isinstance(rule(*lift_coefficients(coeffs, "sup-norm")), RuleData), tid
 
 
 # ---------------------------------------------------------------------------
@@ -349,16 +275,18 @@ def _perturbed(fns):
 
 @pytest.mark.parametrize("tid", VERIFY_THEOREMS)
 def test_reports_match_the_oracle_path(monkeypatch, tid):
+    """The old path is the three-branch verify_isometry on the old
+    expectations and the Fraction combine."""
     built = standard_family(tid)
     rec = embeddings._BY_ID[tid]
     _, members, value_maps = rec.build(built.spec)
-    old_expectation = ORACLE_EXPECTATIONS.get(tid, rec.expectation)(built.spec, members, value_maps)
+    old_expectation = ORACLE_EXPECTATIONS[tid](built.spec, members, value_maps)
     battery = standard_battery(built.size, seed=11, rand_count=12, support=3)
     for fns in (built.functions, _perturbed(built.functions)):
         new = verify_isometry(fns, built.target, battery, built.expectation, seed=11)
         with monkeypatch.context() as m:
-            m.setattr(embeddings, "combine", _combine_oracle)
-            old = verify_isometry(fns, built.target, battery, old_expectation, seed=11)
+            m.setattr(oracle, "combine", _combine_oracle)
+            old = oracle.verify_isometry(fns, built.target, battery, old_expectation, seed=11)
         assert new == old
     assert old.failures and not old.expectation_pass
 
@@ -370,8 +298,8 @@ def test_pipeline_results_match_the_oracle_path(monkeypatch, model_name, case):
     model = load_model(model_name, {})
     new = main_theorem_pipeline(model, 30)
     with monkeypatch.context() as m:
-        m.setattr(embeddings, "combine", _combine_oracle)
-        m.setattr(embeddings, "_orbit_rule", _orbit_rule_oracle)
+        oracle.old_path(m, embeddings)
+        m.setattr(oracle, "combine", _combine_oracle)
         old = main_theorem_pipeline(model, 30)
     assert new.case == case
     assert new == old
