@@ -2,26 +2,28 @@
 
 The norm of a finitely supported element mu = sum w_x delta_x is the cost
 of one exact min-cost transport of its positive part onto its negative
-part. One Bellman-Ford kernel, ``_shortest_paths``, does all the path
-work: it finds each augmenting path of the transport (successive
-shortest paths on the residual graph), and one more pass over the
-difference constraints tight on the arcs that carry flow gives the least
-optimal 1-Lipschitz function as the dual witness. Each element is solved
-once and its result certified once, by weak duality (the witness sits in
-the unit ball and pairs with mu to the transport cost). The tests keep a
-dense exact simplex over the dual ball and a brute-force vertex oracle
-as independent routes.
+part. One flow loop, ``_min_cost_flow`` (successive shortest paths on the
+residual graph), serves both min-cost problems of the module: the free
+norm's transport, and the matching criterion, an assignment with unit
+masses whose integer costs carry a tie-break term, so a cheaper
+permutation, when one exists, is reported as the lexicographically first
+of minimum cost. One Bellman-Ford kernel, ``_shortest_paths``, does all
+the path work: it finds each augmenting path of the flow loop, and one
+more pass over the difference constraints tight on the arcs that carry
+flow gives the least optimal 1-Lipschitz function as the dual witness.
+Each element is solved once and its result certified once, by weak
+duality (the witness sits in the unit ball and pairs with mu to the
+transport cost). The tests keep a dense exact simplex over the dual ball
+and a brute-force vertex oracle as independent routes, and a Hungarian
+solver as the matching's differential oracle.
 
 Both passes run on the space's integer view ``A / D``
 (:attr:`~lipcheck.metric.FiniteMetricSpace.scaled`) and the masses scaled
 to integers: path lengths are integer sums, and since ``D > 0`` every
 comparison and tie is the one the rationals give, so the paths and arcs
-are too. One Fraction is built per result: the transport cost, and each
-witness value, whose integer view is handed on to the certificate.
-
-The matching criterion is one exact Hungarian solve whose integer costs
-carry a tie-break term, so a cheaper permutation, when one exists, is
-reported as the lexicographically first of minimum cost.
+are too. One Fraction is built per result: the transport cost, each
+witness value, whose integer view is handed on to the certificate, and
+the matching's identity and best costs.
 """
 
 from __future__ import annotations
@@ -62,6 +64,12 @@ class FreeElement:
         return sorted(self.weights)
 
 
+def _point(space: FiniteMetricSpace, p: int) -> int:
+    if not 0 <= p < space.n_points:
+        raise PreconditionError(f"point index {p} outside the space")
+    return p
+
+
 def free_element(space: FiniteMetricSpace, weights) -> FreeElement:
     if isinstance(weights, dict):
         items = weights.items()
@@ -69,9 +77,7 @@ def free_element(space: FiniteMetricSpace, weights) -> FreeElement:
         items = list(weights)
     out = {}
     for p, w in items:
-        p = int(p)
-        if not 0 <= p < space.n_points:
-            raise PreconditionError(f"point index {p} outside the space")
+        p = _point(space, int(p))
         w = rat(w)
         if w != ZERO:
             out[p] = out.get(p, ZERO) + w
@@ -84,6 +90,7 @@ def delta(space: FiniteMetricSpace, p: int) -> FreeElement:
 
 def molecule(space: FiniteMetricSpace, p: int, q: int) -> FreeElement:
     """(delta_p - delta_q) / d(p, q)."""
+    p, q = _point(space, p), _point(space, q)
     if p == q:
         raise PreconditionError("molecule needs two distinct points")
     d = space.d(p, q)
@@ -141,33 +148,19 @@ def _shortest_paths(n, arcs, sources):
     return None
 
 
-def _transport(mu: FreeElement):
-    """Exact min-cost transport of mu+ onto mu-: (cost, arcs carrying flow).
+def _min_cost_flow(supply, demand, cost):
+    """Exact min-cost flow of integer supplies onto integer demands over the
+    complete bipartite graph with integer arc costs ``cost[i][j]``: the
+    integer flow matrix.
 
-    The net imbalance is absorbed at the base point (delta_0 is the zero
-    vector, so this does not change the element). Masses are scaled to
-    integers so every augmentation moves at least one unit, and costs are
-    the integer distances ``A`` (``d == A / D``). Nodes are the sources
-    0..m-1 and the sinks m..m+k-1; each augmenting path is a shortest path
-    from the live sources on the residual graph, whose reverse arcs carry
-    negative cost. Arcs are (source point, sink point).
+    Nodes are the sources 0..m-1 and the sinks m..m+k-1; each augmenting
+    path is a shortest path from the live sources on the residual graph,
+    whose reverse arcs carry negative cost, to the nearest open sink
+    (successive shortest paths). The supplies must not exceed the demands.
     """
-    space = mu.space
-    net = dict(mu.weights)
-    total = sum(net.values(), ZERO)
-    net[0] = net.get(0, ZERO) - total
-    pos = [(p, w) for p, w in sorted(net.items()) if w > ZERO]
-    neg = [(p, -w) for p, w in sorted(net.items()) if w < ZERO]
-    if not pos:
-        return ZERO, []
-
-    scale = lcm(*(w.denominator for _, w in pos + neg))
-    supply = [w.numerator * (scale // w.denominator) for _, w in pos]
-    demand = [w.numerator * (scale // w.denominator) for _, w in neg]
-    m, k = len(pos), len(neg)
+    supply, demand = list(supply), list(demand)
+    m, k = len(supply), len(demand)
     flow = [[0] * k for _ in range(m)]
-    A, D = space.scaled
-    cost = [[A[p][q] for q, _ in neg] for p, _ in pos]
     forward = [(i, m + j, cost[i][j]) for i in range(m) for j in range(k)]
 
     while True:
@@ -202,11 +195,38 @@ def _transport(mu: FreeElement):
                 flow[v][u - m] -= amount
         supply[start] -= amount
         demand[target] -= amount
+    return flow
+
+
+def _transport(mu: FreeElement):
+    """Exact min-cost transport of mu+ onto mu-: (cost, arcs carrying flow).
+
+    The net imbalance is absorbed at the base point (delta_0 is the zero
+    vector, so this does not change the element). Masses are scaled to
+    integers so every augmentation moves at least one unit, and costs are
+    the integer distances ``A`` (``d == A / D``), handed to
+    ``_min_cost_flow``. Arcs are (source point, sink point).
+    """
+    space = mu.space
+    net = dict(mu.weights)
+    total = sum(net.values(), ZERO)
+    net[0] = net.get(0, ZERO) - total
+    pos = [(p, w) for p, w in sorted(net.items()) if w > ZERO]
+    neg = [(p, -w) for p, w in sorted(net.items()) if w < ZERO]
+    if not pos:
+        return ZERO, []
+
+    scale = lcm(*(w.denominator for _, w in pos + neg))
+    supply = [w.numerator * (scale // w.denominator) for _, w in pos]
+    demand = [w.numerator * (scale // w.denominator) for _, w in neg]
+    A, D = space.scaled
+    cost = [[A[p][q] for q, _ in neg] for p, _ in pos]
+    flow = _min_cost_flow(supply, demand, cost)
 
     total_cost = 0
     arcs = []
-    for i in range(m):
-        for j in range(k):
+    for i in range(len(pos)):
+        for j in range(len(neg)):
             if flow[i][j]:
                 total_cost += flow[i][j] * cost[i][j]
                 arcs.append((pos[i][0], neg[j][0]))
@@ -293,80 +313,33 @@ class MatchingResult:
         return self.ok
 
 
-def _hungarian(cost):
-    """Exact Hungarian algorithm on an integer cost matrix; returns a
-    minimum-cost permutation (row i goes to column perm[i])."""
-    k = len(cost)
-    big = sum(map(sum, cost)) + 1
-    u = [0] * (k + 1)
-    v = [0] * (k + 1)
-    p = [0] * (k + 1)  # p[j] = row matched to column j (1-based)
-    way = [0] * (k + 1)
-    for i in range(1, k + 1):
-        p[0] = i
-        j0 = 0
-        minv = [big] * (k + 1)
-        used = [False] * (k + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = big
-            j1 = 0
-            for j in range(1, k + 1):
-                if not used[j]:
-                    cur = cost[i0 - 1][j - 1] - u[i0] - v[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(k + 1):
-                if used[j]:
-                    u[p[j]] += delta
-                    v[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    perm = [0] * k
-    for j in range(1, k + 1):
-        perm[p[j] - 1] = j - 1
-    return tuple(perm)
-
-
 def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
     """Is the identity matching u_i -> v_i minimum-weight among all
     bijections of {u_i} onto {v_j}? False comes with a cheaper permutation.
 
-    One Hungarian solve on the integer costs A[u_i][v_j] * k**k +
-    j * k**(k-1-i), with ``A`` the space's integer view (``d == A / D``).
-    The added term of a permutation is the permutation read as a base-k
-    number, below k**k, so it only breaks ties: the reported permutation is
-    the lexicographically first of minimum cost. The identity is reported
+    One ``_min_cost_flow`` with unit supplies and demands on the integer
+    costs A[u_i][v_j] * k**k + j * k**(k-1-i), with ``A`` the space's
+    integer view (``d == A / D``). The added term of a permutation is the
+    permutation read as a base-k number, below k**k, so it only breaks ties
+    and the minimum is unique: the reported permutation is the
+    lexicographically first of minimum cost. The identity is reported
     unless it is strictly beaten.
     """
-    match_pairs = list(match_pairs)
+    match_pairs = [(_point(space, u), _point(space, v)) for u, v in match_pairs]
     if not match_pairs:
         return MatchingResult(True, (), ZERO, ZERO)
     k = len(match_pairs)
-    cost = [
-        [space.d(u, v) for _, v in match_pairs] for u, _ in match_pairs
-    ]
-    identity = sum((cost[i][i] for i in range(k)), ZERO)
-    A, _ = space.scaled
-    perm = _hungarian([
+    A, D = space.scaled
+    flow = _min_cost_flow([1] * k, [1] * k, [
         [A[u][v] * k ** k + j * k ** (k - 1 - i) for j, (_, v) in enumerate(match_pairs)]
         for i, (u, _) in enumerate(match_pairs)
     ])
-    best = sum((cost[i][perm[i]] for i in range(k)), ZERO)
+    perm = tuple(row.index(1) for row in flow)
+    identity = sum(A[u][v] for u, v in match_pairs)
+    best = sum(A[u][match_pairs[j][1]] for (u, _), j in zip(match_pairs, perm))
     if best < identity:
-        return MatchingResult(False, perm, identity, best)
+        return MatchingResult(False, perm, Rat(identity, D), Rat(best, D))
+    identity = Rat(identity, D)
     return MatchingResult(True, tuple(range(k)), identity, identity)
 
 

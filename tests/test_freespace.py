@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import matching_oracle
 from lipcheck.freespace import (
     check_thm310,
     complementation_test,
@@ -274,7 +275,7 @@ def test_matching_basic_cases():
     assert res.identity_cost == rat(4)
 
 
-def test_matching_large_uses_hungarian():
+def test_matching_large_integer_line():
     line = truncate(integer_line(), 24)
     pairs = [(2 * i, 2 * i + 1) for i in range(10)] + [(20, 23), (22, 21)]
     res = matching_min_check(line, pairs)
@@ -285,7 +286,7 @@ def test_matching_large_uses_hungarian():
     assert (res.permutation[10], res.permutation[11]) == (11, 10)
 
 
-def test_matching_dfs_agrees_with_hungarian():
+def test_matching_agrees_with_dfs_oracle():
     rng = random.Random(20260815)
     for _ in range(20):
         k = rng.randint(2, 5)
@@ -301,7 +302,7 @@ def test_matching_dfs_agrees_with_hungarian():
 
 
 def test_matching_tie_break_matches_dfs_oracle_and_brute_force():
-    """On tie-heavy costs the one Hungarian solve reports the same cheaper
+    """On tie-heavy costs the one min-cost flow reports the same cheaper
     permutation as the branch-and-bound oracle, and for k <= 7 the same as
     the lexicographically first minimum over all permutations."""
     rng = random.Random(7001)
@@ -330,6 +331,72 @@ def test_matching_tie_break_matches_dfs_oracle_and_brute_force():
                 else:
                     assert res.permutation == tuple(range(k))
     assert beaten > 300
+
+
+def _differential_matching_instances():
+    """(space, pairs) for the flow-against-Hungarian test: the 405
+    tie-break instances, k = 1, 11 and 12, pairs that share points on the
+    discrete and dmqr41 truncations, and the integer_line(24) case."""
+    rng = random.Random(7001)
+    for k in range(2, 11):
+        for _ in range(45):
+            cost = [
+                [rat(rng.randint(1, 6), rng.randint(1, 2)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            yield _cost_space(cost)
+    rng = random.Random(7002)
+    for k in (1, 11, 12):
+        for _ in range(15):
+            cost = [
+                [rat(rng.randint(1, 3), rng.randint(1, 3)) for _ in range(k)]
+                for _ in range(k)
+            ]
+            yield _cost_space(cost)
+    rng = random.Random(7003)
+    for name in ("discrete", "dmqr41"):
+        space = truncate(catalog(name), 6)
+        yield space, [(0, 1), (1, 2), (2, 0)]
+        yield space, [(0, 0), (1, 1)]
+        for k in range(1, 8):
+            for _ in range(10):
+                yield space, [(rng.randrange(6), rng.randrange(6)) for _ in range(k)]
+    pairs = [(2 * i, 2 * i + 1) for i in range(10)] + [(20, 23), (22, 21)]
+    yield truncate(integer_line(), 24), pairs
+
+
+def test_matching_flow_matches_hungarian_oracle():
+    """The min-cost flow returns the Hungarian route's whole result,
+    permutation and Fraction cost sums included, on every seeded set."""
+    results = []
+    for space, pairs in _differential_matching_instances():
+        res = matching_min_check(space, pairs)
+        assert res == matching_oracle.matching_min_check(space, pairs), pairs
+        results.append(res)
+    assert len(results) == 405 + 45 + 2 * (2 + 70) + 1
+    beaten = [r for r in results if not r]
+    assert len(beaten) > 300
+    # Some cheaper permutations are not involutions, so a flow read
+    # transposed (the inverse permutation) would be caught.
+    assert any(
+        any(r.permutation[r.permutation[i]] != i for i in range(len(r.permutation)))
+        for r in beaten
+    )
+
+
+def test_matching_and_molecule_reject_bad_indices():
+    """A negative or too large point index is named, never read as another
+    row or left to an IndexError."""
+    line = truncate(integer_line(), 6)
+    for bad in (-1, 6, 9):
+        for call in (
+            lambda: matching_min_check(line, [(0, bad), (2, 3)]),
+            lambda: matching_min_check(line, [(bad, 0)]),
+            lambda: molecule(line, 0, bad),
+            lambda: molecule(line, bad, 0),
+        ):
+            with pytest.raises(PreconditionError, match=f"point index {bad} outside"):
+                call()
 
 
 def test_check_thm310_instances():
