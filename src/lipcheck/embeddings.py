@@ -43,6 +43,7 @@ from .lipfun import (
     max_quotient_at,
     pointwise_sup,
     slope,
+    slope_parts,
     strong_pairs,
 )
 from .freespace import check_thm310
@@ -792,16 +793,6 @@ def standard_battery(size: int, seed: int = BATTERY_SEED, rand_count: int = BATT
 # Isometry verification
 
 
-def _slope_parts(f: LipFn, u: int, v: int):
-    """``(num, den)`` with den > 0 and ``slope(f, u, v) == num / den``,
-    read off the integer views."""
-    if u == v:
-        raise PreconditionError("slope needs two distinct points")
-    F, L = f.lifted
-    A, D = f.space.scaled
-    return (F[v] - F[u]) * D, A[u][v] * L
-
-
 def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                     seed: Optional[int] = None) -> VerificationReport:
     """Check every coefficient vector against the RuleData its expectation's
@@ -858,7 +849,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                 elif data.ceiling == "<" and ln == cn:
                     fail("truncation norm not strictly below target")
             for key, u, v, want in data.member_checks:
-                num, den = _slope_parts(f, u, v)
+                num, den = slope_parts(f, u, v)
                 if abs(num) * want.denominator != want.numerator * den:
                     fail(f"member {key} slope {format_rat(Rat(abs(num), den))} "
                          f"!= {format_rat(want)}")
@@ -875,7 +866,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                     fail(f"base gap {format_rat(cn - sup_here)} off rule")
             pair = data.witness_pair
             if pair is not None:
-                num, den = _slope_parts(f, *pair)
+                num, den = slope_parts(f, *pair)
                 if num * expected.denominator != expected.numerator * den:
                     fail(f"witness pair {pair} misses the norm")
 

@@ -21,9 +21,10 @@ Both passes run on the space's integer view ``A / D``
 (:attr:`~lipcheck.metric.FiniteMetricSpace.scaled`) and the masses scaled
 to integers: path lengths are integer sums, and since ``D > 0`` every
 comparison and tie is the one the rationals give, so the paths and arcs
-are too. One Fraction is built per result: the transport cost, each
-witness value, whose integer view is handed on to the certificate, and
-the matching's identity and best costs.
+are too. One Fraction is built per result: the transport cost, the
+matching's identity and best costs, and each witness value, built on
+first read from the integer view the witness is built from and the
+certificate reads.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .metric import (
     PreconditionError,
     StructureError,
     TailDataError,
+    as_index,
 )
 from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
 
@@ -64,7 +66,8 @@ class FreeElement:
         return sorted(self.weights)
 
 
-def _point(space: FiniteMetricSpace, p: int) -> int:
+def _point(space: FiniteMetricSpace, p) -> int:
+    p = as_index(p, "point index")
     if not 0 <= p < space.n_points:
         raise PreconditionError(f"point index {p} outside the space")
     return p
@@ -77,7 +80,7 @@ def free_element(space: FiniteMetricSpace, weights) -> FreeElement:
         items = list(weights)
     out = {}
     for p, w in items:
-        p = _point(space, int(p))
+        p = _point(space, p)
         w = rat(w)
         if w != ZERO:
             out[p] = out.get(p, ZERO) + w
@@ -248,7 +251,8 @@ def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
     the reversed arcs. A negative cycle, which only a matrix violating
     the triangle inequality can produce, leaves no solution. The pass runs
     on the integer distances ``A`` (``d == A / D``), so ``f == F / D`` with
-    ``F`` minus the integer path lengths; the witness carries that view.
+    ``F`` minus the integer path lengths; the witness is built from that
+    view.
     """
     A, D = space.scaled
     n = space.n_points
@@ -260,10 +264,7 @@ def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
             "optimal transport arcs admit no 1-Lipschitz dual: "
             "the distances violate the triangle inequality"
         )
-    F = tuple(-x for x in found[0])
-    out = LipFn(space, tuple(Rat(x, D) for x in F))
-    object.__setattr__(out, "lifted", (F, D))
-    return out
+    return LipFn.from_lifted(space, tuple(-x for x in found[0]), D)
 
 
 @dataclass(frozen=True)

@@ -6,40 +6,64 @@ maximum, so attainment questions become equalities between rationals.
 
 The kernels run on integers. Distances are ``A / D`` from the space's
 cached integer view, and values are ``F / L`` from the function's cached
-integer view ``LipFn.lifted``, lifted once per function. :func:`combine`
-sums integer products and hands its result that view, so the scans that
-follow lift nothing. The scans (:func:`lip_norm`, :func:`strong_pairs`,
+integer view ``LipFn.lifted``, lifted once per function. A function can be
+built from that view (:meth:`LipFn.from_lifted`), and then its ``values``
+are built on first read: :func:`combine` sums integer products and builds
+its result so, and a caller that reads only the scans and slopes builds
+no value Fraction. The scans (:func:`lip_norm`, :func:`strong_pairs`,
 :func:`pointwise_sup`) compare the quotients ``|F[q] - F[p]| / A[p][q]``
-by integer cross-multiplication: a slope's size is
-``|F[q] - F[p]| * D / (A[p][q] * L)``, and one Fraction is built at the
+by integer cross-multiplication: a slope is
+``(F[q] - F[p]) * D / (A[p][q] * L)``, and one Fraction is built at the
 API boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import lcm
 
-from .metric import FiniteMetricSpace, PreconditionError, StructureError, common_denominator
+from .metric import (
+    FiniteMetricSpace,
+    FrozenValue,
+    PreconditionError,
+    StructureError,
+    common_denominator,
+)
 from .rational import Rat, ZERO, rat
 
 
-@dataclass(frozen=True)
-class LipFn:
-    space: FiniteMetricSpace
-    values: tuple
+class LipFn(FrozenValue):
+    """A function on a finite pointed space, vanishing at the base.
 
-    def __post_init__(self):
-        if len(self.values) != self.space.n_points:
-            raise StructureError(
-                f"{len(self.values)} values for a {self.space.n_points}-point space"
-            )
-        if self.values[self.space.base_index] != ZERO:
-            raise PreconditionError("functions must vanish at the base point")
+    Built from its ``values``, or with :meth:`from_lifted` from its integer
+    view, and then ``values`` is built on first read. Equality and hashing
+    compare ``space`` and ``values`` either way.
+    """
+
+    _fields = ("space", "values")
+
+    def __init__(self, space: FiniteMetricSpace, values: tuple):
+        _check_shape(space, values)
+        vars(self).update(space=space, values=values)
+
+    @classmethod
+    def from_lifted(cls, space: FiniteMetricSpace, F: tuple, L: int) -> "LipFn":
+        """The function with ``f(p) == F[p] / L``, for a tuple of ints ``F``
+        and L > 0."""
+        _check_shape(space, F)
+        fn = cls.__new__(cls)
+        vars(fn).update(space=space, lifted=(F, L))
+        return fn
 
     def __call__(self, p: int) -> Rat:
         return self.values[p]
+
+    @cached_property
+    def values(self) -> tuple:
+        """One rational per row; built from the view when the function was
+        built from it."""
+        F, L = self.lifted
+        return tuple(Rat(x, L) if x else ZERO for x in F)
 
     @cached_property
     def lifted(self):
@@ -50,6 +74,17 @@ class LipFn:
         return tuple(v.numerator * mult[v.denominator] for v in self.values), L
 
 
+def _check_shape(space: FiniteMetricSpace, values) -> None:
+    """One value per point and 0 at the base; ``values`` may be rationals
+    or their integer numerators."""
+    if len(values) != space.n_points:
+        raise StructureError(
+            f"{len(values)} values for a {space.n_points}-point space"
+        )
+    if values[space.base_index] != 0:
+        raise PreconditionError("functions must vanish at the base point")
+
+
 def lipfn(space: FiniteMetricSpace, values) -> LipFn:
     return LipFn(space, tuple(rat(v) for v in values))
 
@@ -58,11 +93,19 @@ def zero_fn(space: FiniteMetricSpace) -> LipFn:
     return LipFn(space, (ZERO,) * space.n_points)
 
 
-def slope(f: LipFn, p: int, q: int) -> Rat:
-    """Difference quotient of f over the ordered pair (p, q)."""
+def slope_parts(f: LipFn, p: int, q: int):
+    """``(num, den)`` with ``slope(f, p, q) == num / den``, read off the
+    integer views; den > 0 on a metric."""
     if p == q:
         raise PreconditionError("slope needs two distinct points")
-    return (f.values[q] - f.values[p]) / f.space.d(p, q)
+    F, L = f.lifted
+    A, D = f.space.scaled
+    return (F[q] - F[p]) * D, A[p][q] * L
+
+
+def slope(f: LipFn, p: int, q: int) -> Rat:
+    """Difference quotient of f over the ordered pair (p, q)."""
+    return Rat(*slope_parts(f, p, q))
 
 
 def max_quotient(A, F):
@@ -166,8 +209,8 @@ def combine(fns, coeffs) -> LipFn:
 
     The nonzero coefficients are lifted over their LCM K (``c_i == C_i / K``)
     and the members' views ``F_i / L_i`` over the LCM M of the L_i, so each
-    value is ``sum(C_i * (M // L_i) * F_i[p]) / (K * M)``. The result carries
-    that integer view; one Fraction is built per point.
+    value is ``sum(C_i * (M // L_i) * F_i[p]) / (K * M)``. The result is
+    built from that integer view, so its values are built only if read.
     """
     fns = list(fns)
     coeffs = [rat(c) for c in coeffs]
@@ -187,7 +230,4 @@ def combine(fns, coeffs) -> LipFn:
     for c, (F, L) in terms:
         w = c.numerator * mult[c.denominator] * (M // L)
         S = [s + w * x for s, x in zip(S, F)]
-    den = K * M
-    out = LipFn(space, tuple(Rat(s, den) if s else ZERO for s in S))
-    object.__setattr__(out, "lifted", (tuple(S), den))
-    return out
+    return LipFn.from_lifted(space, tuple(S), K * M)

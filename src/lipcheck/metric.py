@@ -11,7 +11,10 @@ Integer view: each space clears its denominators once
 axiom check compares the integers ``A``; since ``D > 0`` every comparison
 and sum means the same thing on ``A / D`` as on the rationals. Fractions
 are built only at the API boundary: violations carry the original
-``dist`` entries, in the order the rational scan found them.
+``dist`` entries, in the order the rational scan found them. A space can
+also be built from its view (:meth:`FiniteMetricSpace.from_scaled`, as
+tree metrics are); its ``dist`` is then built on first read, so a kernel
+that reads only the view builds no Fraction at all.
 
 Row convention: the base point is always row 0. Models whose base point is
 the first sequence element alias row i to p_{i+1}; models with a separate
@@ -21,7 +24,8 @@ base map row i to p_i for i >= 1.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import operator
+from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
 from math import lcm
 from typing import Callable, Optional
@@ -50,6 +54,16 @@ class ModelError(LipcheckError):
 
 class TailDataError(ModelError):
     """A checker needed a declared limit the model does not supply."""
+
+
+def as_index(x, what: str, error: type = PreconditionError) -> int:
+    """``x`` as an int. Anything that is not an integer, a float such as
+    1.7 included, raises ``error`` naming ``what`` and ``x``: an index is
+    never truncated."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise error(f"{what} {x!r} is not an integer") from None
 
 
 # ---------------------------------------------------------------------------
@@ -110,17 +124,72 @@ class CheckResult:
         }
 
 
-@dataclass(frozen=True)
-class FiniteMetricSpace:
+class FrozenValue:
+    """Base of the immutable values whose fields may be built on first read.
+
+    Equality, hashing and repr read the fields named in ``_fields`` by
+    attribute access, as a frozen dataclass does, so a field not yet built
+    takes part like a stored one. Fields are set once, through the
+    instance dict, by the constructors; no attribute can be assigned or
+    deleted afterwards.
+    """
+
+    _fields: tuple = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class FiniteMetricSpace(FrozenValue):
     """An n-point metric with the base fixed at row 0.
 
     ``dist`` is a tuple of row tuples of rationals. Construction does not
-    validate the axioms; run :func:`validate` for that.
+    validate the axioms; run :func:`validate` for that. A space is built
+    from ``dist``, or with :meth:`from_scaled` from its integer view, and
+    then ``dist`` is built on first read. Equality and hashing compare
+    ``dist``, ``labels`` and ``name`` either way.
     """
 
-    dist: tuple
-    labels: tuple
-    name: str = ""
+    _fields = ("dist", "labels", "name")
+
+    def __init__(self, dist: tuple, labels: tuple, name: str = ""):
+        vars(self).update(dist=dist, labels=labels, name=name)
+
+    @classmethod
+    def from_scaled(cls, A: tuple, D: int, labels: tuple,
+                    name: str = "") -> "FiniteMetricSpace":
+        """The space with ``dist[i][j] == A[i][j] / D``, for int row tuples
+        ``A`` and D > 0 the LCM of the entries' reduced denominators, so
+        that ``scaled`` is ``(A, D)`` just as the values would give it."""
+        space = cls.__new__(cls)
+        vars(space).update(scaled=(A, D), labels=labels, name=name)
+        return space
+
+    @cached_property
+    def dist(self) -> tuple:
+        """Rows of rationals; built from the view, one Fraction per
+        distinct entry, when the space was built from its view."""
+        A, D = self.scaled
+        as_rat = {x: Rat(x, D) for x in set().union(*A)}
+        return tuple(tuple(as_rat[x] for x in row) for row in A)
 
     @cached_property
     def scaled(self):
@@ -134,7 +203,10 @@ class FiniteMetricSpace:
 
     @property
     def n_points(self) -> int:
-        return len(self.dist)
+        # Counted on whichever rows the space was built from, so that
+        # neither form is built to answer it.
+        held = vars(self)
+        return len(held["dist"] if "dist" in held else held["scaled"][0])
 
     @property
     def base_index(self) -> int:
@@ -144,7 +216,7 @@ class FiniteMetricSpace:
         return self.dist[i][j]
 
     def points(self):
-        return range(len(self.dist))
+        return range(self.n_points)
 
     def subspace(self, indices) -> "FiniteMetricSpace":
         """Restrict to ``indices``; the first listed index becomes the base."""

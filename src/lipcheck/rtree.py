@@ -22,12 +22,19 @@ structured refusal naming the check, never as a silently degraded family.
 
 The four-point check scans the space's integer view ``A / D``
 (:attr:`~lipcheck.metric.FiniteMetricSpace.scaled`): pair sums and their
-comparisons are integer operations, exact because ``D > 0``. Fractions are
-built only at the API boundary: a failing quadruple's three sums are
-rebuilt from the original ``dist`` entries. ``tree_metric`` builds that
-view itself, walking the edge lengths lifted over one denominator, and
-hands it to the space with one Fraction per distinct distance, so the
-four-point check on a tree metric lifts nothing.
+comparisons are integer operations, exact because ``D > 0``. It scans only
+the quadruples through row 0, by the base-point lemma: if the condition
+holds on every quadruple through one fixed point, it holds on all of them
+(Gromov's lemma with delta = 0; Bridson and Haefliger, Metric Spaces of
+Non-Positive Curvature, Prop. III.H.1.22; Buneman 1974). The quadruples
+through row 0 come first in lexicographic order, so the first failing one
+among them is the first failing one overall, and the witness is the one
+the full scan names. That is C(n-1, 3) quadruples instead of C(n, 4).
+Fractions are built only at the API boundary: a failing quadruple's three
+sums. ``tree_metric`` builds the view itself, growing each distance row
+from the parent's row over edge lengths lifted to one denominator, and
+builds the space from it, so a passing four-point check on a tree metric
+builds no Fraction.
 """
 
 from dataclasses import dataclass
@@ -40,6 +47,7 @@ from .metric import (
     LipcheckError,
     PreconditionError,
     StructureError,
+    as_index,
     common_denominator,
 )
 from .embeddings import (
@@ -104,8 +112,12 @@ def weighted_tree(n_vertices: int, edges, base: int = 0) -> WeightedTree:
 
     Requires exactly n-1 edges forming a connected acyclic graph, with
     strictly positive rational lengths. Edge endpoints may come in either
-    order; duplicates (in either orientation) are rejected.
+    order; duplicates (in either orientation) are rejected. The vertex
+    count, the base and the endpoints must be integers: 1.7 is refused,
+    not read as 1.
     """
+    n_vertices = as_index(n_vertices, "vertex count", StructureError)
+    base = as_index(base, "base vertex", StructureError)
     if n_vertices < 1:
         raise StructureError("a tree needs at least one vertex")
     if not 0 <= base < n_vertices:
@@ -113,8 +125,12 @@ def weighted_tree(n_vertices: int, edges, base: int = 0) -> WeightedTree:
     norm_edges = []
     seen = set()
     for entry in edges:
-        u, v, w = entry
-        u, v = int(u), int(v)
+        try:
+            u, v, w = entry
+        except (TypeError, ValueError):
+            raise StructureError(f"edge {entry!r} is not (u, v, length)") from None
+        u = as_index(u, "edge endpoint", StructureError)
+        v = as_index(v, "edge endpoint", StructureError)
         if not (0 <= u < n_vertices and 0 <= v < n_vertices):
             raise StructureError(f"edge ({u}, {v}) out of range")
         if u == v:
@@ -123,7 +139,10 @@ def weighted_tree(n_vertices: int, edges, base: int = 0) -> WeightedTree:
         if key in seen:
             raise StructureError(f"duplicate edge between {key[0]} and {key[1]}")
         seen.add(key)
-        length = rat(w)
+        try:
+            length = rat(w)
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"edge ({u}, {v}) length: {exc}") from None
         if length <= ZERO:
             raise StructureError(
                 f"edge ({u}, {v}) has non-positive length {format_rat(length)}"
@@ -167,14 +186,21 @@ def tree_to_json(tree: WeightedTree) -> dict:
 
 
 def tree_from_json(obj: dict) -> WeightedTree:
+    """Inverse of :func:`tree_to_json`. Vertex ids and counts must be JSON
+    integers and lengths canonical rational strings; any other shape is a
+    StructureError."""
+    if not isinstance(obj, dict) or "vertices" not in obj:
+        raise StructureError("tree JSON needs a 'vertices' field")
+    raw = obj.get("edges")
+    if not isinstance(raw, list) or not all(
+        isinstance(e, list) and len(e) == 3 for e in raw
+    ):
+        raise StructureError("'edges' must be a list of [u, v, length] entries")
     try:
-        n = int(obj["vertices"])
-        raw = obj["edges"]
-        base = int(obj.get("base", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"malformed tree JSON: {exc}") from None
-    edges = [(int(u), int(v), parse_rat(w)) for u, v, w in raw]
-    return weighted_tree(n, edges, base)
+        edges = [(u, v, parse_rat(w)) for u, v, w in raw]
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"malformed edge length: {exc}") from None
+    return weighted_tree(obj["vertices"], edges, obj.get("base", 0))
 
 
 def _vertex_order(tree: WeightedTree):
@@ -187,43 +213,42 @@ def tree_metric(tree: WeightedTree) -> FiniteMetricSpace:
     """Path-length metric of a weighted tree as a FiniteMetricSpace.
 
     Row 0 is the tree's base vertex; the remaining vertices follow in
-    ascending id order. Labels keep the original vertex ids. The walks run
-    on the edge lengths lifted over their LCM, and the space gets that
-    integer view as :attr:`FiniteMetricSpace.scaled`.
+    ascending id order. Labels keep the original vertex ids. The distances
+    are integer sums of the edge lengths lifted over their LCM, and the
+    space is built from that integer view.
     """
     n = tree.n_vertices
     D, mult = common_denominator(w for _, _, w in tree.edges)
-    adj = _adjacency(
-        n, [(u, v, w.numerator * mult[w.denominator]) for u, v, w in tree.edges]
-    )
     order = _vertex_order(tree)
     pos = {v: i for i, v in enumerate(order)}
+    adj = _adjacency(n, [(pos[u], pos[v], w.numerator * mult[w.denominator])
+                         for u, v, w in tree.edges])
 
-    # One traversal per vertex; the tree has a unique path between any two
-    # vertices, so accumulated lengths are the metric.
+    # One search from the base (row 0). A vertex y reached over the edge
+    # (x, y) of length w is w further than x from every vertex reached
+    # before it, since none of those lies beyond y; so every distance
+    # between reached vertices is known once both are reached.
     A = [[0] * n for _ in range(n)]
-    for src in range(n):
-        acc = {src: 0}
-        stack = [src]
-        while stack:
-            x = stack.pop()
-            for y, w in adj[x]:
-                if y not in acc:
-                    acc[y] = acc[x] + w
-                    stack.append(y)
-        row = A[pos[src]]
-        for v, d in acc.items():
-            row[pos[v]] = d
+    reached = [0]
+    seen = [False] * n
+    seen[0] = True
+    for x in reached:
+        Ax = A[x]
+        for y, w in adj[x]:
+            if seen[y]:
+                continue
+            seen[y] = True
+            Ay = A[y]
+            for z in reached:
+                Ay[z] = A[z][y] = Ax[z] + w
+            reached.append(y)
 
     # Every edge length is itself a distance, so D, the LCM of the edges'
     # denominators, is the LCM of the distances' denominators: the view is
-    # the one ``scaled`` computes.
-    A = tuple(map(tuple, A))
-    as_rat = {x: Rat(x, D) for x in set().union(*A)}
-    dist = tuple(tuple(as_rat[x] for x in row) for row in A)
-    space = FiniteMetricSpace(dist, tuple(f"v{v}" for v in order), name=f"tree{n}")
-    object.__setattr__(space, "scaled", (A, D))
-    return space
+    # the one ``scaled`` would compute from the values.
+    return FiniteMetricSpace.from_scaled(
+        tuple(map(tuple, A)), D, tuple(f"v{v}" for v in order), name=f"tree{n}"
+    )
 
 
 def branching_points(tree: WeightedTree):
@@ -247,26 +272,33 @@ def four_point_check(space: FiniteMetricSpace) -> CheckResult:
     this; a cycle breaks it. Fewer than four points pass vacuously. The
     witness is the lexicographically first violating quadruple with all
     three pairing sums.
+
+    Only the quadruples (0, q, r, s) are scanned. By the base-point lemma
+    (Gromov's lemma with delta = 0; Bridson and Haefliger, Prop.
+    III.H.1.22), if every quadruple through one point passes, every
+    quadruple passes. So if any quadruple fails, one through row 0 fails,
+    and since those come before all others in lexicographic order, the
+    first failing one is the lexicographically first overall.
     """
-    A, _ = space.scaled
+    A, D = space.scaled
     n = len(A)
-    for p in range(n):
-        Ap = A[p]
-        for q in range(p + 1, n):
-            Aq, a_pq = A[q], Ap[q]
-            for r in range(q + 1, n):
-                Ar, a_pr, a_qr = A[r], Ap[r], Aq[r]
-                for s in range(r + 1, n):
-                    s1 = a_pq + Ar[s]
-                    s2 = a_pr + Aq[s]
-                    s3 = Ap[s] + a_qr
-                    top = max(s1, s2, s3)
-                    if (s1, s2, s3).count(top) < 2:
-                        d = space.dist
-                        return CheckResult(
-                            False, "four-point", "quadruple", (p, q, r, s),
-                            (d[p][q] + d[r][s], d[p][r] + d[q][s], d[p][s] + d[q][r]),
-                        )
+    if n < 4:
+        return CheckResult(True, "four-point")
+    A0 = A[0]
+    for q in range(1, n):
+        Aq, a_pq = A[q], A0[q]
+        for r in range(q + 1, n):
+            Ar, a_pr, a_qr = A[r], A0[r], Aq[r]
+            for s in range(r + 1, n):
+                s1 = a_pq + Ar[s]
+                s2 = a_pr + Aq[s]
+                s3 = A0[s] + a_qr
+                top = max(s1, s2, s3)
+                if (s1, s2, s3).count(top) < 2:
+                    return CheckResult(
+                        False, "four-point", "quadruple", (0, q, r, s),
+                        (Rat(s1, D), Rat(s2, D), Rat(s3, D)),
+                    )
     return CheckResult(True, "four-point")
 
 

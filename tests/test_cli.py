@@ -1,8 +1,10 @@
+import ast
 import contextlib
 import hashlib
 import io
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -504,6 +506,20 @@ def test_check_and_verify_reports_match_golden_digests(tmp_path):
                          "--rand-count", "2", name=f"verify-{theorem}.json")
         assert code == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, theorem
+
+
+def test_no_check_in_the_package_is_an_assert():
+    """``python -O`` strips ``assert`` statements, so a correctness check
+    written as one would stop checking there."""
+    package = pathlib.Path(lipcheck.__file__).parent
+    sources = sorted(package.rglob("*.py"))
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert sources and found == []
 
 
 def test_main_back_to_back_matches_fresh_processes(tmp_path):

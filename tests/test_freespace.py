@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,6 +398,22 @@ def test_matching_and_molecule_reject_bad_indices():
         ):
             with pytest.raises(PreconditionError, match=f"point index {bad} outside"):
                 call()
+
+
+def test_non_integer_point_indices_are_named_not_truncated():
+    """A float or string index is refused with its own spelling; 1.7 is
+    not read as row 1."""
+    line = truncate(integer_line(), 6)
+    for bad, call in (
+        ("1.7", lambda: free_element(line, {1.7: 1})),
+        ("2.0", lambda: free_element(line, [(2.0, 1)])),
+        ("0.9", lambda: molecule(line, 0.9, 2.2)),
+        ("2.2", lambda: molecule(line, 1, 2.2)),
+        ("'1'", lambda: delta(line, "1")),
+        ("0.5", lambda: matching_min_check(line, [(0.5, 1)])),
+    ):
+        with pytest.raises(PreconditionError, match=f"point index {re.escape(bad)} is not an integer"):
+            call()
 
 
 def test_check_thm310_instances():

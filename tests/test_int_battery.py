@@ -11,7 +11,7 @@ pipeline case, and the rules must agree vector by vector.
 """
 
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from itertools import product
 
@@ -38,10 +38,17 @@ from lipcheck.lipfun import (
     max_quotient_at,
     pointwise_sup,
     scale,
+    slope,
     strong_pairs,
     zero_fn,
 )
-from lipcheck.metric import FiniteMetricSpace, PreconditionError, catalog, truncate
+from lipcheck.metric import (
+    FiniteMetricSpace,
+    PreconditionError,
+    StructureError,
+    catalog,
+    truncate,
+)
 from lipcheck.rational import ZERO, rat
 from lipcheck.cli import load_model
 
@@ -149,6 +156,27 @@ def test_lifted_view_is_cached_outside_the_fields():
     assert f == twin and hash(f) == hash(twin)
     assert "lifted" not in vars(twin)
     _assert_view(f)
+
+
+def test_view_built_function_equals_the_value_built_one():
+    """A function built from its view, over any denominator, is the
+    function of its values: equal, with the same hash and repr, and its
+    values are built only when read."""
+    space = TIE_SPACES[2]
+    f = lipfn(space, [0, "1/2", "-1/3", "5/6", 0, 2, "-7/4", "1/12"])
+    F, L = f.lifted
+    for view in ((F, L), (tuple(3 * x for x in F), 3 * L)):
+        g = LipFn.from_lifted(space, *view)
+        assert g.lifted is vars(g)["lifted"] and g.lifted == view
+        assert slope(g, 1, 6) == slope(f, 1, 6) and "values" not in vars(g)
+        assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
+        assert g.values == f.values and all(type(v) is Fraction for v in g.values)
+        with pytest.raises(FrozenInstanceError):
+            g.values = f.values
+    with pytest.raises(StructureError):
+        LipFn.from_lifted(space, F[:-1], L)
+    with pytest.raises(PreconditionError):
+        LipFn.from_lifted(space, (1,) + F[1:], L)
 
 
 def _first_max_oracle(A, F, pairs):

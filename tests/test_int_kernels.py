@@ -9,11 +9,13 @@ same norms and attaining pairs in the same order.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
+from lipcheck import metric, rtree
 from lipcheck.lipfun import LipFn, lip_norm, lipfn, pointwise_sup, slope, strong_pairs, zero_fn
 from lipcheck.metric import (
     CheckResult,
@@ -152,6 +154,21 @@ def test_scaled_view_clears_the_distinct_denominators_once():
     assert ints.scaled == (((0, 2), (2, 0)), 1)
 
 
+def test_view_built_space_equals_the_value_built_one():
+    """A space built from its view is the space of its values: equal, with
+    the same hash, repr and view, and ``dist`` is built only when read."""
+    for space in _NORM_SPACES + (make_space([]), make_space([[0]])):
+        A, D = space.scaled
+        twin = FiniteMetricSpace.from_scaled(A, D, space.labels, space.name)
+        assert twin.n_points == space.n_points and list(twin.points()) == list(space.points())
+        assert twin.scaled == (A, D) and "dist" not in vars(twin)
+        assert twin == space and hash(twin) == hash(space) and repr(twin) == repr(space)
+        assert twin.dist == space.dist
+        assert all(type(x) is Fraction for row in twin.dist for x in row)
+        with pytest.raises(FrozenInstanceError):
+            twin.dist = space.dist
+
+
 # ---------------------------------------------------------------------------
 # validate on non-metrics
 
@@ -269,6 +286,47 @@ def test_four_point_check_matches_the_oracle_on_perturbed_trees():
     assert failed > 100
 
 
+def _arbitrary_matrix(rng, n):
+    """Integer entries with no structure: asymmetric, zero and negative ones
+    included. Both scans read only the entries above the diagonal."""
+    return make_space([[rng.randint(-2, 6) for _ in range(n)] for _ in range(n)])
+
+
+def _planted_off_base(rng, space):
+    """``space`` with violations planted between rows >= 1 only."""
+    rows = [list(r) for r in space.dist]
+    for _ in range(rng.randint(1, 2)):
+        i, j = rng.sample(range(1, space.n_points), 2)
+        rows[i][j] = rows[j][i] = rows[i][j] + rng.choice((rat(1, 5), rat(-1, 3), rat(1)))
+    return make_space(rows)
+
+
+def test_base_point_scan_names_the_full_scan_witness():
+    """The scan through row 0 alone returns the full scan's CheckResult on
+    inputs where the lemma has no metric to lean on, on violations planted
+    away from row 0, on perturbed trees, and on the vacuous sizes."""
+    rng = random.Random(20261019)
+    groups = {
+        "vacuous": [make_space([]), make_space([[0]]), make_space([[0, 1], [1, 0]]),
+                    make_space([[0, 1, 2], [1, 0, 1], [2, 1, 0]]),
+                    make_space([[0, 5, -1], [2, 0, 7], [3, 3, 0]])],
+        "arbitrary": [_arbitrary_matrix(rng, rng.randint(4, 8)) for _ in range(300)],
+        "off-base": [_planted_off_base(rng, _random_tree_metric(rng, rng.randint(5, 9)))
+                     for _ in range(150)],
+        "perturbed": [_perturbed(rng, _random_tree_metric(rng, rng.randint(4, 9)))
+                      for _ in range(150)],
+    }
+    failed = dict.fromkeys(groups, 0)
+    for kind, spaces in groups.items():
+        for space in spaces:
+            got, want = four_point_check(space), _four_point_oracle(space)
+            assert got == want, kind
+            assert got.to_json() == want.to_json()
+            failed[kind] += not want.ok
+    assert failed["vacuous"] == 0
+    assert failed["arbitrary"] > 250 and failed["off-base"] > 100 and failed["perturbed"] > 100
+
+
 def test_four_point_witness_sums_are_the_rational_sums():
     cycle = make_space([[0, 1, 2, 1], [1, 0, 1, 2], [2, 1, 0, 1], [1, 2, 1, 0]])
     got = four_point_check(cycle)
@@ -276,6 +334,23 @@ def test_four_point_witness_sums_are_the_rational_sums():
     assert got.witness_indices == (0, 1, 2, 3)
     assert got.witness_values == (rat(2), rat(4), rat(2))
     assert all(type(v) is Fraction for v in got.witness_values)
+
+
+def test_passing_four_point_check_on_a_tree_builds_no_fraction(monkeypatch):
+    rng = random.Random(77)
+    trees = [weighted_tree(n, [(rng.randrange(i), i, rat(rng.randint(1, 8), rng.randint(1, 4)))
+                               for i in range(1, n)])
+             for n in range(1, 13)]
+
+    def refuse(*args):
+        raise RuntimeError("a Fraction was built")
+
+    monkeypatch.setattr(rtree, "Rat", refuse)
+    monkeypatch.setattr(metric, "Rat", refuse)
+    for tree in trees:
+        space = tree_metric(tree)
+        assert four_point_check(space).ok
+        assert "dist" not in vars(space)
 
 
 # ---------------------------------------------------------------------------

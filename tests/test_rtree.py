@@ -95,6 +95,33 @@ def test_tree_json_malformed():
         tree_from_json({"vertices": "three", "edges": []})
 
 
+def test_non_integer_tree_indices_are_named_not_truncated():
+    with pytest.raises(StructureError, match="edge endpoint 1.7 is not an integer"):
+        weighted_tree(3, [(0, 1.7, 1), (1, 2, 1)])
+    with pytest.raises(StructureError, match="vertex count 3.9 is not an integer"):
+        weighted_tree(3.9, [(0, 1, 1), (1, 2, 1)])
+    with pytest.raises(StructureError, match="base vertex 2.2 is not an integer"):
+        weighted_tree(3, [(0, 1, 1), (1, 2, 1)], base=2.2)
+    edges = [[0, 1, "1"], [1, 2, "1"]]
+    with pytest.raises(StructureError, match="vertex count 3.9 is not an integer"):
+        tree_from_json({"vertices": 3.9, "edges": edges})
+    with pytest.raises(StructureError, match="base vertex 2.2 is not an integer"):
+        tree_from_json({"vertices": 3, "edges": edges, "base": 2.2})
+
+
+@pytest.mark.parametrize("obj", [
+    {"vertices": 3, "edges": [[0, 1], [1, 2, "1"]]},
+    {"vertices": 3, "edges": [[0, "a", "1"], [1, 2, "1"]]},
+    {"vertices": 3, "edges": 5},
+    {"vertices": 3, "edges": [[0, 1, "x"], [1, 2, "1"]]},
+    {"vertices": 3, "edges": [[0, 1, 1], [1, 2, "1"]]},
+    [3],
+])
+def test_tree_json_shape_errors_are_structure_errors(obj):
+    with pytest.raises(StructureError):
+        tree_from_json(obj)
+
+
 # ---------------------------------------------------------------------------
 # Induced metric
 
