@@ -55,6 +55,7 @@ from .metric import (
     ModelError,
     PreconditionError,
     TailDataError,
+    as_index,
     catalog,
     common_denominator,
     integer_line,
@@ -116,14 +117,17 @@ def prime_orbits(limit: int):
     return orbits
 
 
-def _check_anchor_rows(space, rows, what: str):
-    seen = set()
+def _check_anchor_rows(space, rows, what: str) -> tuple:
+    """``rows`` as distinct in-range ints, each read by ``as_index``."""
+    seen = {}
     for r in rows:
-        if not isinstance(r, int) or not (0 <= r < space.n_points):
+        r = as_index(r, f"{what} index")
+        if not 0 <= r < space.n_points:
             raise PreconditionError(f"{what} index {r!r} out of range")
         if r in seen:
             raise PreconditionError(f"{what} indices must be distinct")
-        seen.add(r)
+        seen[r] = None
+    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +142,12 @@ def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
     Clause "separation": d(p_a, p_b) >= d(p_a, q_a) + d(p_b, q_b).
     """
     points = tuple(points)
-    partners = tuple(partners)
+    partners = tuple(as_index(q, "partner index") for q in partners)
     if len(points) != len(partners):
         raise PreconditionError("points and partners must have equal length")
-    _check_anchor_rows(space, points, "point")
+    points = _check_anchor_rows(space, points, "point")
     for p, q in zip(points, partners):
-        if not isinstance(q, int) or not (0 <= q < space.n_points):
+        if not 0 <= q < space.n_points:
             raise PreconditionError(f"partner index {q!r} out of range")
         if q == p:
             raise PreconditionError("partner must differ from its point")
@@ -170,7 +174,7 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     Clause "cross-gap": d(p_a, q_a) + d(p_b, q_b) <= 2 min over the four
     distances between the two pairs.
     """
-    pairs = tuple(tuple(pq) for pq in pairs)
+    pairs = tuple(tuple(as_index(r, "pair index") for r in pq) for pq in pairs)
     flat = [r for pq in pairs for r in pq]
     _check_anchor_rows(space, flat, "pair")
     half = rat(1, 2)
@@ -206,7 +210,7 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
           checked in both orders because it is not symmetric;
       (4) d_a + d_b - R(p_a) - R(p_b) + R(q_a) + R(q_b) <= 2 d(q_a, q_b).
     """
-    pairs = tuple(tuple(pq) for pq in pairs)
+    pairs = tuple(tuple(as_index(r, "pair index") for r in pq) for pq in pairs)
     flat = [r for pq in pairs for r in pq]
     _check_anchor_rows(space, flat, "pair")
     rad = {r: min_positive_radius(space, r) for r in flat}
@@ -245,8 +249,7 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
 
 def check_prop42(space: FiniteMetricSpace, points) -> CheckResult:
     """Spike-family pointwise hypothesis: d(p_n, p_m) >= R(p_n) + R(p_m)."""
-    points = tuple(points)
-    _check_anchor_rows(space, points, "point")
+    points = _check_anchor_rows(space, points, "point")
     rad = {p: min_positive_radius(space, p) for p in points}
     k = len(points)
     for i in range(k):
@@ -322,7 +325,7 @@ def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
     """
     if not model.is_sequence_model:
         raise ModelError(f"model {model.name!r} has no sequence structure")
-    subseq = tuple(int(s) for s in subseq)
+    subseq = tuple(as_index(s, "subsequence index") for s in subseq)
     if len(subseq) < 2:
         raise PreconditionError("subsequence needs at least two indices")
     if any(b <= a for a, b in zip(subseq, subseq[1:])):
@@ -548,8 +551,7 @@ def _refuse_base_anchor(rows):
 
 def _build_unit_spikes(spec: FamilySpec):
     space = spec.space
-    points = tuple(spec.anchors or range(1, space.n_points))
-    _check_anchor_rows(space, points, "point")
+    points = _check_anchor_rows(space, spec.anchors or range(1, space.n_points), "point")
     _refuse_base_anchor(points)
     return tuple(_values_fn(space, {p: ONE}) for p in points), points, None
 

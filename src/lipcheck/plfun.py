@@ -7,6 +7,11 @@ breakpoint with value 0. The norm is the largest absolute segment slope:
 the two-point slope between any p < q is a convex combination of the
 segment slopes crossed, so segments dominate.
 
+The partners of a pointwise sup are breakpoints too, so on its
+breakpoints a function is a Lipschitz function on a finite subset of the
+line, and the scans run on integers, as in :mod:`lipcheck.lipfun`, on the
+cached view ``PLFn.lifted``; one Fraction is built per answer.
+
 The module also holds ``sample_analytic``, the float sampling of an
 analytic reference function on the line: the package's one non-exact
 code path, labeled as such in its output.
@@ -16,8 +21,11 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
+from math import lcm
 
-from .metric import LipcheckError, PreconditionError, StructureError
+from .lipfun import max_quotient_at
+from .metric import PreconditionError, StructureError, common_denominator
 from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
 
 
@@ -41,6 +49,15 @@ class PLFn:
             raise PreconditionError("base coordinate must be a breakpoint")
         if self.values[self.breakpoints.index(self.base)] != ZERO:
             raise PreconditionError("function must vanish at the base coordinate")
+
+    @cached_property
+    def lifted(self):
+        """``(X, DX, V, DV)``: integers with ``breakpoints[i] == X[i] / DX``
+        and ``values[i] == V[i] / DV``, computed once per function."""
+        DX, mx = common_denominator(self.breakpoints)
+        DV, mv = common_denominator(self.values)
+        X = tuple(x.numerator * mx[x.denominator] for x in self.breakpoints)
+        return X, DX, tuple(v.numerator * mv[v.denominator] for v in self.values), DV
 
 
 def plfn(breakpoints, values, left_extension=True, right_extension=True, base=0) -> PLFn:
@@ -72,60 +89,42 @@ def pl_eval(f: PLFn, x) -> Rat:
     return f.values[i] + t * (f.values[i + 1] - f.values[i])
 
 
-def segment_slopes(f: PLFn):
-    return [
-        (f.values[i + 1] - f.values[i]) / (f.breakpoints[i + 1] - f.breakpoints[i])
-        for i in range(len(f.breakpoints) - 1)
-    ]
-
-
 def pl_norm(f: PLFn) -> Rat:
-    """Largest absolute segment slope; a single breakpoint gives 0."""
-    best = ZERO
-    for s in segment_slopes(f):
-        if s < ZERO:
-            s = -s
-        if s > best:
-            best = s
-    return best
+    """Largest absolute segment slope, by cross-multiplication on the
+    integer view; a single breakpoint gives 0."""
+    X, DX, V, DV = f.lifted
+    num, den = 0, 1
+    for i in range(len(X) - 1):
+        dv, dx = abs(V[i + 1] - V[i]), X[i + 1] - X[i]
+        if dv * den > num * dx:
+            num, den = dv, dx
+    return Rat(num * DX, den * DV)
 
 
 def pl_pointwise_sup(f: PLFn, x) -> Rat:
     """Largest |slope| from x to any other point, computed over breakpoints.
 
-    Restricting partners to breakpoints is sound because the slope from a
-    fixed x, as the partner moves along one linear segment, is monotone;
-    a midpoint sample checks that on each segment and raises LipcheckError
-    if it fails.
-    Constant extensions only shrink quotients past the end breakpoints.
+    Breakpoint partners suffice. For x outside a segment [a, b], the slope
+    (f(q) - f(x)) / (q - x) is a linear-fractional function of q in [a, b]
+    whose pole x lies outside it, so it is monotone there; for x in [a, b]
+    it is the segment's slope. Constant extensions only shrink quotients.
+    x and f(x) join the integer view as one extra point, and
+    :func:`lipfun.max_quotient_at` scans the row ``|X[q] - x|`` (x's own
+    breakpoint, if any, is at distance 0 with difference 0: never larger).
     """
     x = rat(x)
     bps = f.breakpoints
     if x < bps[0] or x > bps[-1]:
         raise PreconditionError("x outside the function's domain")
     fx = pl_eval(f, x)
-
-    def quot(q):
-        return (pl_eval(f, q) - fx) / (q - x)
-
-    best = ZERO
-    for q in bps:
-        if q == x:
-            continue
-        s = quot(q)
-        if s < ZERO:
-            s = -s
-        if s > best:
-            best = s
-    for i in range(len(bps) - 1):
-        a, b = bps[i], bps[i + 1]
-        if a == x or b == x:
-            continue
-        qa, qb, qm = quot(a), quot(b), quot((a + b) / rat(2))
-        lo, hi = (qa, qb) if qa <= qb else (qb, qa)
-        if not lo <= qm <= hi:
-            raise LipcheckError("segment monotonicity violated")
-    return best
+    X, DX, V, DV = f.lifted
+    M, N = lcm(DX, x.denominator), lcm(DV, fx.denominator)
+    sx, sv = M // DX, N // DV
+    xm = x.numerator * (M // x.denominator)
+    row = [abs(a * sx - xm) for a in X] + [0]
+    F = [v * sv for v in V] + [fx.numerator * (N // fx.denominator)]
+    num, den = max_quotient_at(row, F, len(X))
+    return Rat(num * M, den * N)
 
 
 @dataclass(frozen=True)
@@ -150,19 +149,19 @@ def classify(f: PLFn) -> AttainmentFlags:
     Finite PL functions always strongly attain (the endpoints of a
     maximal-slope segment witness it). A one-sided derivative at a
     breakpoint is the adjacent segment slope, so the derivative and
-    locally-directional flags are read off the same slope list.
+    locally-directional flags mark the segments as steep as the norm.
     """
     norm = pl_norm(f)
-    slopes = segment_slopes(f)
     bps = f.breakpoints
-
     pna = tuple(b for b in bps if pl_pointwise_sup(f, b) == norm)
 
+    X, DX, V, DV = f.lifted
+    # |slope_i| == norm, on the view: |dV| / DV == norm * dX / DX
+    num, den = norm.numerator * DV, norm.denominator * DX
     der = []
     ldira = set()
-    for i, s in enumerate(slopes):
-        mag = -s if s < ZERO else s
-        if mag == norm:
+    for i in range(len(X) - 1):
+        if abs(V[i + 1] - V[i]) * den == num * (X[i + 1] - X[i]):
             der.append((bps[i], "right"))
             der.append((bps[i + 1], "left"))
             ldira.add(bps[i])
@@ -200,20 +199,17 @@ def gen_tents(n: int) -> PLFn:
 
 
 def tent_sum(a) -> PLFn:
-    """Sum of a_n times the n-th tent; supports are pairwise disjoint."""
-    coeffs = [rat(c) for c in a]
-    tents = [gen_tents(n) for n in range(1, len(coeffs) + 1)]
-    cuts = {ZERO, ONE}
-    for t in tents:
-        cuts.update(t.breakpoints)
-    bps = tuple(sorted(cuts))
-    vals = []
-    for x in bps:
-        total = ZERO
-        for c, t in zip(coeffs, tents):
-            total += c * pl_eval(t, x)
-        vals.append(total)
-    return PLFn(bps, tuple(vals))
+    """Sum of a_n times the n-th tent; supports are pairwise disjoint, so
+    no tent's breakpoint lies inside another tent's support, and the sum
+    is built tent by tent from each tent's own breakpoints."""
+    total = {ZERO: ZERO, ONE: ZERO}
+    for n, c in enumerate(a, 1):
+        c = rat(c)
+        t = gen_tents(n)
+        for x, v in zip(t.breakpoints, t.values):
+            total[x] = total.get(x, ZERO) + c * v
+    bps = tuple(sorted(total))
+    return PLFn(bps, tuple(total[x] for x in bps))
 
 
 def gen_zigzag(eps, eta, K: int) -> PLFn:
@@ -314,8 +310,9 @@ def pl_from_json(obj) -> PLFn:
         left = right = True
     elif extend == "none":
         left = right = False
-    elif isinstance(extend, dict):
-        left, right = bool(extend.get("left")), bool(extend.get("right"))
+    elif (isinstance(extend, dict) and set(extend) == {"left", "right"}
+          and all(isinstance(v, bool) for v in extend.values())):
+        left, right = extend["left"], extend["right"]
     else:
         raise StructureError(f"unknown extension spec {extend!r}")
     raw_bps, raw_vals = obj["breakpoints"], obj["values"]

@@ -522,6 +522,28 @@ def test_no_check_in_the_package_is_an_assert():
     assert sources and found == []
 
 
+def test_no_unused_module_level_import_in_the_package():
+    """Every name a module imports at module level is read in it, so an
+    import whose last use moved away does not linger (``__init__`` imports
+    to re-export, so it is left out)."""
+    package = pathlib.Path(lipcheck.__file__).parent
+    sources = sorted(p for p in package.glob("*.py") if p.name != "__init__.py")
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert sources and found == []
+
+
 def test_main_back_to_back_matches_fresh_processes(tmp_path):
     """main reuses one parser per process; back-to-back calls with
     different subcommands write the bytes a fresh process writes."""

@@ -257,6 +257,29 @@ def test_check_thm45_subseq_validation():
         check_thm45(model, (2,), 10)
 
 
+def test_checker_indices_are_never_truncated():
+    """A non-integer index raises an error naming it; it is not read as
+    its integer part."""
+    with pytest.raises(PreconditionError, match="subsequence index 2.7 is not an integer"):
+        check_thm45(catalog("example44"), [2.7, 3.2], 20)
+    with pytest.raises(PreconditionError, match="point index 1.5 is not an integer"):
+        check_prop42(DISCRETE10, [1.5, 2])
+    with pytest.raises(PreconditionError, match="partner index 2.0 is not an integer"):
+        check_prop31(INTLINE10, (1,), (2.0,))
+    for checker in (check_thm34, check_thm37):
+        with pytest.raises(PreconditionError, match="pair index 2.5 is not an integer"):
+            checker(DISCRETE10, [(1, 2.5)])
+
+
+def test_checker_witnesses_hold_plain_ints():
+    res = check_prop42(DISCRETE10, [True, 2])
+    assert not res
+    assert res.witness_indices == (1, 2)
+    assert [type(i) for i in res.witness_indices] == [int, int]
+    res = check_prop31(INTLINE10, (True,), (3,))
+    assert [type(i) for i in res.witness_indices] == [int, int]
+
+
 def test_check_thm46_dmqr44_passes():
     model = catalog("dmqr44", c=1)
     assert check_thm46(model, model.eps, 20)

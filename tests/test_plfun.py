@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lipcheck import plfun
+import pl_oracle
+from lipcheck.embeddings import standard_battery
 from lipcheck.metric import LipcheckError, PreconditionError, StructureError
 from lipcheck.plfun import (
     classify,
@@ -51,17 +52,110 @@ def test_single_breakpoint_degenerates_to_zero():
 
 
 def test_pointwise_sup_segment_check_raises(monkeypatch):
-    """The per-segment monotonicity check is an error, not an assert, so it
-    survives python -O."""
+    """The oracle's per-segment monotonicity check is an error, not an
+    assert, so it survives python -O."""
     f = plfn([0, 1, 2], [0, 1, 2])
-    real_eval = plfun.pl_eval
+    real_eval = pl_oracle.pl_eval
     # Bend the midpoint of [1, 2] so the slope from 0 is not monotone there.
     monkeypatch.setattr(
-        plfun, "pl_eval",
+        pl_oracle, "pl_eval",
         lambda g, q: rat(100) if q == rat(3, 2) else real_eval(g, q),
     )
     with pytest.raises(LipcheckError, match="segment monotonicity"):
-        pl_pointwise_sup(f, 0)
+        pl_oracle.pl_pointwise_sup(f, 0)
+
+
+def _brute_sup(f, x, samples=3):
+    """Largest |slope| from x to the breakpoints and to ``samples`` interior
+    points of every segment, on Fractions through pl_eval."""
+    bps = f.breakpoints
+    partners = list(bps) + [
+        a + (b - a) * rat(j, samples + 1)
+        for a, b in zip(bps, bps[1:]) for j in range(1, samples + 1)
+    ]
+    fx = pl_eval(f, x)
+    return max(
+        (abs((pl_eval(f, q) - fx) / (q - x)) for q in partners if q != x),
+        default=rat(0),
+    )
+
+
+def _seeded_zigzags(seed, count):
+    """Zigzags in the ranges of the benchmark's zigzag jobs."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        eta = rat(rng.randint(1, 3), 4)
+        eps = rat(1, rng.randint(2, 8)) * (1 - eta)
+        out.append(gen_zigzag(eps, eta, rng.randint(6, 12)))
+    return out
+
+
+def test_pointwise_sup_at_segment_midpoints():
+    """At a segment midpoint the sup is the brute-force maximum over
+    breakpoints and interior partners; the removed midpoint sample divided
+    by zero there."""
+    assert pl_pointwise_sup(plfn([0, 1, 2], [0, 1, 0]), rat(1, 2)) == rat(1)
+    for g in _seeded_zigzags(20261019, 3):
+        for f in (g, symmetrize(g)):
+            bps = f.breakpoints
+            for a, b in zip(bps, bps[1:]):
+                m = (a + b) / 2
+                assert pl_pointwise_sup(f, m) == _brute_sup(f, m), (f, m)
+
+
+def _random_functions(seed, count):
+    """Seeded functions of 1 to 12 breakpoints with signed values, so that
+    the steepest segment may fall or rise."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        cuts = rng.sample(range(-40, 41), k % 12)
+        bps = sorted({rat(c, rng.randint(1, 5)) for c in cuts} | {rat(0)})
+        values = [rat(0) if b == 0 else rat(rng.randint(-9, 9), rng.randint(1, 4)) for b in bps]
+        out.append(plfn(bps, values))
+    return out
+
+
+def _oracle_functions():
+    """Seeded zigzags, tents 1-7, gen_example62(1..7), two tent sums and
+    seeded signed functions, with symmetrized forms of all but six of the
+    zigzags (the oracle is slow on the longest functions)."""
+    zigzags = _seeded_zigzags(20261020, 8)
+    fns = [gen_tents(n) for n in range(1, 8)]
+    fns += [gen_example62(k) for k in range(1, 8)]
+    fns += [tent_sum(a) for a in ([1, -2, rat(1, 3)], [0, rat(5, 7), 0, -1])]
+    return (zigzags + fns + [symmetrize(f) for f in zigzags[:2] + fns]
+            + _random_functions(20261022, 36))
+
+
+def test_integer_scans_match_fraction_oracle():
+    """Norm, pointwise sups and whole AttainmentFlags equal the Fraction
+    oracle's, at every breakpoint and a third of the way into every
+    segment (the oracle divides by zero at segment midpoints)."""
+    sups = 0
+    for f in _oracle_functions():
+        assert pl_norm(f) == pl_oracle.pl_norm(f)
+        assert classify(f) == pl_oracle.classify(f)
+        bps = f.breakpoints
+        for x in bps + tuple(a + (b - a) / 3 for a, b in zip(bps, bps[1:])):
+            assert pl_pointwise_sup(f, x) == pl_oracle.pl_pointwise_sup(f, x), (f, x)
+            sups += 1
+    assert sups == 1598
+
+
+def test_tent_sum_matches_fraction_oracle():
+    """Breakpoints and values, on criterion 3's battery and seeded vectors
+    with zero and negative coefficients."""
+    rng = random.Random(20261021)
+    vectors = list(standard_battery(10, support=4))
+    vectors += [
+        [rat(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(rng.randint(0, 10))]
+        for _ in range(40)
+    ]
+    for a in vectors:
+        f, g = tent_sum(a), pl_oracle.tent_sum(a)
+        assert (f.breakpoints, f.values) == (g.breakpoints, g.values), a
 
 
 def _pl_eval_oracle(f, x):
@@ -214,10 +308,23 @@ def test_json_roundtrip():
     {"breakpoints": 5, "values": []},
     {"breakpoints": [0], "values": [0]},
     {"breakpoints": ["0"], "values": ["0"], "base": 3},
+    {"breakpoints": ["0"], "values": ["0"], "extend": {"left": "no", "right": 0}},
+    {"breakpoints": ["0"], "values": ["0"], "extend": {"left": True, "right": 1}},
+    {"breakpoints": ["0"], "values": ["0"], "extend": {"left": True}},
+    {"breakpoints": ["0"], "values": ["0"],
+     "extend": {"left": True, "right": False, "up": True}},
 ])
 def test_pl_from_json_rejects_malformed_shapes(blob):
     with pytest.raises(StructureError):
         pl_from_json(blob)
+
+
+def test_pl_from_json_reads_boolean_extension_flags():
+    blob = {"breakpoints": ["0", "1"], "values": ["0", "1"],
+            "extend": {"left": False, "right": True}}
+    f = pl_from_json(blob)
+    assert (f.left_extension, f.right_extension) == (False, True)
+    assert pl_to_json(f)["extend"] == {"left": False, "right": True}
 
 
 @settings(max_examples=40, deadline=None)
