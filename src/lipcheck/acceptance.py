@@ -31,7 +31,6 @@ from .embeddings import (
     main_theorem_pipeline,
     standard_battery,
     standard_family,
-    verify_isometry,
     verify_standard,
 )
 from .freespace import (
@@ -78,15 +77,11 @@ def criterion_2() -> dict:
     ok = True
     for N in (8, 16, 32):
         built = standard_family("prop23", N=N)
-        battery = standard_battery(built.size, support=4)
-        rep = verify_isometry(
-            built.functions, built.target, battery, built.expectation,
-            seed=BATTERY_SEED,
-        )
+        rep = verify_standard(built, support=4)
         good = rep.exact_pass and rep.expectation_pass and rep.worst_defect == ZERO
         per_n[f"N={N}"] = {
             "members": built.size,
-            "vectors": len(battery),
+            "vectors": len(rep.coefficient_set),
             "pass": good,
         }
         ok = ok and good

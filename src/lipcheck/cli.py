@@ -58,10 +58,9 @@ from .embeddings import (
     check_canonical,
     main_theorem_pipeline,
     report_json,
-    standard_battery,
     standard_family,
     standard_size,
-    verify_isometry,
+    verify_standard,
 )
 
 OUT_DIR_ENV = "LIPCHECK_OUT_DIR"
@@ -330,20 +329,14 @@ def cmd_verify(config: RunConfig) -> int:
     default_n = standard_size(config.theorem, config.params)
     n = _check_range("truncation size", default_n if config.n is None else config.n, 2, MAX_N)
     built = standard_family(config.theorem, N=n, **config.params)
-    battery = standard_battery(
-        built.size, seed=config.seed, rand_count=config.rand_count,
-        support=config.support,
-    )
-    report = verify_isometry(
-        built.functions, built.target, battery, built.expectation,
-        seed=config.seed,
-    )
+    report = verify_standard(built, seed=config.seed, rand_count=config.rand_count,
+                             support=config.support)
     blob = report_json(config.theorem, built.spec.space.name, n, built.checker, report)
     blob["command"] = "verify"
     ok = report.expectation_pass
     path = write_report_file(config, blob, f"lipcheck-verify-{config.theorem}")
     print(f"verify {config.theorem}: {'pass' if ok else 'FAIL'} "
-          f"({len(battery)} vectors) -> {path}")
+          f"({len(report.coefficient_set)} vectors) -> {path}")
     return 0 if ok else 1
 
 

@@ -5,8 +5,12 @@ construction's hypothesis on a concrete space (finite clauses on the
 truncation, limit clauses through the model's declared tail data), a builder
 produces the explicit Lipschitz family, and ``verify_isometry`` confirms the
 norm identities for a battery of coefficient vectors. ``CONSTRUCTIONS`` is
-the one table of them: per construction id its builder, its checker, the
-anchors ``lipcheck check`` uses and its standard instance.
+the one table of them: per construction id its builder, its checker, its
+target and expectation, the anchors ``lipcheck check`` uses and its standard
+instance. The standard families, the three main-pipeline cases and the tree
+pipeline all take their target and expectation from the table, through
+``assemble_family``, and ``verify_standard`` checks each on the standard
+battery.
 
 Each family carries its expectation as one rule per coefficient vector a,
 instead of pretending everything is attained at finite scale. The rule
@@ -684,9 +688,19 @@ def _build_thm57(spec: FamilySpec):
     return tuple(fns), tuple(range(1, depth + 1)), None
 
 
+def _build_thm49i(spec: FamilySpec):
+    # space: the sequence points re-based at the first, sequence index k at
+    # row k - 1; parameters["g"]: the shifted distances g_n, n >= 2.
+    g = spec.parameters["g"]
+    return _orbit_family(
+        spec.space, spec.space.n_points - 1, lambda k: k + 1,
+        lambda n, head: g[n] if head else -g[n], lambda k: k - 1,
+    )
+
+
 def _build_thm49ii(spec: FamilySpec):
-    # anchors: ((sigma_row, tau_row), ...) in the family's space;
-    # parameters: L plus per-pair phi(sigma, tau), psi(sigma), psi(tau).
+    # anchors: ((sigma_row, tau_row), ...) in the family's space, one member
+    # each; parameters: L plus per-pair phi(sigma, tau), psi(sigma), psi(tau).
     big_l = rat(spec.parameters["L"])
     phis = spec.parameters["phi_st"]
     psis = spec.parameters["psi_s"]
@@ -697,7 +711,7 @@ def _build_thm49ii(spec: FamilySpec):
         pval = half * (big_l + phis[i] + psis[i] - psit[i])
         qval = -half * (big_l + phis[i] - psis[i] + psit[i])
         fns.append(_values_fn(spec.space, {srow: pval, trow: qval}))
-    return tuple(fns), tuple(range(1, len(spec.anchors) + 1)), None
+    return tuple(fns), tuple(spec.anchors), None
 
 
 def _build_thm49case2(spec: FamilySpec):
@@ -706,14 +720,8 @@ def _build_thm49case2(spec: FamilySpec):
     cvals = tuple(rat(x) for x in spec.parameters["c"])
     return _orbit_family(
         spec.space, len(cvals), lambda k: k,
-        lambda k, head: cvals[k - 1] if head else -cvals[k - 1],
-        lambda k: k - 1,
+        lambda k, head: cvals[k - 1] if head else -cvals[k - 1], lambda k: k - 1,
     )
-
-
-def _build_raw(spec: FamilySpec):
-    """The construction's builder applied to ``spec``."""
-    return _construction(spec.theorem_id, "build", "family builder").build(spec)
 
 
 def run_checker(spec: FamilySpec) -> Optional[CheckResult]:
@@ -1020,6 +1028,18 @@ def _split(pairs):
     return tuple(p for p, _ in pairs), tuple(q for _, q in pairs)
 
 
+def _point_partners(spec):
+    """prop31's anchors ``(points, partners)``: exactly two index sequences
+    of equal length, on the checked and the override path alike."""
+    try:
+        points, partners = (tuple(rows) for rows in spec.anchors)
+    except (TypeError, ValueError):
+        points = partners = None
+    if points is None or len(points) != len(partners):
+        raise PreconditionError("prop31 anchors must be two index sequences of equal length")
+    return points, partners
+
+
 def _pair_expectation(spec, members, value_maps):
     return Expectation("exact", _dominant_pair_rule(members))
 
@@ -1067,22 +1087,38 @@ def _thm57_expectation(spec, members, value_maps):
     return Expectation("deflated", rule)
 
 
+def _selection_expectation(dist_of):
+    """Asymptotic expectation of a main-pipeline orbit family: node k sits at
+    row k - 1 of the subspace, and nodes u, v lie ``dist_of(spec)(u, v)``
+    apart. Its sums may meet the distances exactly (the case boundary and the
+    growth recurrence allow equality), so the norm may touch the target."""
+
+    def expectation(spec, members, value_maps):
+        nodes = tuple(range(1, spec.space.n_points + 1))
+        return Expectation("asymptotic", _orbit_rule(
+            members, value_maps, nodes, dist_of(spec), lambda k: k - 1, strict=False,
+        ))
+
+    return expectation
+
+
 @dataclass(frozen=True)
 class Construction:
     """One construction id and everything lipcheck knows about it.
 
-    ``build(spec)`` returns (functions, members, value_maps) and
-    ``check(spec)`` tests the hypothesis. ``anchors(model, N)`` and
-    ``parameters(model)`` lay out the canonical spec on the model truncated
-    at N: ``lipcheck check`` tests it, and the standard instance builds on
-    it unless ``standard_anchors`` lays out its own. The standard instance
-    truncates ``model(**params)`` at ``default_N`` (at every point of the
-    model when None) and is verified in ``target`` against
-    ``expectation(spec, members, value_maps)``; the keywords of ``model``
-    are the only parameters it accepts.
+    ``build(spec)`` returns (functions, members, value_maps), and every
+    family built from the row is verified in ``target`` against
+    ``expectation(spec, members, value_maps)``; ``check(spec)`` tests the
+    hypothesis. ``anchors(model, N)`` and ``parameters(model)`` lay out the
+    canonical spec on the model truncated at N: ``lipcheck check`` tests it,
+    and the standard instance builds on it unless ``standard_anchors`` lays
+    out its own. The standard instance truncates ``model(**params)`` at
+    ``default_N`` (at every point of the model when None); the keywords of
+    ``model`` are the only parameters it accepts.
 
-    The checks call the module-level ``check_*`` names at call time, so a
-    wrapper installed on them later sees every call.
+    The checks and expectations call the module-level ``check_*`` names and
+    rule factories at call time, so a wrapper installed on them later sees
+    every call.
     """
 
     theorem_id: str
@@ -1109,15 +1145,15 @@ CONSTRUCTIONS = (
         ),
     ),
     Construction(
-        "prop31", build=lambda spec: _build_radius_spikes(spec.space, spec.anchors[0]),
-        check=lambda spec: check_prop31(spec.space, *spec.anchors), space_check=True,
+        "prop31", build=lambda spec: _build_radius_spikes(spec.space, _point_partners(spec)[0]),
+        check=lambda spec: check_prop31(spec.space, *_point_partners(spec)), space_check=True,
         # `lipcheck check` pairs each odd row p with p + 1, the standard
         # instance with p - 1
         anchors=lambda model, N: _split(_disjoint_pairs(N)),
         model=lambda: integer_line(), default_N=10,
         standard_anchors=lambda model, N: _split((p, p - 1) for p in range(1, N, 2)),
         expectation=lambda spec, members, value_maps: Expectation(
-            "exact", _dominant_pair_rule(tuple(zip(*spec.anchors))),
+            "exact", _dominant_pair_rule(tuple(zip(*_point_partners(spec)))),
         ),
     ),
     Construction(
@@ -1184,8 +1220,11 @@ CONSTRUCTIONS = (
         target="sum-norm", expectation=_thm57_expectation,
     ),
     # built by the main pipeline on the subspaces it selects
-    Construction("thm49ii", build=_build_thm49ii),
-    Construction("thm49case2", build=_build_thm49case2),
+    Construction("thm49i", build=_build_thm49i,
+                 expectation=_selection_expectation(lambda spec: spec.model.d_seq)),
+    Construction("thm49ii", build=_build_thm49ii, expectation=_pair_expectation),
+    Construction("thm49case2", build=_build_thm49case2, expectation=_selection_expectation(
+        lambda spec: lambda u, v: spec.space.d(u - 1, v - 1))),
 )
 
 _BY_ID = {rec.theorem_id: rec for rec in CONSTRUCTIONS}
@@ -1246,14 +1285,24 @@ def standard_family(theorem_id: str, N: Optional[int] = None, **params) -> Built
     model = rec.model(**params)
     space = truncate(model, N)
     spec = _canonical_spec(rec, space, model, N, rec.standard_anchors or rec.anchors)
-    checker = run_checker(spec)
+    return assemble_family(spec, run_checker(spec))
+
+
+def assemble_family(spec: FamilySpec, checker: Optional[CheckResult] = None) -> BuiltFamily:
+    """The family ``spec`` names, built by its construction, with the
+    table's target and expectation; ``checker`` is recorded as given."""
+    rec = _construction(spec.theorem_id, "build", "family builder")
     fns, members, value_maps = rec.build(spec)
     expectation = rec.expectation(spec, members, value_maps)
     return BuiltFamily(spec, fns, rec.target, expectation, members, checker)
 
 
-def verify_standard(built: BuiltFamily, seed: int = BATTERY_SEED) -> VerificationReport:
-    battery = standard_battery(built.size, seed=seed)
+def verify_standard(built: BuiltFamily, seed: int = BATTERY_SEED,
+                    rand_count: int = BATTERY_RANDOM_COUNT,
+                    support: Optional[int] = None) -> VerificationReport:
+    """``built`` verified in its target against its expectation, on the
+    standard battery these arguments lay out."""
+    battery = standard_battery(built.size, seed=seed, rand_count=rand_count, support=support)
     return verify_isometry(built.functions, built.target, battery, built.expectation, seed=seed)
 
 
@@ -1349,24 +1398,9 @@ def _pipeline_case_i1(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         if g[k] > r_sub:
             raise ConstructionError(f"shifted distance exceeds the radius at n={k}")
 
-    # working sequence indices 2..ns, one step shifted; value maps are keyed
-    # by model sequence index, which sits at row index - 1 of the subspace
-    def row_of(node):
-        return node - 1
-
-    fns, members, value_maps = _orbit_family(
-        sub, ns - 1, lambda k: k + 1, lambda n, head: g[n] if head else -g[n], row_of
-    )
-    # the case boundary allows pair gaps to meet tail gaps exactly, so the
-    # combined norm may touch the target on a truncation
-    rule = _orbit_rule(
-        members, value_maps, tuple(range(1, ns + 1)), model.d_seq, row_of, strict=False
-    )
-    exp = Expectation("asymptotic", rule)
-    battery = standard_battery(len(fns))
-    report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
+    built = assemble_family(FamilySpec("thm49i", sub, parameters={"g": g}, model=model))
     return PipelineResult(
-        "I-(i)", tuple(rows), tuple(fns), report, {"eps": eps, "g": g}
+        "I-(i)", tuple(rows), built.functions, verify_standard(built), {"eps": eps, "g": g}
     )
 
 
@@ -1425,22 +1459,12 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
             "psi_t": tuple(model.psi(t) for t in tau),
         },
     )
-    fns, members, _ = _build_raw(spec)
-    for i, (srow, trow) in enumerate(anchor_rows):
-        diff = fns[i].values[srow] - fns[i].values[trow]
-        if diff != sub.d(srow, trow):
-            raise ConstructionError(f"pair values do not span the distance at member {i + 1}")
-
-    exp = Expectation("exact", _dominant_pair_rule(anchor_rows))
-    battery = standard_battery(len(fns))
-    report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
-    return PipelineResult(
-        "I-(ii)",
-        tuple(rows),
-        tuple(fns),
-        report,
-        {"sigma": tuple(sigma), "tau": tuple(tau), "eps": tuple(eps), "base": base_idx},
-    )
+    built = assemble_family(spec)
+    for i, (f, (srow, trow)) in enumerate(zip(built.functions, anchor_rows), 1):
+        if f.values[srow] - f.values[trow] != sub.d(srow, trow):
+            raise ConstructionError(f"pair values do not span the distance at member {i}")
+    data = {"sigma": tuple(sigma), "tau": tuple(tau), "eps": tuple(eps), "base": base_idx}
+    return PipelineResult("I-(ii)", tuple(rows), built.functions, verify_standard(built), data)
 
 
 def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
@@ -1489,26 +1513,11 @@ def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
         if cvals[i] > min_positive_radius(sub, i):
             raise ConstructionError(f"weight exceeds the radius at selection {i + 1}")
 
-    spec = FamilySpec("thm49case2", sub, parameters={"c": tuple(cvals)})
-    fns, members, value_maps = _build_raw(spec)
-    if not fns:
+    built = assemble_family(FamilySpec("thm49case2", sub, parameters={"c": tuple(cvals)}))
+    if not built.functions:
         raise ConstructionError("selection too short to carry any orbit member")
-
-    def dist(u, v):
-        return sub.d(u - 1, v - 1)
-
-    # weight sums may meet the distances exactly (the recurrence allows
-    # equality), in which case aligned unit coefficients attain the target
-    # norm already at finite scale
-    rule = _orbit_rule(
-        members, value_maps, tuple(range(1, k_sel + 1)), dist, lambda node: node - 1,
-        strict=False,
-    )
-    exp = Expectation("asymptotic", rule)
-    battery = standard_battery(len(fns))
-    report = verify_isometry(fns, "sup-norm", battery, exp, seed=BATTERY_SEED)
     return PipelineResult(
-        "II", tuple(selected), tuple(fns), report, {"c": tuple(cvals)}
+        "II", tuple(selected), built.functions, verify_standard(built), {"c": tuple(cvals)}
     )
 
 

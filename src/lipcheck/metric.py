@@ -653,9 +653,18 @@ def _dmqr44(c) -> MetricModel:
 MAX_LEVELS = 64
 
 
+def _int_param(name: str, key: str, value) -> int:
+    """An integer model parameter as an int. A non-integral value, 27/10
+    say, raises ModelError naming it instead of being truncated."""
+    n = int(value)
+    if n != (rat(value) if isinstance(value, str) else value):
+        raise ModelError(f"{name} needs an integer {key}, got {value}")
+    return n
+
+
 def _check_levels(name: str, levels) -> int:
     """``levels`` as an int in 1..MAX_LEVELS, checked before 2 ** levels is formed."""
-    levels = int(levels)
+    levels = _int_param(name, "levels", levels)
     if not 1 <= levels <= MAX_LEVELS:
         raise ModelError(f"{name} needs 1 <= levels <= {MAX_LEVELS}, got {levels}")
     return levels
@@ -710,8 +719,8 @@ def _prop53(levels) -> MetricModel:
 
 def _thm57(c, groups, levels) -> MetricModel:
     c = rat(c)
-    groups = int(groups)
-    levels = int(levels)
+    groups = _int_param("thm57", "groups", groups)
+    levels = _int_param("thm57", "levels", levels)
     if c <= ONE:
         raise ModelError("thm57 needs c > 1")
     if groups < 1 or levels < 1:

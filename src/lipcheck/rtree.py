@@ -6,8 +6,9 @@ them, and computes the structural data the embedding route needs: metric
 segments, branching points, and aligned sequences.
 
 The pipeline at the bottom takes a tree-like space and produces a spike
-family together with a verification report. It routes through one of two
-constructions:
+family: the table's prop31 construction on the anchors it selects, built by
+``embeddings.assemble_family`` and checked by ``embeddings.verify_standard``.
+It picks the anchors by one of two routes:
 
 * ``hub-bumps``: some point disconnects the space into at least
   ``hub_threshold`` pieces. Each piece contributes a spike at its closest
@@ -51,16 +52,12 @@ from .metric import (
     common_denominator,
 )
 from .embeddings import (
-    BATTERY_SEED,
     BuiltFamily,
-    Expectation,
     FamilySpec,
     VerificationReport,
-    _dominant_pair_rule,
-    build_family,
+    assemble_family,
     check_prop31,
-    standard_battery,
-    verify_isometry,
+    verify_standard,
 )
 
 # Minimum number of components a single cut point must produce before the
@@ -550,14 +547,7 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
     if not check.ok:
         raise TreeRefusal(check)
 
-    spec = FamilySpec("prop31", space, anchors=(points, partners))
-    fns = build_family(spec, override=True)  # hypothesis check already ran
-    expectation = Expectation("exact", _dominant_pair_rule(tuple(zip(points, partners))))
-    built = BuiltFamily(spec, fns, "sup-norm", expectation,
-                        members=tuple(zip(points, partners)), checker=check)
-    battery = standard_battery(built.size)
-    report = verify_isometry(fns, "sup-norm", battery, expectation,
-                             seed=BATTERY_SEED)
+    built = assemble_family(FamilySpec("prop31", space, anchors=(points, partners)), check)
     return TreeFamilyResult(
         case=case,
         hub=hub if case == "hub-bumps" else None,
@@ -567,5 +557,5 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
         threshold=hub_threshold,
         check=check,
         family=built,
-        report=report,
+        report=verify_standard(built),
     )

@@ -135,6 +135,25 @@ def test_levels_past_the_cap_are_a_model_error(tmp_path, capsys, argv):
     assert err.startswith("model error: ") and "1 <= levels <= 64" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--theorem", "thm51", "--param", "levels=27/10"],
+     "thm51star needs an integer levels, got 27/10"),
+    (["validate", "--space", "thm57", "--n", "20", "--param", "levels=7/2"],
+     "thm57 needs an integer levels, got 7/2"),
+    (["validate", "--space", "thm57", "--n", "20", "--param", "groups=5/2"],
+     "thm57 needs an integer groups, got 5/2"),
+    (["check", "--theorem", "thm34", "--model", "prop53", "--n", "8", "--param", "levels=3/2"],
+     "prop53 needs an integer levels, got 3/2"),
+])
+def test_non_integral_integer_parameters_are_a_model_error(tmp_path, capsys, argv, message):
+    """A non-integral levels or groups exits 3 naming the value; it was
+    truncated to an int before (levels=27/10 built the levels=2 model)."""
+    code, path = run(tmp_path, *argv)
+    assert code == 3
+    assert not path.exists()
+    assert capsys.readouterr().err == f"model error: {message}\n"
+
+
 def test_norm_command(tmp_path):
     code, path = run(
         tmp_path, "norm", "--space", "discrete", "--n", "4",
@@ -541,6 +560,22 @@ def test_no_unused_module_level_import_in_the_package():
                 name = (alias.asname or alias.name).split(".")[0]
                 if name not in read:
                     found.append(f"{path.name}:{node.lineno} {name}")
+    assert sources and found == []
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """No package module imports an underscore-prefixed name from another
+    module: what modules share is public, so a private helper can change
+    without reaching past its module."""
+    package = pathlib.Path(lipcheck.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    found = []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                found += [f"{path.name}:{node.lineno} {alias.name}"
+                          for alias in node.names if alias.name.startswith("_")]
     assert sources and found == []
 
 

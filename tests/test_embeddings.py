@@ -338,6 +338,21 @@ def test_build_family_unknown_id():
         build_family(FamilySpec("thm99", DISCRETE10))
 
 
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("anchors", [
+    ((1, 3),), ((1, 3), (0, 2), (5,)), (1, 3, 5), (1, 3), (), ((1, 3), (2,)),
+])
+def test_prop31_anchors_are_two_index_sequences_of_equal_length(anchors, override):
+    """prop31's anchors are (points, partners). Any other shape is refused
+    on the checked and the override path alike; before, some raised
+    TypeError or IndexError and some built with the wrong rows paired."""
+    spec = FamilySpec("prop31", INTLINE10, anchors=anchors)
+    with pytest.raises(PreconditionError, match="two index sequences of equal length"):
+        build_family(spec, override=override)
+    fns = build_family(replace(spec, anchors=((1, 3), (2, 4))), override=override)
+    assert [f.values[p] for f, p in zip(fns, (1, 3))] == [ONE, ONE]
+
+
 def test_registry_refuses_ids_without_the_asked_role():
     with pytest.raises(PreconditionError):
         standard_family("thm99")
@@ -552,6 +567,51 @@ def test_verify_isometry_reports_deflated_failures_in_order():
 def test_verify_isometry_rejects_bad_input():
     with pytest.raises(PreconditionError):
         verify_isometry((), "sup-norm", ((ONE,),), Expectation("exact", _norm_only))
+
+
+def test_every_verified_family_reaches_verify_isometry_once(monkeypatch, tmp_path, capsys):
+    """`lipcheck verify`, each family of criterion 2's loop, the three main
+    pipeline cases and the tree pipeline each verify through exactly one
+    call of ``embeddings.verify_isometry``, the one ``verify_standard``
+    makes, and report the vector count of that call."""
+    import lipcheck.embeddings as emb
+    from lipcheck import acceptance, cli
+    from lipcheck.rtree import tree_c0_pipeline, tree_metric, weighted_tree
+
+    sizes = []
+    real = emb.verify_isometry
+
+    def counting(family, target, coeff_set, expectation, seed=None):
+        sizes.append(len(coeff_set))
+        return real(family, target, coeff_set, expectation, seed=seed)
+
+    monkeypatch.setattr(emb, "verify_isometry", counting)
+
+    def once(run):
+        sizes.clear()
+        result = run()
+        assert len(sizes) == 1
+        return result
+
+    argv = ["verify", "--theorem", "thm34", "--support", "2", "--rand-count", "3",
+            "--out", str(tmp_path / "verify.json")]
+    assert once(lambda: cli.main(argv)) == 0
+    assert f"({sizes[0]} vectors)" in capsys.readouterr().out
+
+    sizes.clear()
+    details = acceptance.criterion_2()["details"]
+    assert sizes == [details[f"N={N}"]["vectors"] for N in (8, 16, 32)]
+
+    for model_name, case in (("power_line", "II"), ("example48", "I-(ii)"),
+                             ("dmqr41", "I-(i)")):
+        model = cli.load_model(model_name, {})
+        assert once(lambda: main_theorem_pipeline(model, 30)).case == case
+
+    star = weighted_tree(8, [(0, leaf, 1) for leaf in range(1, 8)])
+    res = once(lambda: tree_c0_pipeline(tree_metric(star)))
+    assert res.family.members == res.points
+    assert res.family.spec.anchors == (res.points, res.partners)
+    assert res.family.checker is res.check
 
 
 def test_witness_records_orientation():

@@ -162,6 +162,25 @@ def test_levels_cap_comes_before_the_point_count():
             catalog(name, levels=MAX_LEVELS + 1)
 
 
+def test_integer_parameters_are_never_truncated():
+    """levels and groups read as ints when integral, whatever their type,
+    and a non-integral value is refused by name instead of being cut down."""
+    assert catalog("thm51star", levels=rat(3)).params == {"levels": 3}
+    assert catalog("thm57", groups=rat(4), levels=3).params["groups"] == 4
+    assert catalog("prop53", levels="3").max_points == 17
+    cases = [
+        ("thm51star", {"levels": rat(27, 10)}, "thm51star needs an integer levels, got 27/10"),
+        ("prop53", {"levels": rat(7, 2)}, "prop53 needs an integer levels, got 7/2"),
+        ("thm57", {"levels": rat(7, 2)}, "thm57 needs an integer levels, got 7/2"),
+        ("thm57", {"groups": rat(5, 2)}, "thm57 needs an integer groups, got 5/2"),
+        ("thm57", {"groups": 2.5}, "thm57 needs an integer groups, got 2.5"),
+    ]
+    for name, params, message in cases:
+        with pytest.raises(ModelError) as info:
+            catalog(name, **params)
+        assert str(info.value) == message
+
+
 def test_dmqr44_eps_range():
     model = catalog("dmqr44")
     for n in range(1, 40):

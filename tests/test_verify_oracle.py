@@ -19,7 +19,7 @@ from functools import lru_cache
 import pytest
 
 import isometry_oracle as oracle
-from lipcheck import embeddings, rtree
+from lipcheck import embeddings
 from lipcheck.cli import load_model
 from lipcheck.embeddings import (
     VERIFY_THEOREMS,
@@ -103,7 +103,7 @@ def _pipeline_cases(monkeypatch):
             monkeypatch, (embeddings,), lambda: main_theorem_pipeline(model, 30))
     star = weighted_tree(8, [(0, leaf, 1) for leaf in range(1, 8)])
     yield ("tree",) + _recorded(
-        monkeypatch, (rtree,), lambda: tree_c0_pipeline(tree_metric(star)))
+        monkeypatch, (embeddings,), lambda: tree_c0_pipeline(tree_metric(star)))
 
 
 # ---------------------------------------------------------------------------
