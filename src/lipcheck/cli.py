@@ -67,8 +67,9 @@ OUT_DIR_ENV = "LIPCHECK_OUT_DIR"
 
 MODEL_NAMES = CATALOG_NAMES + ("integer_line", "power_line")
 
-# Largest truncation the command line builds. Validation is cubic in N, and
-# the largest size the shipped checks use is 65 (the thm57 instance).
+# Largest truncation the command line builds. Validation is cubic in N in the
+# worst case, on spaces with tight triangles such as lines and trees, and the
+# largest size the shipped checks use is 65 (the thm57 instance).
 MAX_N = 128
 
 # Bounds on the verify battery: 3 ** support sign vectors, built eagerly (8
@@ -229,7 +230,8 @@ def load_space(config: RunConfig):
         path = sel[1:] if sel.startswith("@") else sel
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        # validation is cubic in the rows, so the file is held to the --n cap
+        # validation is cubic in the rows in the worst case (tight triangles,
+        # as on lines and trees), so the file is held to the --n cap
         rows = obj.get("dist") if isinstance(obj, dict) else None
         if isinstance(rows, list) and len(rows) > MAX_N:
             raise PreconditionError(f"space file has {len(rows)} rows; at most {MAX_N} are allowed")

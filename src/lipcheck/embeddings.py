@@ -62,6 +62,7 @@ from .metric import (
     as_index,
     catalog,
     common_denominator,
+    int_param,
     integer_line,
     min_positive_radius,
     truncate,
@@ -134,6 +135,29 @@ def _check_anchor_rows(space, rows, what: str) -> tuple:
     return tuple(seen)
 
 
+def _check_pairs(space, pairs) -> tuple:
+    """``pairs`` as tuples of ints whose rows are distinct and in range."""
+    pairs = tuple(tuple(as_index(r, "pair index") for r in pq) for pq in pairs)
+    _check_anchor_rows(space, [r for pq in pairs for r in pq], "pair")
+    return pairs
+
+
+def _check_point_partners(space, points, partners) -> tuple:
+    """``(points, partners)`` as int tuples of equal length: distinct
+    in-range points, each partner in range and apart from its point."""
+    points = tuple(points)
+    partners = tuple(as_index(q, "partner index") for q in partners)
+    if len(points) != len(partners):
+        raise PreconditionError("points and partners must have equal length")
+    points = _check_anchor_rows(space, points, "point")
+    for p, q in zip(points, partners):
+        if not 0 <= q < space.n_points:
+            raise PreconditionError(f"partner index {q!r} out of range")
+        if q == p:
+            raise PreconditionError("partner must differ from its point")
+    return points, partners
+
+
 # ---------------------------------------------------------------------------
 # Hypothesis checkers
 
@@ -145,16 +169,7 @@ def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
     Clause "radius": d(p, q) == R(p) for every (point, partner).
     Clause "separation": d(p_a, p_b) >= d(p_a, q_a) + d(p_b, q_b).
     """
-    points = tuple(points)
-    partners = tuple(as_index(q, "partner index") for q in partners)
-    if len(points) != len(partners):
-        raise PreconditionError("points and partners must have equal length")
-    points = _check_anchor_rows(space, points, "point")
-    for p, q in zip(points, partners):
-        if not 0 <= q < space.n_points:
-            raise PreconditionError(f"partner index {q!r} out of range")
-        if q == p:
-            raise PreconditionError("partner must differ from its point")
+    points, partners = _check_point_partners(space, points, partners)
     for p, q in zip(points, partners):
         r = min_positive_radius(space, p)
         if space.d(p, q) != r:
@@ -178,9 +193,7 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     Clause "cross-gap": d(p_a, q_a) + d(p_b, q_b) <= 2 min over the four
     distances between the two pairs.
     """
-    pairs = tuple(tuple(as_index(r, "pair index") for r in pq) for pq in pairs)
-    flat = [r for pq in pairs for r in pq]
-    _check_anchor_rows(space, flat, "pair")
+    pairs = _check_pairs(space, pairs)
     half = rat(1, 2)
     for p, q in pairs:
         dpq = space.d(p, q)
@@ -214,9 +227,8 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
           checked in both orders because it is not symmetric;
       (4) d_a + d_b - R(p_a) - R(p_b) + R(q_a) + R(q_b) <= 2 d(q_a, q_b).
     """
-    pairs = tuple(tuple(as_index(r, "pair index") for r in pq) for pq in pairs)
+    pairs = _check_pairs(space, pairs)
     flat = [r for pq in pairs for r in pq]
-    _check_anchor_rows(space, flat, "pair")
     rad = {r: min_positive_radius(space, r) for r in flat}
     dd = {i: space.d(p, q) for i, (p, q) in enumerate(pairs)}
     for i, (p, q) in enumerate(pairs):
@@ -561,7 +573,7 @@ def _build_unit_spikes(spec: FamilySpec):
 
 
 def _build_radius_spikes(space: FiniteMetricSpace, points):
-    points = tuple(points)
+    points = _check_anchor_rows(space, points, "point")
     _refuse_base_anchor(points)
     fns = tuple(_values_fn(space, {p: min_positive_radius(space, p)}) for p in points)
     return fns, points, None
@@ -569,9 +581,9 @@ def _build_radius_spikes(space: FiniteMetricSpace, points):
 
 def _build_pairs(spec: FamilySpec, values):
     """Two-point members; ``values(space, p, q)`` gives the values at p, q."""
-    pairs = tuple(tuple(pq) for pq in spec.anchors)
-    _refuse_base_anchor([r for pq in pairs for r in pq])
     space = spec.space
+    pairs = _check_pairs(space, spec.anchors)
+    _refuse_base_anchor([r for pq in pairs for r in pq])
     fns = tuple(_values_fn(space, dict(zip((p, q), values(space, p, q)))) for p, q in pairs)
     return fns, pairs, None
 
@@ -637,7 +649,7 @@ def _build_thm46(spec: FamilySpec):
 
 def _build_thm51(spec: FamilySpec):
     space = spec.space
-    levels = int(spec.parameters["levels"])
+    levels = int_param(spec.theorem_id, "levels", spec.parameters["levels"])
     n_groups_present = space.n_points // 2
     fns = []
     for n in range(1, levels + 1):
@@ -652,7 +664,7 @@ def _build_thm51(spec: FamilySpec):
 
 def _build_prop53(spec: FamilySpec):
     space = spec.space
-    levels = int(spec.parameters["levels"])
+    levels = int_param(spec.theorem_id, "levels", spec.parameters["levels"])
     half = rat(1, 2)
     n_pairs_present = (space.n_points - 1) // 2
     fns = []
@@ -670,8 +682,8 @@ def _build_prop53(spec: FamilySpec):
 def _build_thm57(spec: FamilySpec):
     space = spec.space
     c = rat(spec.parameters["c"])
-    groups = int(spec.parameters["groups"])
-    levels = int(spec.parameters["levels"])
+    groups = int_param(spec.theorem_id, "groups", spec.parameters["groups"])
+    levels = int_param(spec.theorem_id, "levels", spec.parameters["levels"])
     if c <= ONE:
         raise PreconditionError("group family needs c > 1")
     depth = groups.bit_length() - 1  # largest B with 2^B <= groups
@@ -1030,14 +1042,15 @@ def _split(pairs):
 
 def _point_partners(spec):
     """prop31's anchors ``(points, partners)``: exactly two index sequences
-    of equal length, on the checked and the override path alike."""
+    of equal length, checked against the space on the checked and the
+    override path alike."""
     try:
         points, partners = (tuple(rows) for rows in spec.anchors)
     except (TypeError, ValueError):
         points = partners = None
     if points is None or len(points) != len(partners):
         raise PreconditionError("prop31 anchors must be two index sequences of equal length")
-    return points, partners
+    return _check_point_partners(spec.space, points, partners)
 
 
 def _pair_expectation(spec, members, value_maps):

@@ -17,6 +17,7 @@ into pieces below the least limit; the process-wide limit is left alone.
 
 from __future__ import annotations
 
+import numbers
 import re
 from fractions import Fraction
 
@@ -41,8 +42,6 @@ def rat(num, den=None) -> Rat:
 
 
 def is_rational(x) -> bool:
-    import numbers
-
     return isinstance(x, numbers.Rational)
 
 

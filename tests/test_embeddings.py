@@ -353,6 +353,41 @@ def test_prop31_anchors_are_two_index_sequences_of_equal_length(anchors, overrid
     assert [f.values[p] for f, p in zip(fns, (1, 3))] == [ONE, ONE]
 
 
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("tid, anchors, message", [
+    ("prop31", ((1, 30), (2, 4)), "point index 30 out of range"),
+    ("prop42", (1, 30), "point index 30 out of range"),
+    ("thm34", ((1, 30),), "pair index 30 out of range"),
+    ("prop31", ((1.5, 3), (2, 4)), "point index 1.5 is not an integer"),
+    ("prop31", ((1, 3), (2, 40)), "partner index 40 out of range"),
+])
+def test_override_builders_check_their_rows(tid, anchors, message, override):
+    """The builders check anchor rows (and prop31's partners) themselves, so
+    override=True raises the checked path's error; before, these raised
+    IndexError or TypeError, or built with a partner past the space."""
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        build_family(FamilySpec(tid, INTLINE10, anchors=anchors), override=override)
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("tid, model, parameters, message", [
+    ("thm51", catalog("thm51star", levels=3), {"levels": rat(27, 10)},
+     "thm51 needs an integer levels, got 27/10"),
+    ("prop53", catalog("prop53", levels=3), {"levels": rat(5, 2)},
+     "prop53 needs an integer levels, got 5/2"),
+    ("thm57", catalog("thm57"), {"c": rat(2), "groups": rat(9, 2), "levels": 2},
+     "thm57 needs an integer groups, got 9/2"),
+    ("thm57", catalog("thm57"), {"c": rat(2), "groups": 4, "levels": rat(3, 2)},
+     "thm57 needs an integer levels, got 3/2"),
+])
+def test_group_builders_refuse_non_integral_counts(tid, model, parameters, message, override):
+    """levels and groups go through metric.int_param: a hand-built spec with
+    27/10 levels is refused, where it used to build the levels=2 family."""
+    spec = FamilySpec(tid, truncate(model, 8), parameters=parameters)
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        build_family(spec, override=override)
+
+
 def test_registry_refuses_ids_without_the_asked_role():
     with pytest.raises(PreconditionError):
         standard_family("thm99")

@@ -18,13 +18,16 @@ import pytest
 from lipcheck import metric, rtree
 from lipcheck.lipfun import LipFn, lip_norm, lipfn, pointwise_sup, slope, strong_pairs, zero_fn
 from lipcheck.metric import (
+    CATALOG_NAMES,
     CheckResult,
     FiniteMetricSpace,
     StructureError,
     ValidationReport,
     Violation,
     catalog,
+    integer_line,
     make_space,
+    power_line,
     truncate,
     validate,
 )
@@ -249,6 +252,98 @@ def test_validate_structure_errors_come_first():
         with pytest.raises(StructureError) as old:
             _validate_oracle(space)
         assert str(new.value) == str(old.value)
+
+
+# ---------------------------------------------------------------------------
+# validate's row-bound certificate
+
+
+def _skipped_pairs(space):
+    """The pairs (i, j) whose triangles (j, i, k) the certificate lets
+    ``validate`` skip: max(A[j][j+1:]) <= A[i][j] + the least entry of row i
+    off the diagonal."""
+    A, _ = space.scaled
+    n = len(A)
+    tail_max = [max(A[j][j + 1:], default=0) for j in range(n)]
+    row_min = [min(A[i][:i] + A[i][i + 1:], default=0) for i in range(n)]
+    return {(i, j) for i in range(n) for j in range(n)
+            if j != i and tail_max[j] <= A[i][j] + row_min[i]}
+
+
+def _bumped(space, a, b, factor):
+    """``space`` with the entry pair d(a, b) = d(b, a) scaled by ``factor``."""
+    rows = [list(r) for r in space.dist]
+    rows[a][b] = rows[b][a] = rows[a][b] * factor
+    return FiniteMetricSpace(tuple(map(tuple, rows)), space.labels, space.name)
+
+
+def _assert_certificate_sound(space):
+    """validate equals the oracle, and no triangle the oracle reports lies in
+    a pair the certificate skips."""
+    want = _assert_same_report(space)
+    skipped = _skipped_pairs(space)
+    assert not any((v.indices[1], v.indices[0]) in skipped
+                   for v in want.violations if v.axiom == "triangle")
+    return want, skipped
+
+
+_LINES = {"integer_line": integer_line(), "power_line": power_line()}
+# Catalog models whose truncation at N = 64 the certificate clears entirely.
+_NO_TRIPLE_SCANNED = {"discrete", "dmqr41", "example33", "example35", "example48",
+                      "prop23", "prop53", "thm51star", "thm57"}
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + tuple(_LINES))
+def test_certificate_matches_the_oracle_on_truncations_at_64(name):
+    space = truncate(_LINES[name] if name in _LINES else catalog(name), 64)
+    want, skipped = _assert_certificate_sound(space)
+    assert want.passed
+    assert (len(skipped) == 64 * 63) == (name in _NO_TRIPLE_SCANNED)
+
+
+def test_certificate_matches_the_oracle_on_seeded_trees():
+    rng = random.Random(27)
+    for _ in range(40):
+        _assert_certificate_sound(_random_tree_metric(rng, rng.randint(2, 20)))
+
+
+def _bump_cases():
+    # Bumped copies at N = 32, where the oracle's Fraction scan is cheap.
+    rng = random.Random(2027)
+    spaces = [truncate(catalog(name), 32) for name in CATALOG_NAMES]
+    spaces += [truncate(model, 32) for model in _LINES.values()]
+    spaces += [_random_tree_metric(rng, 16) for _ in range(4)]
+    for space in spaces:
+        a, b = sorted(rng.sample(range(space.n_points), 2))
+        for factor in (rat(3), rat(1, 3)):
+            yield space, _bumped(space, a, b, factor)
+
+
+def test_certificate_matches_the_oracle_on_bumped_copies():
+    """One symmetric entry pair scaled up or down: its rows fail the bound
+    and are scanned, while rows the bump leaves alone are still skipped."""
+    failing = partial = 0
+    for base, bent in _bump_cases():
+        want, skipped = _assert_certificate_sound(bent)
+        failing += not want.passed
+        n = bent.n_points
+        partial += 0 < len(skipped) < n * (n - 1) and skipped != _skipped_pairs(base)
+    assert failing >= 20
+    assert partial >= 20
+
+
+def test_certificate_matches_the_oracle_on_int_and_mixed_matrices():
+    """The type fast path: an all-int matrix and an int/Fraction mix give the
+    oracle's report, passing and failing alike."""
+    ints = ((0, 2, 3, 4), (2, 0, 1, 7), (3, 1, 0, 2), (4, 7, 2, 0))
+    mixed = ((0, rat(3, 2), 2, rat(7, 2)), (rat(3, 2), 0, rat(1, 2), 9),
+             (2, rat(1, 2), 0, rat(3, 2)), (rat(7, 2), 9, rat(3, 2), 0))
+    for rows, fix in ((ints, rat(3, 7)), (mixed, rat(2, 9))):
+        space = FiniteMetricSpace(rows, ("a", "b", "c", "d"))
+        assert any(type(x) is int for row in rows for x in row)
+        want, _ = _assert_certificate_sound(space)
+        assert [v.axiom for v in want.violations] == ["triangle"] * 2
+        assert _assert_certificate_sound(_bumped(space, 1, 3, fix))[0].passed
 
 
 # ---------------------------------------------------------------------------
