@@ -136,7 +136,13 @@ def _check_anchor_rows(space, rows, what: str) -> tuple:
 
 
 def _check_pairs(space, pairs) -> tuple:
-    """``pairs`` as tuples of ints whose rows are distinct and in range."""
+    """``pairs`` as 2-tuples of ints whose rows are distinct and in range."""
+    try:
+        pairs = tuple(tuple(pq) for pq in pairs)
+    except TypeError:
+        pairs = None
+    if pairs is None or any(len(pq) != 2 for pq in pairs):
+        raise PreconditionError("pair anchors must be a sequence of index pairs")
     pairs = tuple(tuple(as_index(r, "pair index") for r in pq) for pq in pairs)
     _check_anchor_rows(space, [r for pq in pairs for r in pq], "pair")
     return pairs

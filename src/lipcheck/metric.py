@@ -1,7 +1,8 @@
 """Pointed finite metric spaces, validation, and the model catalog.
 
-Everything in this module is exact. Distances come from closed-form rules
-evaluated in rational arithmetic, validation is a literal check of the
+Everything in this module is exact. Distances come from closed-form rules,
+each one exact division of integers (one Fraction per call) with the
+paper's form as a comment above it; validation is a literal check of the
 metric axioms, and models carry whatever tail data (limits along the index
 set) the downstream checkers need. A model that cannot supply a limit says
 so through an error instead of letting callers guess one numerically.
@@ -535,7 +536,8 @@ def _prop24() -> MetricModel:
     return _seq_model(
         "prop24",
         {},
-        seq_dist=lambda n, m: x(min(n, m)) - x(max(n, m)),
+        # 2^{-min(n, m)^2} - 2^{-max(n, m)^2}
+        seq_dist=lambda n, m: Rat((1 << abs(n * n - m * m)) - 1, 1 << max(n, m) ** 2),
         base_dist=x,
         L_pair=x,
         L=ZERO,
@@ -553,8 +555,10 @@ def _example33() -> MetricModel:
     return _seq_model(
         "example33",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, min(n, m)),
-        L_pair=lambda n: ONE + rat(1, n),
+        # 1 + 1/min(n, m)
+        seq_dist=lambda n, m: Rat(min(n, m) + 1, min(n, m)),
+        # 1 + 1/n
+        L_pair=lambda n: Rat(n + 1, n),
         L=ONE,
         env_phi=lambda s: rat(1, s),
         env_psi=lambda s: rat(1, s),
@@ -569,9 +573,12 @@ def _example35() -> MetricModel:
     return _seq_model(
         "example35",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, n) + rat(1, m),
-        base_dist=lambda n: ONE + rat(1, n),
-        L_pair=lambda n: ONE + rat(1, n),
+        # 1 + 1/n + 1/m
+        seq_dist=lambda n, m: Rat(n * m + n + m, n * m),
+        # 1 + 1/n
+        base_dist=lambda n: Rat(n + 1, n),
+        # 1 + 1/n
+        L_pair=lambda n: Rat(n + 1, n),
         L=ONE,
         base_limit=ONE,
         env_phi=lambda s: rat(2, s),
@@ -586,7 +593,8 @@ def _dmqr41() -> MetricModel:
     return _seq_model(
         "dmqr41",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, max(n, m)),
+        # 1 + 1/max(n, m)
+        seq_dist=lambda n, m: Rat(max(n, m) + 1, max(n, m)),
         L_pair=lambda n: ONE,
         L=ONE,
         env_phi=lambda s: rat(1, s + 1),
@@ -598,15 +606,16 @@ def _dmqr41() -> MetricModel:
 
 
 def _example44() -> MetricModel:
-    half = rat(1, 2)
     return _seq_model(
         "example44",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, n + m),
-        base_dist=lambda n: half + rat(1, n),
+        # 1 + 1/(n + m)
+        seq_dist=lambda n, m: Rat(n + m + 1, n + m),
+        # 1/2 + 1/n
+        base_dist=lambda n: Rat(n + 2, 2 * n),
         L_pair=lambda n: ONE,
         L=ONE,
-        base_limit=half,
+        base_limit=rat(1, 2),
         env_phi=lambda s: rat(1, 2 * s + 1),
         env_psi=lambda s: ZERO,
         env_dev=lambda n, s: rat(1, n + s),
@@ -616,18 +625,18 @@ def _example44() -> MetricModel:
 
 
 def _example48() -> MetricModel:
-    two = rat(2)
-
+    # 2 - 3^{-min(n, m)} - 2 * 3^{-max(n, m)}
     def srule(n, m):
         lo, hi = min(n, m), max(n, m)
-        return two - rat(1, 3 ** lo) - rat(2, 3 ** hi)
+        return Rat(2 * 3 ** hi - 3 ** (hi - lo) - 2, 3 ** hi)
 
     return _seq_model(
         "example48",
         {},
         seq_dist=srule,
-        L_pair=lambda n: two - rat(1, 3 ** n),
-        L=two,
+        # 2 - 3^{-n}
+        L_pair=lambda n: Rat(2 * 3 ** n - 1, 3 ** n),
+        L=rat(2),
         env_phi=lambda s: rat(5, 3 ** (s + 1)),
         env_psi=lambda s: rat(1, 3 ** s),
         env_dev=lambda n, s: rat(2, 3 ** s),
@@ -641,12 +650,17 @@ def _dmqr44(c) -> MetricModel:
     c = rat(c)
     if c <= ZERO:
         raise ModelError("dmqr44 needs c > 0 so that eps_n stays inside ]0, 1/2[")
+    P, Q = c.numerator, c.denominator
 
+    # n / (2(n + c))
     def eps(n):
-        return rat(n) / (2 * (rat(n) + c))
+        return Rat(n * Q, 2 * (n * Q + P))
 
+    # n + m - eps_k with k = max(n, m)
     def srule(n, m):
-        return rat(n + m) - eps(max(n, m))
+        kQ = max(n, m) * Q
+        den = 2 * (kQ + P)
+        return Rat((n + m) * den - kQ, den)
 
     return _seq_model(
         "dmqr44",
@@ -821,11 +835,12 @@ def power_line(ratio=4) -> MetricModel:
     ratio = rat(ratio)
     if ratio <= ONE:
         raise ModelError("power_line needs ratio > 1")
+    P, Q = ratio.numerator, ratio.denominator
 
+    # |ratio^{n-1} - ratio^{m-1}| = P^lo (P^{hi-lo} - Q^{hi-lo}) / Q^hi, lo < hi the exponents
     def srule(n, m):
-        a = ratio ** (n - 1)
-        b = ratio ** (m - 1)
-        return a - b if a > b else b - a
+        lo, hi = sorted((n - 1, m - 1))
+        return Rat(P ** lo * (P ** (hi - lo) - Q ** (hi - lo)), Q ** hi)
 
     return _seq_model(
         "power_line",

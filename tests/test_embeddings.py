@@ -354,6 +354,21 @@ def test_prop31_anchors_are_two_index_sequences_of_equal_length(anchors, overrid
 
 
 @pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("tid, anchors", [
+    ("thm34", ((1, 2, 3),)), ("thm37", ((1,),)), ("thm34", (1, 2)),
+])
+def test_pair_anchors_are_pairs_of_two_indices(tid, anchors, override):
+    """thm34 and thm37 take index pairs. A pair of another length, or a bare
+    index where a pair belongs, is refused on the checked and the override
+    path alike; before, these raised ValueError or TypeError from unpacking."""
+    spec = FamilySpec(tid, INTLINE10, anchors=anchors)
+    with pytest.raises(PreconditionError, match="^pair anchors must be a sequence of index pairs$"):
+        build_family(spec, override=override)
+    fns = build_family(replace(spec, anchors=((1, 2), (4, 5))), override=override)
+    assert len(fns) == 2
+
+
+@pytest.mark.parametrize("override", [False, True])
 @pytest.mark.parametrize("tid, anchors, message", [
     ("prop31", ((1, 30), (2, 4)), "point index 30 out of range"),
     ("prop42", (1, 30), "point index 30 out of range"),
