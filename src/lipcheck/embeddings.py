@@ -50,7 +50,6 @@ from .lipfun import (
     slope_parts,
     strong_pairs,
 )
-from .freespace import check_thm310
 from .metric import (
     CheckResult,
     FiniteMetricSpace,
@@ -83,17 +82,6 @@ class ConstructionError(LipcheckError):
 
 # ---------------------------------------------------------------------------
 # Small number-theory helpers (orbit families index members by primes)
-
-
-def first_primes(count: int):
-    """The first ``count`` primes, by trial division (counts here are tiny)."""
-    primes = []
-    n = 2
-    while len(primes) < count:
-        if all(n % p for p in primes):
-            primes.append(n)
-        n += 1
-    return primes
 
 
 def prime_orbits(limit: int):
@@ -442,6 +430,34 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
                     False, "thm46", "ratio", (n, m), (g[n] + g[m], model.d_seq(n, m))
                 )
     return CheckResult(True, "thm46")
+
+
+def check_thm310(model: MetricModel, N: int) -> CheckResult:
+    """Three clauses: tails declared, phi(n, m) > psi(n) + psi(m) strictly
+    on the index range, and the declared liminf certificate for phi.
+
+    Missing declarations are an error, never a quiet False.
+    """
+    if N < 2:
+        raise PreconditionError("needs N >= 2")
+    if not model.has_tails:
+        raise TailDataError(f"limits unavailable for model {model.name!r}")
+    if model.liminf_phi_nonneg is None:
+        raise TailDataError(
+            f"model {model.name!r} declares no liminf certificate for phi"
+        )
+    top = model.n_seq(N)
+    for n in range(1, top + 1):
+        for m in range(n + 1, top + 1):
+            lhs = model.phi(n, m)
+            rhs = model.psi(n) + model.psi(m)
+            if not lhs > rhs:
+                return CheckResult(
+                    False, "thm310", "strict-gap", (n, m), (lhs, rhs)
+                )
+    if not model.liminf_phi_nonneg:
+        return CheckResult(False, "thm310", "liminf-certificate", (), ())
+    return CheckResult(True, "thm310")
 
 
 # ---------------------------------------------------------------------------
@@ -1374,6 +1390,17 @@ class PipelineResult:
         return iter((self.case, self.subspace, self.family, self.report))
 
 
+def _verified(case: str, rows, built: BuiltFamily, data: dict) -> PipelineResult:
+    """The case's result with ``built`` verified on the standard battery.
+
+    A truncation too short to carry a member is a construction failure of
+    the case, refused before the battery, which needs a member.
+    """
+    if not built.functions:
+        raise ConstructionError("selection too short to carry any orbit member")
+    return PipelineResult(case, tuple(rows), built.functions, verify_standard(built), data)
+
+
 def _classify_bounded(model: MetricModel, ns: int) -> str:
     """The uniform comparison between pair gaps and tail gaps, or an error
     naming the first disagreeing pairs."""
@@ -1418,9 +1445,7 @@ def _pipeline_case_i1(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
             raise ConstructionError(f"shifted distance exceeds the radius at n={k}")
 
     built = assemble_family(FamilySpec("thm49i", sub, parameters={"g": g}, model=model))
-    return PipelineResult(
-        "I-(i)", tuple(rows), built.functions, verify_standard(built), {"eps": eps, "g": g}
-    )
+    return _verified("I-(i)", rows, built, {"eps": eps, "g": g})
 
 
 def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> PipelineResult:
@@ -1483,7 +1508,7 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         if f.values[srow] - f.values[trow] != sub.d(srow, trow):
             raise ConstructionError(f"pair values do not span the distance at member {i}")
     data = {"sigma": tuple(sigma), "tau": tuple(tau), "eps": tuple(eps), "base": base_idx}
-    return PipelineResult("I-(ii)", tuple(rows), built.functions, verify_standard(built), data)
+    return _verified("I-(ii)", rows, built, data)
 
 
 def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
@@ -1533,11 +1558,7 @@ def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
             raise ConstructionError(f"weight exceeds the radius at selection {i + 1}")
 
     built = assemble_family(FamilySpec("thm49case2", sub, parameters={"c": tuple(cvals)}))
-    if not built.functions:
-        raise ConstructionError("selection too short to carry any orbit member")
-    return PipelineResult(
-        "II", tuple(selected), built.functions, verify_standard(built), {"c": tuple(cvals)}
-    )
+    return _verified("II", selected, built, {"c": tuple(cvals)})
 
 
 def main_theorem_pipeline(model: MetricModel, N: int) -> PipelineResult:
@@ -1558,35 +1579,3 @@ def main_theorem_pipeline(model: MetricModel, N: int) -> PipelineResult:
             return _pipeline_case_i1(model, trunc, N)
         return _pipeline_case_i2(model, trunc, N)
     return _pipeline_case_ii(trunc)
-
-
-# ---------------------------------------------------------------------------
-# Sign-pattern check for sum-norm families
-
-
-def ell1_sign_check(family, coeffs, pair, require_strong: bool = False) -> bool:
-    """Whether every supported member's slope along ``pair`` equals the
-    coefficient's sign exactly.
-
-    With ``require_strong`` the pair must realize the combined function's
-    norm with positive slope, otherwise a precondition error is raised; by
-    default the orientation is taken as given and the answer is a plain
-    boolean, so a flipped coefficient simply reports False.
-    """
-    family = tuple(family)
-    coeffs = tuple(rat(a) for a in coeffs)
-    if len(coeffs) > len(family):
-        raise PreconditionError("more coefficients than family members")
-    u, v = pair
-    f = combine(family, coeffs)
-    if require_strong:
-        norm = lip_norm(f)
-        if slope(f, u, v) != norm or norm == ZERO:
-            raise PreconditionError("pair does not strongly attain the norm")
-    for i, a in enumerate(coeffs):
-        if a == ZERO:
-            continue
-        want = ONE if a > ZERO else -ONE
-        if slope(family[i], u, v) != want:
-            return False
-    return True

@@ -33,17 +33,8 @@ from dataclasses import dataclass
 from math import lcm
 
 from .lipfun import LipFn, lip_norm, zero_fn
-from .metric import (
-    CheckResult,
-    FiniteMetricSpace,
-    LipcheckError,
-    MetricModel,
-    PreconditionError,
-    StructureError,
-    TailDataError,
-    as_index,
-)
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
+from .metric import FiniteMetricSpace, LipcheckError, PreconditionError, StructureError, as_index
+from .rational import Rat, ZERO, ONE, parse_rat, rat
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +76,6 @@ def free_element(space: FiniteMetricSpace, weights) -> FreeElement:
         if w != ZERO:
             out[p] = out.get(p, ZERO) + w
     return FreeElement(space, {p: w for p, w in out.items() if w != ZERO})
-
-
-def delta(space: FiniteMetricSpace, p: int) -> FreeElement:
-    return free_element(space, {p: ONE})
 
 
 def molecule(space: FiniteMetricSpace, p: int, q: int) -> FreeElement:
@@ -345,38 +332,6 @@ def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
 
 
 # ---------------------------------------------------------------------------
-# Strict-gap tail check
-
-
-def check_thm310(model: MetricModel, N: int) -> CheckResult:
-    """Three clauses: tails declared, phi(n, m) > psi(n) + psi(m) strictly
-    on the index range, and the declared liminf certificate for phi.
-
-    Missing declarations are an error, never a quiet False.
-    """
-    if N < 2:
-        raise PreconditionError("needs N >= 2")
-    if not model.has_tails:
-        raise TailDataError(f"limits unavailable for model {model.name!r}")
-    if model.liminf_phi_nonneg is None:
-        raise TailDataError(
-            f"model {model.name!r} declares no liminf certificate for phi"
-        )
-    top = model.n_seq(N)
-    for n in range(1, top + 1):
-        for m in range(n + 1, top + 1):
-            lhs = model.phi(n, m)
-            rhs = model.psi(n) + model.psi(m)
-            if not lhs > rhs:
-                return CheckResult(
-                    False, "thm310", "strict-gap", (n, m), (lhs, rhs)
-                )
-    if not model.liminf_phi_nonneg:
-        return CheckResult(False, "thm310", "liminf-certificate", (), ())
-    return CheckResult(True, "thm310")
-
-
-# ---------------------------------------------------------------------------
 # 1-complementation
 
 
@@ -429,13 +384,6 @@ def complementation_test(molecule_pairs, duals, samples) -> ComplementationRepor
 
 # ---------------------------------------------------------------------------
 # JSON interchange
-
-
-def free_to_json(mu: FreeElement) -> dict:
-    return {
-        "space": mu.space.name,
-        "weights": {str(p): format_rat(w) for p, w in sorted(mu.weights.items())},
-    }
 
 
 def free_from_json(obj, space: FiniteMetricSpace) -> FreeElement:

@@ -182,28 +182,6 @@ def pointwise_sup(f: LipFn, p: int) -> Rat:
     return Rat(num * D, den * L)
 
 
-def defect(f: LipFn, p: int) -> Rat:
-    """How far the norm exceeds what pairs through p can see; >= 0."""
-    return lip_norm(f) - pointwise_sup(f, p)
-
-
-def defect_sequence(fns, p: int):
-    """Defects at row p across a list of functions (usually one per
-    truncation size); the finite reading of attainment in the limit."""
-    return [defect(f, p) for f in fns]
-
-
-def add(f: LipFn, g: LipFn) -> LipFn:
-    if f.space.dist != g.space.dist:
-        raise PreconditionError("cannot add functions on different spaces")
-    return LipFn(f.space, tuple(a + b for a, b in zip(f.values, g.values)))
-
-
-def scale(f: LipFn, c) -> LipFn:
-    c = rat(c)
-    return LipFn(f.space, tuple(c * v for v in f.values))
-
-
 def combine(fns, coeffs) -> LipFn:
     """Linear combination of the first len(coeffs) members, on integers.
 

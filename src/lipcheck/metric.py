@@ -854,15 +854,6 @@ def power_line(ratio=4) -> MetricModel:
 # JSON interchange
 
 
-def space_to_json(space: FiniteMetricSpace) -> dict:
-    return {
-        "name": space.name,
-        "base": BASE_INDEX,
-        "points": list(space.labels),
-        "dist": [[format_rat(x) for x in row] for row in space.dist],
-    }
-
-
 def space_from_json(obj) -> FiniteMetricSpace:
     """Parse and validate a space. Rejects non-canonical rational strings."""
     if isinstance(obj, str):

@@ -12,6 +12,11 @@ breakpoints a function is a Lipschitz function on a finite subset of the
 line, and the scans run on integers, as in :mod:`lipcheck.lipfun`, on the
 cached view ``PLFn.lifted``; one Fraction is built per answer.
 
+Functions come from the generators the acceptance criteria use: tents,
+tent sums and zigzag cascades. The attainment taxonomy of a function
+(which points and one-sided derivatives attain the norm) is read off in
+the tests, by ``classify`` in ``tests/pl_oracle.py``.
+
 The module also holds ``sample_analytic``, the float sampling of an
 analytic reference function on the line: the package's one non-exact
 code path, labeled as such in its output.
@@ -26,7 +31,7 @@ from math import lcm
 
 from .lipfun import max_quotient_at
 from .metric import PreconditionError, StructureError, common_denominator
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
+from .rational import Rat, ZERO, ONE, rat
 
 
 @dataclass(frozen=True)
@@ -58,16 +63,6 @@ class PLFn:
         DV, mv = common_denominator(self.values)
         X = tuple(x.numerator * mx[x.denominator] for x in self.breakpoints)
         return X, DX, tuple(v.numerator * mv[v.denominator] for v in self.values), DV
-
-
-def plfn(breakpoints, values, left_extension=True, right_extension=True, base=0) -> PLFn:
-    return PLFn(
-        tuple(rat(x) for x in breakpoints),
-        tuple(rat(v) for v in values),
-        left_extension,
-        right_extension,
-        rat(base),
-    )
 
 
 def pl_eval(f: PLFn, x) -> Rat:
@@ -125,53 +120,6 @@ def pl_pointwise_sup(f: PLFn, x) -> Rat:
     F = [v * sv for v in V] + [fx.numerator * (N // fx.denominator)]
     num, den = max_quotient_at(row, F, len(X))
     return Rat(num * M, den * N)
-
-
-@dataclass(frozen=True)
-class AttainmentFlags:
-    sna: bool
-    pna_points: tuple
-    der_points: tuple
-    ldira_points: tuple
-
-    def to_json(self) -> dict:
-        return {
-            "sna": self.sna,
-            "pna_points": [format_rat(x) for x in self.pna_points],
-            "der_points": [[format_rat(x), side] for x, side in self.der_points],
-            "ldira_points": [format_rat(x) for x in self.ldira_points],
-        }
-
-
-def classify(f: PLFn) -> AttainmentFlags:
-    """Attainment taxonomy of a finite PL function.
-
-    Finite PL functions always strongly attain (the endpoints of a
-    maximal-slope segment witness it). A one-sided derivative at a
-    breakpoint is the adjacent segment slope, so the derivative and
-    locally-directional flags mark the segments as steep as the norm.
-    """
-    norm = pl_norm(f)
-    bps = f.breakpoints
-    pna = tuple(b for b in bps if pl_pointwise_sup(f, b) == norm)
-
-    X, DX, V, DV = f.lifted
-    # |slope_i| == norm, on the view: |dV| / DV == norm * dX / DX
-    num, den = norm.numerator * DV, norm.denominator * DX
-    der = []
-    ldira = set()
-    for i in range(len(X) - 1):
-        if abs(V[i + 1] - V[i]) * den == num * (X[i + 1] - X[i]):
-            der.append((bps[i], "right"))
-            der.append((bps[i + 1], "left"))
-            ldira.add(bps[i])
-            ldira.add(bps[i + 1])
-    return AttainmentFlags(
-        sna=True,
-        pna_points=pna,
-        der_points=tuple(sorted(der)),
-        ldira_points=tuple(sorted(ldira)),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,88 +193,6 @@ def gen_zigzag(eps, eta, K: int) -> PLFn:
         bps.extend([qx, feet[n - 1]])
         vals.extend([qy, ZERO])
     return PLFn(tuple(bps), tuple(vals))
-
-
-def gen_example62(K: int) -> PLFn:
-    """Slope-1/2 head, then K ever-steeper risers separated by plateaus.
-
-    The corner points t_k sit on y = x/2 and obey
-    t_{k+1} = (t_k.x * 2^(-(k+1)), t_k.x * 2^(-(k+2))) from t_1 = (1, 1/2);
-    each plateau left end is s_k = (t_k.x * (1/2 + 2^(-(k+1))), t_k.y),
-    the factor forced by requiring the riser below it to have slope
-    1 - 2^(-(k+1)). The norm is 1 - 2^(-(K+1)); the slope at 0 stays 1/2.
-    """
-    if K < 1:
-        raise PreconditionError("needs K >= 1")
-    tx, ty = ONE, rat(1, 2)
-    t_pts = [(tx, ty)]
-    s_pts = []
-    for k in range(1, K + 1):
-        delta = rat(1, 2 ** (k + 1))
-        s_pts.append((tx * (rat(1, 2) + delta), ty))
-        tx, ty = tx * delta, tx * delta / rat(2)
-        t_pts.append((tx, ty))
-
-    bps = [ZERO, t_pts[K][0]]
-    vals = [ZERO, t_pts[K][1]]
-    for k in range(K, 0, -1):
-        bps.extend([s_pts[k - 1][0], t_pts[k - 1][0]])
-        vals.extend([t_pts[k - 1][1], t_pts[k - 1][1]])
-    return PLFn(tuple(bps), tuple(vals))
-
-
-def symmetrize(f: PLFn) -> PLFn:
-    """Even reflection of a function on [0, b] to [-b, b]."""
-    if f.breakpoints[0] != ZERO or f.values[0] != ZERO:
-        raise PreconditionError("symmetrize needs a function on [0, b] with f(0) = 0")
-    bps = tuple(-x for x in reversed(f.breakpoints[1:])) + f.breakpoints
-    vals = tuple(reversed(f.values[1:])) + f.values
-    return PLFn(bps, vals, f.right_extension, f.right_extension)
-
-
-# ---------------------------------------------------------------------------
-# JSON interchange
-
-
-def pl_to_json(f: PLFn) -> dict:
-    if f.left_extension and f.right_extension:
-        extend = "constant"
-    elif not f.left_extension and not f.right_extension:
-        extend = "none"
-    else:
-        extend = {"left": f.left_extension, "right": f.right_extension}
-    return {
-        "breakpoints": [format_rat(x) for x in f.breakpoints],
-        "values": [format_rat(v) for v in f.values],
-        "extend": extend,
-    }
-
-
-def pl_from_json(obj) -> PLFn:
-    if not isinstance(obj, dict) or "breakpoints" not in obj or "values" not in obj:
-        raise StructureError("PL JSON needs 'breakpoints' and 'values'")
-    extend = obj.get("extend", "constant")
-    if extend == "constant":
-        left = right = True
-    elif extend == "none":
-        left = right = False
-    elif (isinstance(extend, dict) and set(extend) == {"left", "right"}
-          and all(isinstance(v, bool) for v in extend.values())):
-        left, right = extend["left"], extend["right"]
-    else:
-        raise StructureError(f"unknown extension spec {extend!r}")
-    raw_bps, raw_vals = obj["breakpoints"], obj["values"]
-    raw_base = obj.get("base", "0")
-    if not (isinstance(raw_bps, list) and isinstance(raw_vals, list)
-            and all(isinstance(x, str) for x in raw_bps + raw_vals + [raw_base])):
-        raise StructureError("'breakpoints', 'values' and 'base' must hold rational strings")
-    try:
-        bps = tuple(map(parse_rat, raw_bps))
-        vals = tuple(map(parse_rat, raw_vals))
-        base = parse_rat(raw_base)
-    except ValueError as exc:
-        raise StructureError(str(exc)) from None
-    return PLFn(bps, vals, left, right, base)
 
 
 # ---------------------------------------------------------------------------

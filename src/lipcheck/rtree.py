@@ -2,8 +2,8 @@
 
 A weighted tree induces a path-length metric on its vertices. This module
 builds those metrics, decides the four-point condition that characterises
-them, and computes the structural data the embedding route needs: metric
-segments, branching points, and aligned sequences.
+them, and computes the structural data the embedding route needs: branching
+points, cut components and an aligned chain.
 
 The pipeline at the bottom takes a tree-like space and produces a spike
 family: the table's prop31 construction on the anchors it selects, built by
@@ -11,8 +11,8 @@ family: the table's prop31 construction on the anchors it selects, built by
 It picks the anchors by one of two routes:
 
 * ``hub-bumps``: some point disconnects the space into at least
-  ``hub_threshold`` pieces. Each piece contributes a spike at its closest
-  point, all sharing the hub as partner.
+  ``HUB_COMPONENT_THRESHOLD`` pieces. Each piece contributes a spike at its
+  closest point, all sharing the hub as partner.
 * ``aligned-chain``: otherwise the space is path-like. A greedy walk from
   the base builds an aligned sequence; every other chain point gets a spike,
   partnered with its nearest chain neighbour.
@@ -41,12 +41,11 @@ builds no Fraction.
 from dataclasses import dataclass
 from typing import Optional
 
-from .rational import Rat, ZERO, format_rat, parse_rat, rat
+from .rational import Rat, ZERO, format_rat, rat
 from .metric import (
     CheckResult,
     FiniteMetricSpace,
     LipcheckError,
-    PreconditionError,
     StructureError,
     as_index,
     common_denominator,
@@ -62,13 +61,8 @@ from .embeddings import (
 
 # Minimum number of components a single cut point must produce before the
 # pipeline takes the hub route. The idealised statement asks for infinitely
-# many pieces; at finite scale this threshold stands in for "many" and is
-# reported in the result so callers can see which regime was used.
+# many pieces; at finite scale this threshold stands in for "many".
 HUB_COMPONENT_THRESHOLD = 3
-
-# Exhaustive aligned-sequence search is exponential in the worst case, so
-# above this many points find_aligned switches to greedy extension.
-ALIGNED_EXHAUSTIVE_LIMIT = 12
 
 
 class TreeRefusal(LipcheckError):
@@ -174,32 +168,6 @@ def _adjacency(n_vertices: int, edges):
     return adj
 
 
-def tree_to_json(tree: WeightedTree) -> dict:
-    return {
-        "vertices": tree.n_vertices,
-        "edges": [[u, v, format_rat(w)] for u, v, w in tree.edges],
-        "base": tree.base,
-    }
-
-
-def tree_from_json(obj: dict) -> WeightedTree:
-    """Inverse of :func:`tree_to_json`. Vertex ids and counts must be JSON
-    integers and lengths canonical rational strings; any other shape is a
-    StructureError."""
-    if not isinstance(obj, dict) or "vertices" not in obj:
-        raise StructureError("tree JSON needs a 'vertices' field")
-    raw = obj.get("edges")
-    if not isinstance(raw, list) or not all(
-        isinstance(e, list) and len(e) == 3 for e in raw
-    ):
-        raise StructureError("'edges' must be a list of [u, v, length] entries")
-    try:
-        edges = [(u, v, parse_rat(w)) for u, v, w in raw]
-    except (TypeError, ValueError) as exc:
-        raise StructureError(f"malformed edge length: {exc}") from None
-    return weighted_tree(obj["vertices"], edges, obj.get("base", 0))
-
-
 def _vertex_order(tree: WeightedTree):
     """Canonical row order for the induced metric: base first, the rest
     ascending by vertex id."""
@@ -299,70 +267,8 @@ def four_point_check(space: FiniteMetricSpace) -> CheckResult:
     return CheckResult(True, "four-point")
 
 
-def metric_segment(space: FiniteMetricSpace, p: int, q: int):
-    """All points lying metrically between p and q, endpoints included."""
-    n = space.n_points
-    for r in (p, q):
-        if not 0 <= r < n:
-            raise PreconditionError(f"row {r} out of range for segment")
-    dpq = space.d(p, q)
-    return tuple(
-        z for z in range(n) if space.d(p, z) + space.d(z, q) == dpq
-    )
-
-
 def _aligned_triple(space, a, b, c) -> bool:
     return space.d(a, c) == space.d(a, b) + space.d(b, c)
-
-
-def find_aligned(space: FiniteMetricSpace, k: int,
-                 exhaustive_limit: int = ALIGNED_EXHAUSTIVE_LIMIT):
-    """Search for k distinct points in which every consecutive triple is
-    aligned. Returns the first sequence found or None.
-
-    Below ``exhaustive_limit`` points the search is a full backtracking
-    enumeration in index order, so the answer is the lexicographically
-    first aligned sequence. Above it, each start pair is only extended
-    greedily by the smallest-index continuation, which can miss sequences
-    that exist; the limit is a parameter precisely so callers can push it
-    up when they need certainty on a larger space.
-    """
-    if k < 3:
-        raise PreconditionError("an aligned sequence needs at least 3 points")
-    n = space.n_points
-    if k > n:
-        return None
-
-    exhaustive = n <= exhaustive_limit
-
-    def extend(seq, used):
-        if len(seq) == k:
-            return tuple(seq)
-        a, b = seq[-2], seq[-1]
-        for c in range(n):
-            if c in used or not _aligned_triple(space, a, b, c):
-                continue
-            seq.append(c)
-            used.add(c)
-            if exhaustive:
-                out = extend(seq, used)
-                if out is not None:
-                    return out
-                seq.pop()
-                used.remove(c)
-            else:
-                # Greedy mode: commit to the smallest continuation.
-                return extend(seq, used)
-        return None
-
-    for a in range(n):
-        for b in range(n):
-            if a == b:
-                continue
-            out = extend([a, b], {a, b})
-            if out is not None:
-                return out
-    return None
 
 
 def _split_components(space: FiniteMetricSpace, rows, cut: int):
@@ -468,7 +374,6 @@ class TreeFamilyResult:
     chain: tuple
     points: tuple
     partners: tuple
-    threshold: int
     check: CheckResult
     family: BuiltFamily
     report: VerificationReport
@@ -479,8 +384,7 @@ class TreeFamilyResult:
 
 
 def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = None,
-                     vertex_rows: Optional[dict] = None,
-                     hub_threshold: int = HUB_COMPONENT_THRESHOLD) -> TreeFamilyResult:
+                     vertex_rows: Optional[dict] = None) -> TreeFamilyResult:
     """Build and verify a spike family on a tree-like space.
 
     Preconditions, each refused with the failing check attached:
@@ -493,7 +397,8 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
       (partner at minimal positive distance, pairwise separation).
 
     Route selection: if some point cuts the space into at least
-    ``hub_threshold`` pieces the hub route runs, otherwise the chain route.
+    ``HUB_COMPONENT_THRESHOLD`` pieces the hub route runs, otherwise the
+    chain route.
     The verification report covers the standard coefficient battery under
     the sup-norm target with exact attainment expected.
     """
@@ -513,7 +418,7 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
 
     n = space.n_points
     hub, count = _best_hub(space)
-    if count >= hub_threshold:
+    if count >= HUB_COMPONENT_THRESHOLD:
         case = "hub-bumps"
         chain = ()
         points, partners = [], []
@@ -554,7 +459,6 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
         chain=chain,
         points=points,
         partners=partners,
-        threshold=hub_threshold,
         check=check,
         family=built,
         report=verify_standard(built),

@@ -4,8 +4,10 @@ Kept verbatim as a differential oracle: the segment-slope norm, the
 pointwise sup that evaluates every partner breakpoint with ``pl_eval`` and
 samples each segment's midpoint to check monotonicity, the tent sum that
 evaluates every tent at every breakpoint of the union, and the
-classification that reads them. ``pl_eval`` is looked up in this module,
-so a test can swap in another evaluation.
+classification that reads them. The classification is the package's only
+attainment taxonomy of a PL function: no command reads one, so it is not in
+``lipcheck.plfun``. ``pl_eval`` is looked up in this module, so a test can
+swap in another evaluation.
 
 The midpoint check raises a Fraction division by zero when x is the
 midpoint of a segment (its sample lands on x), so these oracles are
@@ -14,9 +16,19 @@ compared only at points that are not segment midpoints.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from lipcheck.metric import LipcheckError, PreconditionError
-from lipcheck.plfun import AttainmentFlags, PLFn, gen_tents, pl_eval
+from lipcheck.plfun import PLFn, gen_tents, pl_eval
 from lipcheck.rational import Rat, ZERO, ONE, rat
+
+
+@dataclass(frozen=True)
+class AttainmentFlags:
+    sna: bool
+    pna_points: tuple
+    der_points: tuple
+    ldira_points: tuple
 
 
 def segment_slopes(f: PLFn):

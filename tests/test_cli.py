@@ -6,6 +6,7 @@ import json
 import os
 import pathlib
 import subprocess
+import symtable
 import sys
 import tempfile
 
@@ -464,6 +465,25 @@ def test_pipeline_reports_match_golden_digests(tmp_path, model):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("model, n, digest", [
+    ("dmqr41", 4, None),  # case I-(i)
+    ("example44", 3, None),  # case I-(i)
+    ("dmqr44", 3, "ad496d910e441072000e4c416938985d63179af64141844cb8e2a5214bba4270"),  # II
+])
+def test_pipeline_with_no_family_member_writes_a_failing_report(tmp_path, model, n, digest):
+    """A truncation too short to carry a member fails its case with a
+    report, exit 1, in every case; case I-(i) exited 2 before, with no
+    report, when the battery refused the empty family."""
+    code, path = run(tmp_path, "pipeline", "--model", model, "--n", str(n))
+    assert code == 1
+    assert read(path) == {
+        "command": "pipeline", "error": "selection too short to carry any orbit member",
+        "model": model, "n": n, "passed": False, "seed": 20260815,
+    }
+    if digest is not None:
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
 def _alternating_element(n):
     """Full support: weight (-1)**p * p / (p + 1) at every row p >= 1."""
     return json.dumps({"weights": {
@@ -576,6 +596,65 @@ def test_no_module_imports_a_private_name_from_another():
             if isinstance(node, ast.ImportFrom) and node.module != "__future__":
                 found += [f"{path.name}:{node.lineno} {alias.name}"
                           for alias in node.names if alias.name.startswith("_")]
+    assert sources and found == []
+
+
+def test_every_package_name_is_exported_or_read_in_the_package():
+    """Each module-level name of the package is in ``lipcheck.__all__`` or
+    read in the package outside its own definition, so a builder or oracle
+    that only tests use lives in ``tests/``. Reads are resolved by scope with
+    ``symtable``: a local, a parameter or an attribute that shares the name
+    of a module-level one does not read it."""
+    package = pathlib.Path(lipcheck.__file__).parent
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in sorted(package.glob("*.py"))}
+    defined, read = set(), set()
+    for mod, text in modules.items():
+        imported = {}
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                imported.update({alias.asname or alias.name: (node.module, alias.name)
+                                 for alias in node.names})
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                read.add((node.value.id, node.attr))  # acceptance.run_all
+        top = symtable.symtable(text, mod, "exec")
+
+        def visit(table, owner):
+            for sym in table.get_symbols():
+                name = sym.get_name()
+                if not sym.is_referenced() or not (table is top or sym.is_global()):
+                    continue
+                if name in imported:
+                    read.add(imported[name])
+                elif name != owner:
+                    read.add((mod, name))
+            for child in table.get_children():
+                visit(child, child.get_name() if table is top else owner)
+
+        visit(top, None)
+        defined |= {(mod, sym.get_name()) for sym in top.get_symbols()
+                    if not sym.is_imported() and (sym.is_assigned() or sym.is_namespace())}
+    found = sorted(f"{mod}.{name}" for mod, name in defined - read
+                   if name not in lipcheck.__all__ and not name.startswith("__"))
+    assert defined and found == []
+
+
+def test_the_package_imports_only_the_standard_library():
+    """A package module imports nothing outside the standard library and
+    the package, so a helper moved to ``tests/`` cannot be imported back."""
+    package = pathlib.Path(lipcheck.__file__).parent
+    sources = sorted(package.glob("*.py"))
+    found = []
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names | {"lipcheck"}]
     assert sources and found == []
 
 

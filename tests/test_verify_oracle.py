@@ -19,6 +19,7 @@ from functools import lru_cache
 import pytest
 
 import isometry_oracle as oracle
+from builders import scale
 from lipcheck import embeddings
 from lipcheck.cli import load_model
 from lipcheck.embeddings import (
@@ -29,7 +30,7 @@ from lipcheck.embeddings import (
     standard_family,
     verify_isometry,
 )
-from lipcheck.lipfun import combine, scale
+from lipcheck.lipfun import combine
 from lipcheck.rational import ONE, ZERO
 from lipcheck.rtree import tree_c0_pipeline, tree_metric, weighted_tree
 
