@@ -4,7 +4,11 @@ Each supported construction follows the same pattern: a checker tests the
 construction's hypothesis on a concrete space (finite clauses on the
 truncation, limit clauses through the model's declared tail data), a builder
 produces the explicit Lipschitz family, and ``verify_isometry`` confirms the
-norm identities for a battery of coefficient vectors. ``CONSTRUCTIONS`` is
+norm identities for a battery of coefficient vectors. Each checker is
+written as a generator of its hypothesis's clause violations, in a fixed
+order, and one runner makes it the public ``check_*``, whose result names
+the first; the model-backed ones read distances from the truncation they
+build and ask the model only for declared tails. ``CONSTRUCTIONS`` is
 the one table of them: per construction id its builder, its checker, its
 target and expectation, the anchors ``lipcheck check`` uses and its standard
 instance. The standard families, the three main-pipeline cases and the tree
@@ -31,10 +35,11 @@ All arithmetic is exact; no tolerances anywhere.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, permutations, product
 from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
@@ -156,6 +161,56 @@ def _check_point_partners(space, points, partners) -> tuple:
 # Hypothesis checkers
 
 
+def _checker(clauses):
+    """The public checker of the clause generator ``clauses``, which checks
+    its arguments, raising on malformed input, then yields (clause, witness
+    indices, witness values) for each violation in a fixed order. The
+    checker reports the first violation, or a pass, named as the generator
+    less its ``check_`` prefix."""
+    name = clauses.__name__[len("check_"):]
+
+    @functools.wraps(clauses)
+    def check(*args, **kwargs):
+        for clause, indices, values in clauses(*args, **kwargs):
+            return CheckResult(False, name, clause, indices, values)
+        return CheckResult(True, name)
+
+    return check
+
+
+def _no_limits(model: MetricModel, why: str = "") -> TailDataError:
+    return TailDataError(f"limits unavailable for model {model.name!r}{why}")
+
+
+def _on_truncation(model: MetricModel, N: int):
+    """``model`` truncated at N, read in sequence indices: the number of
+    sequence points, the distance ``d(n, m)`` with index 0 the base point,
+    and the radius ``R(n)``."""
+    space = truncate(model, N)
+    ns = model.n_seq(N)
+    rows = (0,) + tuple(model.seq_row(n) for n in range(1, ns + 1))
+    return (
+        ns,
+        lambda n, m: space.d(rows[n], rows[m]),
+        lambda n: min_positive_radius(space, rows[n]),
+    )
+
+
+def _check_subsequence(model: MetricModel, subseq, N: int) -> tuple:
+    """``subseq`` as at least two strictly increasing ints, each a sequence
+    index of ``model`` truncated at N and none the base point."""
+    subseq = tuple(as_index(s, "subsequence index") for s in subseq)
+    if len(subseq) < 2:
+        raise PreconditionError("subsequence needs at least two indices")
+    if any(b <= a for a, b in zip(subseq, subseq[1:])):
+        raise PreconditionError("subsequence indices must be strictly increasing")
+    lo = 2 if model.base_aliases_p1 else 1
+    if subseq[0] < lo or subseq[-1] > model.n_seq(N):
+        raise PreconditionError("subsequence indices out of the truncated range")
+    return subseq
+
+
+@_checker
 def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
     """Spike-family hypothesis: each point's partner realizes its radius and
     the points are pairwise separated by the sum of the partner distances.
@@ -167,19 +222,15 @@ def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
     for p, q in zip(points, partners):
         r = min_positive_radius(space, p)
         if space.d(p, q) != r:
-            return CheckResult(False, "prop31", "radius", (p, q), (space.d(p, q), r))
-    k = len(points)
-    for i in range(k):
-        for j in range(i + 1, k):
-            lhs = space.d(points[i], points[j])
-            rhs = space.d(points[i], partners[i]) + space.d(points[j], partners[j])
-            if lhs < rhs:
-                return CheckResult(
-                    False, "prop31", "separation", (points[i], points[j]), (lhs, rhs)
-                )
-    return CheckResult(True, "prop31")
+            yield "radius", (p, q), (space.d(p, q), r)
+    for (pa, qa), (pb, qb) in combinations(zip(points, partners), 2):
+        lhs = space.d(pa, pb)
+        rhs = space.d(pa, qa) + space.d(pb, qb)
+        if lhs < rhs:
+            yield "separation", (pa, pb), (lhs, rhs)
 
 
+@_checker
 def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     """Balanced two-point family hypothesis.
 
@@ -190,27 +241,19 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     pairs = _check_pairs(space, pairs)
     half = rat(1, 2)
     for p, q in pairs:
-        dpq = space.d(p, q)
+        half_d = half * space.d(p, q)
         for r in (p, q):
             rad = min_positive_radius(space, r)
-            if rad < half * dpq:
-                return CheckResult(False, "thm34", "radius", (p, q), (rad, half * dpq))
-    k = len(pairs)
-    for i in range(k):
-        for j in range(i + 1, k):
-            pa, qa = pairs[i]
-            pb, qb = pairs[j]
-            lhs = space.d(pa, qa) + space.d(pb, qb)
-            cross = min(
-                space.d(pa, pb), space.d(pa, qb), space.d(qa, pb), space.d(qa, qb)
-            )
-            if lhs > 2 * cross:
-                return CheckResult(
-                    False, "thm34", "cross-gap", (i, j), (lhs, 2 * cross)
-                )
-    return CheckResult(True, "thm34")
+            if rad < half_d:
+                yield "radius", (p, q), (rad, half_d)
+    for (i, (pa, qa)), (j, (pb, qb)) in combinations(enumerate(pairs), 2):
+        lhs = space.d(pa, qa) + space.d(pb, qb)
+        cross = min(space.d(pa, pb), space.d(pa, qb), space.d(qa, pb), space.d(qa, qb))
+        if lhs > 2 * cross:
+            yield "cross-gap", (i, j), (lhs, 2 * cross)
 
 
+@_checker
 def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
     """Radius-shifted two-point family hypothesis (four inequalities).
 
@@ -222,61 +265,37 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
       (4) d_a + d_b - R(p_a) - R(p_b) + R(q_a) + R(q_b) <= 2 d(q_a, q_b).
     """
     pairs = _check_pairs(space, pairs)
-    flat = [r for pq in pairs for r in pq]
-    rad = {r: min_positive_radius(space, r) for r in flat}
-    dd = {i: space.d(p, q) for i, (p, q) in enumerate(pairs)}
-    for i, (p, q) in enumerate(pairs):
-        if dd[i] > rad[p] + rad[q]:
-            return CheckResult(
-                False, "thm37", "pair-radius", (p, q), (dd[i], rad[p] + rad[q])
-            )
-    k = len(pairs)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            pa, qa = pairs[i]
-            pb, qb = pairs[j]
-            base = dd[i] + dd[j]
-            if i < j:
-                lhs2 = base + rad[pa] + rad[pb] - rad[qa] - rad[qb]
-                if lhs2 > 2 * space.d(pa, pb):
-                    return CheckResult(
-                        False, "thm37", "pp", (i, j), (lhs2, 2 * space.d(pa, pb))
-                    )
-                lhs4 = base - rad[pa] - rad[pb] + rad[qa] + rad[qb]
-                if lhs4 > 2 * space.d(qa, qb):
-                    return CheckResult(
-                        False, "thm37", "qq", (i, j), (lhs4, 2 * space.d(qa, qb))
-                    )
-            lhs3 = base + rad[pa] - rad[pb] - rad[qa] + rad[qb]
-            if lhs3 > 2 * space.d(pa, qb):
-                return CheckResult(
-                    False, "thm37", "pq", (i, j), (lhs3, 2 * space.d(pa, qb))
-                )
-    return CheckResult(True, "thm37")
+    rad = {r: min_positive_radius(space, r) for pq in pairs for r in pq}
+    dd = [space.d(p, q) for p, q in pairs]
+    for (p, q), d in zip(pairs, dd):
+        if d > rad[p] + rad[q]:
+            yield "pair-radius", (p, q), (d, rad[p] + rad[q])
+    for (i, (pa, qa)), (j, (pb, qb)) in permutations(enumerate(pairs), 2):
+        base = dd[i] + dd[j]
+        if i < j:
+            lhs = base + rad[pa] + rad[pb] - rad[qa] - rad[qb]
+            if lhs > 2 * space.d(pa, pb):
+                yield "pp", (i, j), (lhs, 2 * space.d(pa, pb))
+            lhs = base - rad[pa] - rad[pb] + rad[qa] + rad[qb]
+            if lhs > 2 * space.d(qa, qb):
+                yield "qq", (i, j), (lhs, 2 * space.d(qa, qb))
+        lhs = base + rad[pa] - rad[pb] - rad[qa] + rad[qb]
+        if lhs > 2 * space.d(pa, qb):
+            yield "pq", (i, j), (lhs, 2 * space.d(pa, qb))
 
 
+@_checker
 def check_prop42(space: FiniteMetricSpace, points) -> CheckResult:
     """Spike-family pointwise hypothesis: d(p_n, p_m) >= R(p_n) + R(p_m)."""
     points = _check_anchor_rows(space, points, "point")
     rad = {p: min_positive_radius(space, p) for p in points}
-    k = len(points)
-    for i in range(k):
-        for j in range(i + 1, k):
-            lhs = space.d(points[i], points[j])
-            rhs = rad[points[i]] + rad[points[j]]
-            if lhs < rhs:
-                return CheckResult(
-                    False, "prop42", "separation", (points[i], points[j]), (lhs, rhs)
-                )
-    return CheckResult(True, "prop42")
+    for p, q in combinations(points, 2):
+        lhs, rhs = space.d(p, q), rad[p] + rad[q]
+        if lhs < rhs:
+            yield "separation", (p, q), (lhs, rhs)
 
 
-def _seq_radius(model: MetricModel, space: FiniteMetricSpace, n: int) -> Rat:
-    return min_positive_radius(space, model.seq_row(n))
-
-
+@_checker
 def check_thm43(model: MetricModel, N: int) -> CheckResult:
     """Bounded-sequence orbit family hypothesis.
 
@@ -288,39 +307,29 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
     """
     if not model.is_sequence_model:
         raise ModelError(f"model {model.name!r} has no sequence structure")
-    model.phi(1, 2)  # raises TailDataError when limits are undeclared
-    space = truncate(model, N)
-    ns = model.n_seq(N)
-    for n in range(1, ns + 1):
-        for m in range(1, ns + 1):
-            if m == n:
-                continue
-            d_here = model.d_seq(n, m)
-            if m + 1 <= ns and m + 1 != n and d_here < model.d_seq(n, m + 1):
-                return CheckResult(
-                    False, "thm43", "monotone", (n, m), (d_here, model.d_seq(n, m + 1))
-                )
-            if n + 1 <= ns and n + 1 != m and d_here < model.d_seq(n + 1, m):
-                return CheckResult(
-                    False, "thm43", "monotone", (n, m), (d_here, model.d_seq(n + 1, m))
-                )
+    if not model.has_tails:
+        raise _no_limits(model)
+    ns, d, radius = _on_truncation(model, N)
+    for n, m in permutations(range(1, ns + 1), 2):
+        d_here = d(n, m)
+        if m + 1 <= ns and m + 1 != n and d_here < d(n, m + 1):
+            yield "monotone", (n, m), (d_here, d(n, m + 1))
+        if n + 1 <= ns and n + 1 != m and d_here < d(n + 1, m):
+            yield "monotone", (n, m), (d_here, d(n + 1, m))
     if not model.monotone_tails:
-        return CheckResult(False, "thm43", "monotone-tail-undeclared", (), ())
+        yield "monotone-tail-undeclared", (), ()
     half_l = model.L / 2
     for k in range(1, ns + 1):
-        r = _seq_radius(model, space, k)
-        bound = model.L_pair(k) - half_l
+        r, bound = radius(k), model.L_pair(k) - half_l
         if r < bound:
-            return CheckResult(False, "thm43", "radius", (k,), (r, bound))
-    for k in range(1, ns + 1):
-        for l in range(k + 1, ns + 1):
-            lhs = model.L_pair(k) + model.L_pair(l)
-            rhs = model.L + model.d_seq(k, l)
-            if lhs > rhs:
-                return CheckResult(False, "thm43", "tail-sum", (k, l), (lhs, rhs))
-    return CheckResult(True, "thm43")
+            yield "radius", (k,), (r, bound)
+    for k, l in combinations(range(1, ns + 1), 2):
+        lhs, rhs = model.L_pair(k) + model.L_pair(l), model.L + d(k, l)
+        if lhs > rhs:
+            yield "tail-sum", (k, l), (lhs, rhs)
 
 
+@_checker
 def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
     """Constant-orbit family hypothesis on a selected subsequence.
 
@@ -335,44 +344,26 @@ def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
     """
     if not model.is_sequence_model:
         raise ModelError(f"model {model.name!r} has no sequence structure")
-    subseq = tuple(as_index(s, "subsequence index") for s in subseq)
-    if len(subseq) < 2:
-        raise PreconditionError("subsequence needs at least two indices")
-    if any(b <= a for a, b in zip(subseq, subseq[1:])):
-        raise PreconditionError("subsequence indices must be strictly increasing")
-    ns = model.n_seq(N)
-    lo = 2 if model.base_aliases_p1 else 1
-    if subseq[0] < lo or subseq[-1] > ns:
-        raise PreconditionError("subsequence indices out of the truncated range")
+    subseq = _check_subsequence(model, subseq, N)
     if model.base_limit is None:
-        raise TailDataError(f"limits unavailable for model {model.name!r}")
+        raise _no_limits(model)
     dlim = model.base_limit
     if dlim <= ZERO:
-        return CheckResult(False, "thm45", "positive-limit", (), (dlim,))
-    space = truncate(model, N)
+        yield "positive-limit", (), (dlim,)
+    _, d, radius = _on_truncation(model, N)
     for s in subseq:
-        db = model.d_base(s)
-        r = _seq_radius(model, space, s)
+        db, r = d(0, s), radius(s)
         if db != r:
-            return CheckResult(False, "thm45", "radius-equality", (s,), (db, r))
+            yield "radius-equality", (s,), (db, r)
     for a, b in zip(subseq, subseq[1:]):
-        if model.d_base(a) < model.d_base(b):
-            return CheckResult(
-                False, "thm45", "decreasing", (a, b), (model.d_base(a), model.d_base(b))
-            )
+        if d(0, a) < d(0, b):
+            yield "decreasing", (a, b), (d(0, a), d(0, b))
     for s in subseq:
-        if model.d_base(s) < dlim:
-            return CheckResult(
-                False, "thm45", "decreasing", (s,), (model.d_base(s), dlim)
-            )
-    for i in range(len(subseq)):
-        for j in range(i + 1, len(subseq)):
-            d = model.d_seq(subseq[i], subseq[j])
-            if 2 * dlim > d:
-                return CheckResult(
-                    False, "thm45", "separation", (subseq[i], subseq[j]), (2 * dlim, d)
-                )
-    return CheckResult(True, "thm45")
+        if d(0, s) < dlim:
+            yield "decreasing", (s,), (d(0, s), dlim)
+    for s, t in combinations(subseq, 2):
+        if 2 * dlim > d(s, t):
+            yield "separation", (s, t), (2 * dlim, d(s, t))
 
 
 def _eps_values(model: MetricModel, eps_seq, ns: int, lo: int):
@@ -386,6 +377,7 @@ def _eps_values(model: MetricModel, eps_seq, ns: int, lo: int):
     return {n: rat(eps_list[n - lo]) for n in range(lo, ns + 1)}
 
 
+@_checker
 def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
     """Shifted-orbit family hypothesis with an explicit epsilon assignment.
 
@@ -400,9 +392,7 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
     if not model.is_sequence_model:
         raise ModelError(f"model {model.name!r} has no sequence structure")
     if model.eps is None or not model.ratio_tends_to_one:
-        raise TailDataError(
-            f"limits unavailable for model {model.name!r}: no declared slope-ratio limit"
-        )
+        raise _no_limits(model, ": no declared slope-ratio limit")
     ns = model.n_seq(N)
     lo = 2 if model.base_aliases_p1 else 1
     eps = _eps_values(model, eps_seq, ns, lo)
@@ -415,23 +405,20 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
                 "limits unavailable: epsilon sequence differs from the model's "
                 f"declared closed form at n={n}"
             )
-    space = truncate(model, N)
-    g = {n: model.d_base(n) - eps[n] for n in range(lo, ns + 1)}
+    _, d, radius = _on_truncation(model, N)
+    g = {n: d(0, n) - eps[n] for n in range(lo, ns + 1)}
     for n in range(lo, ns + 1):
         if g[n] < ZERO:
-            return CheckResult(False, "thm46", "radius-window", (n,), (g[n], ZERO))
-        r = _seq_radius(model, space, n)
+            yield "radius-window", (n,), (g[n], ZERO)
+        r = radius(n)
         if g[n] > r:
-            return CheckResult(False, "thm46", "radius-window", (n,), (g[n], r))
-    for n in range(lo, ns + 1):
-        for m in range(n + 1, ns + 1):
-            if g[n] + g[m] > model.d_seq(n, m):
-                return CheckResult(
-                    False, "thm46", "ratio", (n, m), (g[n] + g[m], model.d_seq(n, m))
-                )
-    return CheckResult(True, "thm46")
+            yield "radius-window", (n,), (g[n], r)
+    for n, m in combinations(range(lo, ns + 1), 2):
+        if g[n] + g[m] > d(n, m):
+            yield "ratio", (n, m), (g[n] + g[m], d(n, m))
 
 
+@_checker
 def check_thm310(model: MetricModel, N: int) -> CheckResult:
     """Three clauses: tails declared, phi(n, m) > psi(n) + psi(m) strictly
     on the index range, and the declared liminf certificate for phi.
@@ -441,23 +428,18 @@ def check_thm310(model: MetricModel, N: int) -> CheckResult:
     if N < 2:
         raise PreconditionError("needs N >= 2")
     if not model.has_tails:
-        raise TailDataError(f"limits unavailable for model {model.name!r}")
+        raise _no_limits(model)
     if model.liminf_phi_nonneg is None:
         raise TailDataError(
             f"model {model.name!r} declares no liminf certificate for phi"
         )
     top = model.n_seq(N)
-    for n in range(1, top + 1):
-        for m in range(n + 1, top + 1):
-            lhs = model.phi(n, m)
-            rhs = model.psi(n) + model.psi(m)
-            if not lhs > rhs:
-                return CheckResult(
-                    False, "thm310", "strict-gap", (n, m), (lhs, rhs)
-                )
+    for n, m in combinations(range(1, top + 1), 2):
+        lhs, rhs = model.phi(n, m), model.psi(n) + model.psi(m)
+        if not lhs > rhs:
+            yield "strict-gap", (n, m), (lhs, rhs)
     if not model.liminf_phi_nonneg:
-        return CheckResult(False, "thm310", "liminf-certificate", (), ())
-    return CheckResult(True, "thm310")
+        yield "liminf-certificate", (), ()
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +631,7 @@ def _build_thm43(spec: FamilySpec):
 
 
 def _build_thm45(spec: FamilySpec):
-    subseq = tuple(spec.anchors)
+    subseq = _check_subsequence(spec.model, spec.anchors, spec.space.n_points)
     dlim = spec.model.base_limit
     return _orbit_family(
         spec.space, len(subseq), lambda k: subseq[k - 1],
@@ -915,7 +897,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                     fail(f"witness pair {pair} misses the norm")
 
         if pair is None and ln > ZERO:
-            pair = (attaining or strong_pairs(f))[0]
+            pair = attaining[0]
         witnesses.append(WitnessRecord(coeffs, ln, pair, point, point_defect))
 
     return VerificationReport(
@@ -1144,7 +1126,8 @@ class Construction:
     ``build(spec)`` returns (functions, members, value_maps), and every
     family built from the row is verified in ``target`` against
     ``expectation(spec, members, value_maps)``; ``check(spec)`` tests the
-    hypothesis. ``anchors(model, N)`` and ``parameters(model)`` lay out the
+    hypothesis through a ``check_*`` checker, a clause generator under the
+    runner that reports the first violation. ``anchors(model, N)`` and ``parameters(model)`` lay out the
     canonical spec on the model truncated at N: ``lipcheck check`` tests it,
     and the standard instance builds on it unless ``standard_anchors`` lays
     out its own. The standard instance truncates ``model(**params)`` at

@@ -380,6 +380,22 @@ def test_override_builders_check_their_rows(tid, anchors, message, override):
 
 
 @pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("anchors, message", [
+    ((2.5, 3.5, 4.5, 5.5), "subsequence index 2.5 is not an integer"),
+    ((2, 3, 4, 99), "subsequence indices out of the truncated range"),
+    ((5, 4, 3, 2), "subsequence indices must be strictly increasing"),
+])
+def test_thm45_builder_checks_its_subsequence(anchors, message, override):
+    """thm45's builder checks the subsequence as its checker does, so
+    override=True raises the checked path's error; before, these raised
+    TypeError or IndexError, or built on a decreasing subsequence."""
+    model = catalog("example44")
+    spec = FamilySpec("thm45", truncate(model, 10), anchors=anchors, model=model, N=10)
+    with pytest.raises(PreconditionError, match=f"^{message}$"):
+        build_family(spec, override=override)
+
+
+@pytest.mark.parametrize("override", [False, True])
 @pytest.mark.parametrize("tid, model, parameters, message", [
     ("thm51", catalog("thm51star", levels=3), {"levels": rat(27, 10)},
      "thm51 needs an integer levels, got 27/10"),
