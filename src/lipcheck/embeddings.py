@@ -60,7 +60,6 @@ from .metric import (
     FiniteMetricSpace,
     LipcheckError,
     MetricModel,
-    ModelError,
     PreconditionError,
     TailDataError,
     as_index,
@@ -305,10 +304,8 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
       "radius": R(p_k) >= L(k) - L/2;
       "tail-sum": L(k) + L(l) <= L + d(p_k, p_l).
     """
-    if not model.is_sequence_model:
-        raise ModelError(f"model {model.name!r} has no sequence structure")
-    if not model.has_tails:
-        raise _no_limits(model)
+    model.need_sequence()
+    model.need_tails()
     ns, d, radius = _on_truncation(model, N)
     for n, m in permutations(range(1, ns + 1), 2):
         d_here = d(n, m)
@@ -342,8 +339,7 @@ def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
       never below D;
       "separation": 2D <= d(p_s, p_t).
     """
-    if not model.is_sequence_model:
-        raise ModelError(f"model {model.name!r} has no sequence structure")
+    model.need_sequence()
     subseq = _check_subsequence(model, subseq, N)
     if model.base_limit is None:
         raise _no_limits(model)
@@ -389,8 +385,7 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
       cannot certify; the model's declaration covers it, and only for the
       model's own canonical epsilon assignment.
     """
-    if not model.is_sequence_model:
-        raise ModelError(f"model {model.name!r} has no sequence structure")
+    model.need_sequence()
     if model.eps is None or not model.ratio_tends_to_one:
         raise _no_limits(model, ": no declared slope-ratio limit")
     ns = model.n_seq(N)
@@ -427,8 +422,7 @@ def check_thm310(model: MetricModel, N: int) -> CheckResult:
     """
     if N < 2:
         raise PreconditionError("needs N >= 2")
-    if not model.has_tails:
-        raise _no_limits(model)
+    model.need_tails()
     if model.liminf_phi_nonneg is None:
         raise TailDataError(
             f"model {model.name!r} declares no liminf certificate for phi"
@@ -622,6 +616,8 @@ def _orbit_family(space, count, node_of, value, row_of):
 
 def _build_thm43(spec: FamilySpec):
     model = spec.model
+    model.need_sequence()
+    model.need_tails()
     half_l = model.L / 2
     return _orbit_family(
         spec.space, model.n_seq(spec.N), lambda k: k,
@@ -633,6 +629,8 @@ def _build_thm43(spec: FamilySpec):
 def _build_thm45(spec: FamilySpec):
     subseq = _check_subsequence(spec.model, spec.anchors, spec.space.n_points)
     dlim = spec.model.base_limit
+    if dlim is None:
+        raise _no_limits(spec.model)
     return _orbit_family(
         spec.space, len(subseq), lambda k: subseq[k - 1],
         lambda n, head: dlim, spec.model.seq_row,
@@ -1552,8 +1550,7 @@ def main_theorem_pipeline(model: MetricModel, N: int) -> PipelineResult:
     through the greedy growth selection. The returned result iterates as
     (case, subspace rows, family, report).
     """
-    if not model.is_sequence_model:
-        raise ModelError(f"model {model.name!r} has no sequence structure")
+    model.need_sequence()
     trunc = truncate(model, N)
     if model.bounded:
         ns = model.n_seq(N)

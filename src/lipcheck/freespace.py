@@ -88,7 +88,7 @@ def molecule(space: FiniteMetricSpace, p: int, q: int) -> FreeElement:
 
 
 def free_add(a: FreeElement, b: FreeElement) -> FreeElement:
-    if a.space.dist != b.space.dist:
+    if a.space is not b.space and a.space.scaled != b.space.scaled:
         raise PreconditionError("cannot add elements over different spaces")
     out = dict(a.weights)
     for p, w in b.weights.items():
@@ -103,7 +103,7 @@ def free_scale(a: FreeElement, c) -> FreeElement:
 
 def pairing(mu: FreeElement, f: LipFn) -> Rat:
     """<mu, f> = sum of w_x f(x); the base value is 0 by construction."""
-    if mu.space.dist != f.space.dist:
+    if mu.space is not f.space and mu.space.scaled != f.space.scaled:
         raise PreconditionError("element and function live on different spaces")
     total = ZERO
     for p, w in mu.weights.items():

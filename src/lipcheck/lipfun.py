@@ -199,7 +199,7 @@ def combine(fns, coeffs) -> LipFn:
     space = fns[0].space
     terms = list(zip(coeffs, fns))
     for _, f in terms:
-        if f.space is not space and f.space.dist != space.dist:
+        if f.space is not space and f.space.scaled != space.scaled:
             raise PreconditionError("cannot add functions on different spaces")
     terms = [(c, f.lifted) for c, f in terms if c]
     K, mult = common_denominator(c for c, _ in terms)

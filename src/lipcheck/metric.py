@@ -1,23 +1,24 @@
 """Pointed finite metric spaces, validation, and the model catalog.
 
 Everything in this module is exact. Distances come from closed-form rules,
-each one exact division of integers (one Fraction per call) with the
-paper's form as a comment above it; validation is a literal check of the
-metric axioms, and models carry whatever tail data (limits along the index
-set) the downstream checkers need. A model that cannot supply a limit says
-so through an error instead of letting callers guess one numerically.
+each one exact division of integers with the paper's form as a comment
+above it; validation is a literal check of the metric axioms, and models
+carry whatever tail data (limits along the index set) the downstream
+checkers need. A model that cannot supply a limit says so through an error
+instead of letting callers guess one numerically.
 
-Integer view: each space clears its denominators once
-(:attr:`FiniteMetricSpace.scaled`, ``dist[i][j] == A[i][j] / D``), and the
-axiom check compares the integers ``A``; since ``D > 0`` every comparison
-and sum means the same thing on ``A / D`` as on the rationals. An O(n^2)
-row-bound certificate (see :func:`validate`) spares the cubic triangle scan
-every pair of rows that cannot fail. Fractions
-are built only at the API boundary: violations carry the original
-``dist`` entries, in the order the rational scan found them. A space can
-also be built from its view (:meth:`FiniteMetricSpace.from_scaled`, as
-tree metrics are); its ``dist`` is then built on first read, so a kernel
-that reads only the view builds no Fraction at all.
+Integer view: each model gives one integer rule ``(num, den)`` per
+distance, and :func:`truncate` builds its space from the view
+(:meth:`FiniteMetricSpace.from_scaled`, ``dist[i][j] == A[i][j] / D``); a
+space built from rationals clears its denominators once
+(:attr:`FiniteMetricSpace.scaled`). The axiom check compares the integers
+``A``; since ``D > 0`` every comparison and sum means the same thing on
+``A / D`` as on the rationals. An O(n^2) row-bound certificate (see
+:func:`validate`) spares the cubic triangle scan every pair of rows that
+cannot fail. Fractions are built only at the API boundary: violations carry
+the original ``dist`` entries, in the order the rational scan found them,
+and a view-built space builds ``dist`` on first read, so a kernel that reads
+only the view, a passing truncation included, builds no Fraction at all.
 
 Row convention: the base point is always row 0. Models whose base point is
 the first sequence element alias row i to p_{i+1}; models with a separate
@@ -30,7 +31,8 @@ import json
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from functools import cached_property
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 from typing import Callable, Optional
 
 from .rational import Rat, ZERO, ONE, format_rat, is_rational, parse_rat, rat
@@ -197,7 +199,8 @@ class FiniteMetricSpace(FrozenValue):
     @cached_property
     def scaled(self):
         """``(A, D)``: integer rows and one denominator D > 0 with
-        ``dist[i][j] == A[i][j] / D``, computed once per space."""
+        ``dist[i][j] == A[i][j] / D``, computed once per space. D is the
+        least common one, so two views are equal exactly when the dists are."""
         D, mult = common_denominator(x for row in self.dist for x in row)
         A = tuple(
             tuple(x.numerator * mult[x.denominator] for x in row) for row in self.dist
@@ -267,28 +270,33 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     <= A[i][j] + row_min[i]``, the least entry of row i off the diagonal: then
     ``A[j][k] <= tail_max[j] <= A[i][j] + A[i][k]`` for every k it would visit,
     so the report is the full scan's. Lines and trees, whose triangles are
-    mostly tight, keep most of the cubic scan.
+    mostly tight, keep most of the cubic scan. The structure check reads the
+    rows the space was built from, rationals in ``dist`` or ints in the view;
+    ``dist`` is read only to report a violation.
     """
     n = space.n_points
-    for i, row in enumerate(space.dist):
+    held = vars(space)
+    built = "dist" in held
+    for i, row in enumerate(held["dist"] if built else held["scaled"][0]):
         if len(row) != n:
             raise StructureError(f"row {i} has length {len(row)}, expected {n}")
-        for x in row:
-            if type(x) is not Rat and not is_rational(x):
-                raise StructureError(f"non-rational entry in row {i}")
+        if not built:
+            if not set(map(type, row)) <= {int}:
+                raise StructureError(f"non-integer view entry in row {i}")
+        elif not all(type(x) is Rat or is_rational(x) for x in row):
+            raise StructureError(f"non-rational entry in row {i}")
 
-    dist = space.dist
     A, _ = space.scaled
     violations = []
     for i in range(n):
         if A[i][i] != 0:
-            violations.append(Violation("positivity", (i, i), (dist[i][i],)))
+            violations.append(Violation("positivity", (i, i), (space.dist[i][i],)))
         for j in range(i + 1, n):
             if A[i][j] <= 0:
-                violations.append(Violation("positivity", (i, j), (dist[i][j],)))
+                violations.append(Violation("positivity", (i, j), (space.dist[i][j],)))
             if A[i][j] != A[j][i]:
                 violations.append(
-                    Violation("symmetry", (i, j), (dist[i][j], dist[j][i]))
+                    Violation("symmetry", (i, j), (space.dist[i][j], space.dist[j][i]))
                 )
     tail_max = [max(row[j + 1:], default=0) for j, row in enumerate(A)]
     row_min = [min(row[:i] + row[i + 1:], default=0) for i, row in enumerate(A)]
@@ -302,13 +310,10 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
                 continue  # the row-bound certificate: no k below can fail
             for k in range(j + 1, n):
                 if k != i and Aj[k] > a_ij + Ai[k]:
-                    violations.append(
-                        Violation(
-                            "triangle",
-                            (j, i, k),
-                            (dist[j][k], dist[i][j], dist[i][k]),
-                        )
-                    )
+                    dist = space.dist
+                    violations.append(Violation(
+                        "triangle", (j, i, k), (dist[j][k], dist[i][j], dist[i][k])
+                    ))
     return ValidationReport(passed=not violations, violations=tuple(violations))
 
 
@@ -344,10 +349,13 @@ def min_positive_radius(space: FiniteMetricSpace, p: int) -> Rat:
 class MetricModel:
     """A countable metric rule plus declared tail data.
 
-    ``row_dist`` is the authoritative rule on row indices. Sequence models
-    also expose the 1-based rule ``seq_dist`` (and ``base_dist`` when the
-    base is a separate point) so checkers can reason in sequence indices.
-    Tail fields are declared closed forms, not computed limits:
+    A rule gives each distance as ``(num, den)``, den > 0, not necessarily in
+    lowest terms. ``row_parts(i, j)``, i != j, is the authoritative rule on
+    row indices. Sequence models also give the 1-based rule ``seq_parts``
+    (and ``base_parts`` when the base is a separate point) so checkers can
+    reason in sequence indices; ``row_dist``, ``d_seq`` and ``d_base`` give
+    one Fraction each. Tail fields are declared closed forms, not computed
+    limits:
 
     - ``L_pair(n)``  = lim_m d(p_n, p_m)
     - ``L``          = lim_n L_pair(n)
@@ -362,12 +370,12 @@ class MetricModel:
 
     name: str
     params: dict
-    row_dist: Callable
+    row_parts: Callable
     row_label: Callable
     base_aliases_p1: bool
     max_points: Optional[int] = None
-    seq_dist: Optional[Callable] = None
-    base_dist: Optional[Callable] = None
+    seq_parts: Optional[Callable] = None
+    base_parts: Optional[Callable] = None
     L_pair: Optional[Callable] = None
     L: Optional[Rat] = None
     base_limit: Optional[Rat] = None
@@ -383,41 +391,44 @@ class MetricModel:
 
     # -- sequence/row bookkeeping ------------------------------------------
 
+    def row_dist(self, i: int, j: int) -> Rat:
+        return ZERO if i == j else Rat(*self.row_parts(i, j))
+
     @property
     def is_sequence_model(self) -> bool:
-        return self.seq_dist is not None
+        return self.seq_parts is not None
 
-    def _need_sequence(self):
+    def need_sequence(self):
         if not self.is_sequence_model:
             raise ModelError(f"model {self.name!r} has no sequence structure")
 
     def n_seq(self, n_points: int) -> int:
         """Number of sequence points inside an n_points truncation."""
-        self._need_sequence()
+        self.need_sequence()
         return n_points if self.base_aliases_p1 else n_points - 1
 
     def seq_row(self, n: int) -> int:
-        self._need_sequence()
+        self.need_sequence()
         return n - 1 if self.base_aliases_p1 else n
 
     def row_seq(self, r: int) -> int:
-        self._need_sequence()
+        self.need_sequence()
         if not self.base_aliases_p1 and r == 0:
             raise PreconditionError("row 0 is the base point, not a sequence point")
         return r + 1 if self.base_aliases_p1 else r
 
     def d_seq(self, n: int, m: int) -> Rat:
-        self._need_sequence()
+        self.need_sequence()
         if n == m:
             return ZERO
-        return self.seq_dist(n, m)
+        return Rat(*self.seq_parts(n, m))
 
     def d_base(self, n: int) -> Rat:
         """d(0, p_n) in sequence indexing."""
-        self._need_sequence()
+        self.need_sequence()
         if self.base_aliases_p1:
-            return ZERO if n == 1 else self.seq_dist(1, n)
-        return self.base_dist(n)
+            return ZERO if n == 1 else Rat(*self.seq_parts(1, n))
+        return Rat(*self.base_parts(n))
 
     # -- declared tails -----------------------------------------------------
 
@@ -425,16 +436,16 @@ class MetricModel:
     def has_tails(self) -> bool:
         return self.L is not None and self.L_pair is not None
 
-    def _need_tails(self):
+    def need_tails(self):
         if not self.has_tails:
             raise TailDataError(f"limits unavailable for model {self.name!r}")
 
     def phi(self, n: int, m: int) -> Rat:
-        self._need_tails()
+        self.need_tails()
         return self.d_seq(n, m) - self.L
 
     def psi(self, n: int) -> Rat:
-        self._need_tails()
+        self.need_tails()
         return self.L_pair(n) - self.L
 
     def need_envelopes(self):
@@ -443,7 +454,13 @@ class MetricModel:
 
 
 def truncate(model: MetricModel, N: int) -> FiniteMetricSpace:
-    """The metric on the first N row indices of the model, validated."""
+    """The metric on the first N row indices of the model, validated.
+
+    The space is built from its integer view, exactly the one ``scaled``
+    would compute from the values: ``A'[i][j] = num * (D' // den)`` over D'
+    the LCM of the formula denominators, both divided by g = gcd(D', every
+    A') since a formula need not be in lowest terms. Entries are computed in
+    both orders, so the symmetry check keeps its meaning."""
     if N < 2:
         raise PreconditionError("truncation needs N >= 2")
     if model.max_points is not None and N > model.max_points:
@@ -451,12 +468,17 @@ def truncate(model: MetricModel, N: int) -> FiniteMetricSpace:
             f"model {model.name!r} has only {model.max_points} points "
             f"with the given parameters, asked for {N}"
         )
-    rows = tuple(
-        tuple(ZERO if i == j else model.row_dist(i, j) for j in range(N))
-        for i in range(N)
-    )
+    parts = [[(0, 1) if i == j else model.row_parts(i, j) for j in range(N)] for i in range(N)]
+    dens = {den for row in parts for _, den in row}
+    D = lcm(*dens)
+    mult = {den: D // den for den in dens}
+    A = tuple(tuple(num * mult[den] for num, den in row) for row in parts)
+    del parts  # not kept alive through the validation
+    g = gcd(D, *chain.from_iterable(A))
+    if g > 1:
+        A = tuple(tuple(x // g for x in row) for row in A)
     labels = tuple(model.row_label(i) for i in range(N))
-    space = FiniteMetricSpace(rows, labels, name=model.name)
+    space = FiniteMetricSpace.from_scaled(A, D // g, labels, name=model.name)
     return _require_metric(space, f"truncation of {model.name!r} at N={N}")
 
 
@@ -464,19 +486,17 @@ def truncate(model: MetricModel, N: int) -> FiniteMetricSpace:
 # Catalog builders
 
 
-def _seq_model(name, params, seq_dist, base_dist=None, **extra) -> MetricModel:
-    alias = base_dist is None
+def _seq_model(name, params, seq_parts, base_parts=None, **extra) -> MetricModel:
+    alias = base_parts is None
 
-    def row_dist(i, j):
-        if i == j:
-            return ZERO
+    def row_parts(i, j):
         if alias:
-            return seq_dist(i + 1, j + 1)
+            return seq_parts(i + 1, j + 1)
         if i == 0:
-            return base_dist(j)
+            return base_parts(j)
         if j == 0:
-            return base_dist(i)
-        return seq_dist(i, j)
+            return base_parts(i)
+        return seq_parts(i, j)
 
     def row_label(i):
         if alias:
@@ -486,11 +506,11 @@ def _seq_model(name, params, seq_dist, base_dist=None, **extra) -> MetricModel:
     return MetricModel(
         name=name,
         params=params,
-        row_dist=row_dist,
+        row_parts=row_parts,
         row_label=row_label,
         base_aliases_p1=alias,
-        seq_dist=seq_dist,
-        base_dist=base_dist,
+        seq_parts=seq_parts,
+        base_parts=base_parts,
         **extra,
     )
 
@@ -499,7 +519,7 @@ def _discrete() -> MetricModel:
     return _seq_model(
         "discrete",
         {},
-        seq_dist=lambda n, m: ONE,
+        seq_parts=lambda n, m: (1, 1),
         L_pair=lambda n: ONE,
         L=ONE,
         env_phi=lambda s: ZERO,
@@ -515,8 +535,8 @@ def _prop23() -> MetricModel:
     return _seq_model(
         "prop23",
         {},
-        seq_dist=lambda n, m: two,
-        base_dist=lambda n: ONE,
+        seq_parts=lambda n, m: (2, 1),
+        base_parts=lambda n: (1, 1),
         L_pair=lambda n: two,
         L=two,
         base_limit=ONE,
@@ -537,8 +557,8 @@ def _prop24() -> MetricModel:
         "prop24",
         {},
         # 2^{-min(n, m)^2} - 2^{-max(n, m)^2}
-        seq_dist=lambda n, m: Rat((1 << abs(n * n - m * m)) - 1, 1 << max(n, m) ** 2),
-        base_dist=x,
+        seq_parts=lambda n, m: ((1 << abs(n * n - m * m)) - 1, 1 << max(n, m) ** 2),
+        base_parts=lambda n: (1, 1 << n * n),
         L_pair=x,
         L=ZERO,
         base_limit=ZERO,
@@ -556,7 +576,7 @@ def _example33() -> MetricModel:
         "example33",
         {},
         # 1 + 1/min(n, m)
-        seq_dist=lambda n, m: Rat(min(n, m) + 1, min(n, m)),
+        seq_parts=lambda n, m: (n + 1, n) if n < m else (m + 1, m),
         # 1 + 1/n
         L_pair=lambda n: Rat(n + 1, n),
         L=ONE,
@@ -574,9 +594,9 @@ def _example35() -> MetricModel:
         "example35",
         {},
         # 1 + 1/n + 1/m
-        seq_dist=lambda n, m: Rat(n * m + n + m, n * m),
+        seq_parts=lambda n, m: (n * m + n + m, n * m),
         # 1 + 1/n
-        base_dist=lambda n: Rat(n + 1, n),
+        base_parts=lambda n: (n + 1, n),
         # 1 + 1/n
         L_pair=lambda n: Rat(n + 1, n),
         L=ONE,
@@ -594,7 +614,7 @@ def _dmqr41() -> MetricModel:
         "dmqr41",
         {},
         # 1 + 1/max(n, m)
-        seq_dist=lambda n, m: Rat(max(n, m) + 1, max(n, m)),
+        seq_parts=lambda n, m: (n + 1, n) if n > m else (m + 1, m),
         L_pair=lambda n: ONE,
         L=ONE,
         env_phi=lambda s: rat(1, s + 1),
@@ -610,9 +630,9 @@ def _example44() -> MetricModel:
         "example44",
         {},
         # 1 + 1/(n + m)
-        seq_dist=lambda n, m: Rat(n + m + 1, n + m),
+        seq_parts=lambda n, m: (n + m + 1, n + m),
         # 1/2 + 1/n
-        base_dist=lambda n: Rat(n + 2, 2 * n),
+        base_parts=lambda n: (n + 2, 2 * n),
         L_pair=lambda n: ONE,
         L=ONE,
         base_limit=rat(1, 2),
@@ -627,13 +647,13 @@ def _example44() -> MetricModel:
 def _example48() -> MetricModel:
     # 2 - 3^{-min(n, m)} - 2 * 3^{-max(n, m)}
     def srule(n, m):
-        lo, hi = min(n, m), max(n, m)
-        return Rat(2 * 3 ** hi - 3 ** (hi - lo) - 2, 3 ** hi)
+        lo, hi = (n, m) if n < m else (m, n)
+        return 2 * 3 ** hi - 3 ** (hi - lo) - 2, 3 ** hi
 
     return _seq_model(
         "example48",
         {},
-        seq_dist=srule,
+        seq_parts=srule,
         # 2 - 3^{-n}
         L_pair=lambda n: Rat(2 * 3 ** n - 1, 3 ** n),
         L=rat(2),
@@ -658,15 +678,15 @@ def _dmqr44(c) -> MetricModel:
 
     # n + m - eps_k with k = max(n, m)
     def srule(n, m):
-        kQ = max(n, m) * Q
+        kQ = (n if n > m else m) * Q
         den = 2 * (kQ + P)
-        return Rat((n + m) * den - kQ, den)
+        return (n + m) * den - kQ, den
 
     return _seq_model(
         "dmqr44",
         {"c": c},
-        seq_dist=srule,
-        base_dist=lambda n: rat(n),
+        seq_parts=srule,
+        base_parts=lambda n: (n, 1),
         eps=eps,
         bounded=False,
         # residual 1 - (g_n + g_m)/d = eps_min/(n + m - eps_max) -> 0
@@ -698,13 +718,7 @@ def _check_levels(name: str, levels) -> int:
 
 def _thm51star(levels) -> MetricModel:
     levels = _check_levels("thm51star", levels)
-    two = rat(2)
     n_pairs = 2 ** levels
-
-    def row_dist(i, j):
-        if i == j:
-            return ZERO
-        return ONE if i // 2 == j // 2 else two
 
     def row_label(i):
         g = i // 2
@@ -713,7 +727,7 @@ def _thm51star(levels) -> MetricModel:
     return MetricModel(
         name="thm51star",
         params={"levels": levels},
-        row_dist=row_dist,
+        row_parts=lambda i, j: (1, 1) if i // 2 == j // 2 else (2, 1),
         row_label=row_label,
         base_aliases_p1=False,
         max_points=2 * n_pairs,
@@ -724,9 +738,6 @@ def _prop53(levels) -> MetricModel:
     levels = _check_levels("prop53", levels)
     n_pairs = 2 ** levels
 
-    def row_dist(i, j):
-        return ZERO if i == j else ONE
-
     def row_label(i):
         if i == 0:
             return "0"
@@ -736,7 +747,7 @@ def _prop53(levels) -> MetricModel:
     return MetricModel(
         name="prop53",
         params={"levels": levels},
-        row_dist=row_dist,
+        row_parts=lambda i, j: (1, 1),
         row_label=row_label,
         base_aliases_p1=False,
         max_points=2 * n_pairs + 1,
@@ -751,17 +762,9 @@ def _thm57(c, groups, levels) -> MetricModel:
         raise ModelError("thm57 needs c > 1")
     if groups < 1 or levels < 1:
         raise ModelError("thm57 needs groups >= 1 and levels >= 1")
-    two = rat(2)
 
     def group_of(i):
         return (i - 1) // levels
-
-    def row_dist(i, j):
-        if i == j:
-            return ZERO
-        if i == 0 or j == 0:
-            return ONE
-        return ONE if group_of(i) == group_of(j) else two
 
     def row_label(i):
         if i == 0:
@@ -773,7 +776,7 @@ def _thm57(c, groups, levels) -> MetricModel:
     return MetricModel(
         name="thm57",
         params={"c": c, "groups": groups, "levels": levels},
-        row_dist=row_dist,
+        row_parts=lambda i, j: (1, 1) if 0 in (i, j) or group_of(i) == group_of(j) else (2, 1),
         row_label=row_label,
         base_aliases_p1=False,
         max_points=1 + groups * levels,
@@ -824,8 +827,8 @@ def integer_line() -> MetricModel:
     return _seq_model(
         "integer_line",
         {},
-        seq_dist=lambda n, m: rat(abs(n - m)),
-        base_dist=lambda n: rat(n),
+        seq_parts=lambda n, m: (abs(n - m), 1),
+        base_parts=lambda n: (n, 1),
         bounded=False,
     )
 
@@ -839,13 +842,13 @@ def power_line(ratio=4) -> MetricModel:
 
     # |ratio^{n-1} - ratio^{m-1}| = P^lo (P^{hi-lo} - Q^{hi-lo}) / Q^hi, lo < hi the exponents
     def srule(n, m):
-        lo, hi = sorted((n - 1, m - 1))
-        return Rat(P ** lo * (P ** (hi - lo) - Q ** (hi - lo)), Q ** hi)
+        lo, hi = (n - 1, m - 1) if n < m else (m - 1, n - 1)
+        return P ** lo * (P ** (hi - lo) - Q ** (hi - lo)), Q ** hi
 
     return _seq_model(
         "power_line",
         {"ratio": ratio},
-        seq_dist=srule,
+        seq_parts=srule,
         bounded=False,
     )
 

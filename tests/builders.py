@@ -7,7 +7,8 @@ them from moving back. Each is kept as it was in the package: the
 piecewise-linear constructor and the paper's Example 6.2, the even
 reflection, the point mass of the free space, the pointwise defect, the
 pointwise sum and scalar multiple that fold into ``combine``'s oracle, and
-the sign-pattern check of the sum-norm families.
+the sign-pattern check of the sum-norm families. ``as_parts`` turns a
+rational rule written for a test into the integer rule a model takes.
 """
 
 from __future__ import annotations
@@ -17,6 +18,21 @@ from lipcheck.lipfun import LipFn, combine, lip_norm, pointwise_sup, slope
 from lipcheck.metric import FiniteMetricSpace, PreconditionError
 from lipcheck.plfun import PLFn
 from lipcheck.rational import ONE, Rat, ZERO, rat
+
+
+# ---------------------------------------------------------------------------
+# Model rules
+
+
+def as_parts(rule):
+    """The rational rule ``rule`` as the integer rule a model takes: each
+    call gives ``(num, den)`` of ``rule``'s value, in lowest terms."""
+
+    def parts(*indices):
+        x = rat(rule(*indices))
+        return x.numerator, x.denominator
+
+    return parts
 
 
 # ---------------------------------------------------------------------------

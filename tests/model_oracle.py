@@ -1,14 +1,18 @@
 """The catalog builders of ``lipcheck.metric`` whose rules chained
 ``Fraction`` arithmetic, before each rule became one exact division.
 
-Kept verbatim as a differential oracle: every rule here adds, subtracts,
-divides or raises ``Fraction``s as the paper writes it, so a rewritten rule
-that drops a term or shifts an exponent disagrees with its builder here.
-Each builder returns a ``MetricModel`` that ``truncate`` accepts.
+Kept as a differential oracle: every rule here adds, subtracts, divides or
+raises ``Fraction``s as the paper writes it, so a rewritten rule that drops
+a term or shifts an exponent disagrees with its builder here. A model takes
+integer rules, so each rule is handed over through ``as_parts``, which
+gives its value's numerator and denominator in lowest terms; a truncation
+that reduces a rule's ``(num, den)`` wrongly disagrees with these too. Each
+builder returns a ``MetricModel`` that ``truncate`` accepts.
 """
 
 from __future__ import annotations
 
+from builders import as_parts
 from lipcheck.metric import MetricModel, ModelError, _seq_model
 from lipcheck.rational import ONE, ZERO, rat
 
@@ -21,8 +25,8 @@ def _prop24() -> MetricModel:
     return _seq_model(
         "prop24",
         {},
-        seq_dist=lambda n, m: x(min(n, m)) - x(max(n, m)),
-        base_dist=x,
+        seq_parts=as_parts(lambda n, m: x(min(n, m)) - x(max(n, m))),
+        base_parts=as_parts(x),
         L_pair=x,
         L=ZERO,
         base_limit=ZERO,
@@ -39,7 +43,7 @@ def _example33() -> MetricModel:
     return _seq_model(
         "example33",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, min(n, m)),
+        seq_parts=as_parts(lambda n, m: ONE + rat(1, min(n, m))),
         L_pair=lambda n: ONE + rat(1, n),
         L=ONE,
         env_phi=lambda s: rat(1, s),
@@ -55,8 +59,8 @@ def _example35() -> MetricModel:
     return _seq_model(
         "example35",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, n) + rat(1, m),
-        base_dist=lambda n: ONE + rat(1, n),
+        seq_parts=as_parts(lambda n, m: ONE + rat(1, n) + rat(1, m)),
+        base_parts=as_parts(lambda n: ONE + rat(1, n)),
         L_pair=lambda n: ONE + rat(1, n),
         L=ONE,
         base_limit=ONE,
@@ -72,7 +76,7 @@ def _dmqr41() -> MetricModel:
     return _seq_model(
         "dmqr41",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, max(n, m)),
+        seq_parts=as_parts(lambda n, m: ONE + rat(1, max(n, m))),
         L_pair=lambda n: ONE,
         L=ONE,
         env_phi=lambda s: rat(1, s + 1),
@@ -88,8 +92,8 @@ def _example44() -> MetricModel:
     return _seq_model(
         "example44",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, n + m),
-        base_dist=lambda n: half + rat(1, n),
+        seq_parts=as_parts(lambda n, m: ONE + rat(1, n + m)),
+        base_parts=as_parts(lambda n: half + rat(1, n)),
         L_pair=lambda n: ONE,
         L=ONE,
         base_limit=half,
@@ -111,7 +115,7 @@ def _example48() -> MetricModel:
     return _seq_model(
         "example48",
         {},
-        seq_dist=srule,
+        seq_parts=as_parts(srule),
         L_pair=lambda n: two - rat(1, 3 ** n),
         L=two,
         env_phi=lambda s: rat(5, 3 ** (s + 1)),
@@ -137,8 +141,8 @@ def _dmqr44(c) -> MetricModel:
     return _seq_model(
         "dmqr44",
         {"c": c},
-        seq_dist=srule,
-        base_dist=lambda n: rat(n),
+        seq_parts=as_parts(srule),
+        base_parts=as_parts(lambda n: rat(n)),
         eps=eps,
         bounded=False,
         # residual 1 - (g_n + g_m)/d = eps_min/(n + m - eps_max) -> 0
@@ -160,6 +164,6 @@ def power_line(ratio=4) -> MetricModel:
     return _seq_model(
         "power_line",
         {"ratio": ratio},
-        seq_dist=srule,
+        seq_parts=as_parts(srule),
         bounded=False,
     )

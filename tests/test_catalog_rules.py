@@ -1,5 +1,6 @@
 """The catalog's closed-form rules against the Fraction builders they
-replaced (``tests/model_oracle.py``), and the one-Fraction-per-call count.
+replaced (``tests/model_oracle.py``), the truncations built from the rules'
+integer view against the oracles' Fraction rows, and the Fraction count.
 
 Each rewritten rule builds its value as one exact division of integers.
 The oracle builders chain ``Fraction`` arithmetic as the paper writes each
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -46,22 +48,60 @@ REWRITTEN = [
 
 @pytest.mark.parametrize("label, build, oracle", REWRITTEN, ids=[r[0] for r in REWRITTEN])
 def test_rewritten_rules_equal_their_fraction_oracles(label, build, oracle):
-    """``seq_dist`` on every pair of the grid, ``base_dist``, ``L_pair`` and
+    """``d_seq`` on every pair of the grid, ``d_base``, ``L_pair`` and
     ``eps`` on every index up to 128. The grid holds every pair a truncation
     at N=64 evaluates; the truncations themselves are pinned below."""
     new, old = build(), oracle()
-    for field in ("seq_dist", "base_dist", "L_pair", "eps"):
-        rule, reference = getattr(new, field), getattr(old, field)
-        assert (rule is None) == (reference is None), field
-        if rule is None:
-            continue
-        if field == "seq_dist":
-            got = [rule(n, m) for n, m in PAIRS]
-            want = [reference(n, m) for n, m in PAIRS]
-        else:
-            got, want = [rule(n) for n in INDICES], [reference(n) for n in INDICES]
-        assert all(type(x) is Fraction for x in got), field
+    for field in ("base_parts", "L_pair", "eps"):
+        assert (getattr(new, field) is None) == (getattr(old, field) is None), field
+    reads = {
+        "d_seq": lambda model: [model.d_seq(n, m) for n, m in PAIRS],
+        "d_base": lambda model: [model.d_base(n) for n in INDICES],
+        "L_pair": lambda model: model.L_pair and [model.L_pair(n) for n in INDICES],
+        "eps": lambda model: model.eps and [model.eps(n) for n in INDICES],
+    }
+    for field, read in reads.items():
+        got, want = read(new), read(old)
+        assert got is None or all(type(x) is Fraction for x in got), field
         assert got == want, field
+
+
+# The rewritten models and every model whose rules did not change, each
+# against itself read through its Fraction values.
+VIEWED = REWRITTEN + [
+    (name, lambda name=name: _model(name), lambda name=name: _model(name))
+    for name in ("discrete", "prop23", "thm51star", "prop53", "thm57", "integer_line")
+]
+# One seeded size past the grid for each model that has that many points.
+_rng_n = random.Random(64128)
+PAST_GRID = {label: _rng_n.randint(N_GRID + 1, 128) for label, _, _ in VIEWED}
+
+
+def _oracle_scaled(rows):
+    """``(A, D)`` of Fraction rows, D the LCM of the reduced denominators."""
+    D = lcm(*{x.denominator for row in rows for x in row})
+    return tuple(tuple(x.numerator * (D // x.denominator) for x in row) for row in rows), D
+
+
+@pytest.mark.parametrize("label, build, oracle", VIEWED, ids=[r[0] for r in VIEWED])
+def test_truncation_view_equals_the_oracle_rows(label, build, oracle):
+    """``truncate(model, N)`` builds its space from the model's integer
+    rule; its ``scaled`` and the ``dist`` read from it equal those of the
+    oracle's Fraction rows at every N up to 64 and one seeded N up to 128.
+    example35, example44 and dmqr44 give (num, den) not in lowest terms, so
+    at some N of each the view's final gcd pass divides out a common factor;
+    a truncation without that pass fails here on all six of them."""
+    model, reference = build(), oracle()
+    top = PAST_GRID[label]
+    if model.max_points is not None and top > model.max_points:
+        top = N_GRID
+    full = [[reference.row_dist(i, j) for j in range(top)] for i in range(top)]
+    for N in [*range(2, N_GRID + 1), top]:
+        rows = tuple(tuple(row[:N]) for row in full[:N])
+        space = truncate(model, N)
+        assert space.scaled == _oracle_scaled(rows), N
+        assert "dist" not in vars(space)
+        assert space.dist == rows, N
 
 
 def _digest(space) -> str:
@@ -107,18 +147,18 @@ def test_truncation_at_64_points_is_unchanged(name):
     assert _digest(truncate(_model(name), N_GRID)) == TRUNCATION_DIGESTS[name]
 
 
-@pytest.mark.parametrize("name, most", [
+@pytest.mark.parametrize("name, before", [
     *((name, N_GRID * (N_GRID - 1)) for name in (
         "prop24", "example33", "example35", "dmqr41", "example44", "example48",
         "dmqr44", "power_line", "integer_line",
     )),
     *((name, 0) for name in ("discrete", "prop23", "prop53", "thm51star", "thm57")),
 ])
-def test_truncation_builds_at_most_one_fraction_per_rule_call(name, most, monkeypatch):
-    """A truncation at N=64 calls its rule on the N(N-1) = 4,032 ordered
-    pairs off the diagonal; each rewritten rule builds one Fraction per call
-    and each constant rule returns a shared one, and validation builds none
-    on a passing space."""
+def test_truncation_builds_at_most_one_fraction_per_rule_call(name, before, monkeypatch):
+    """A truncation at N=64 calls its integer rule on the N(N-1) = 4,032
+    ordered pairs off the diagonal and builds its space from the view, and
+    validation builds no Fraction on a passing space: none at all. ``before``
+    is the bound this test held while each rule call built one Fraction."""
     model = _model(name)
     count = [0]
     real = Fraction.__new__
@@ -131,4 +171,4 @@ def test_truncation_builds_at_most_one_fraction_per_rule_call(name, most, monkey
     space = truncate(model, N_GRID)
     monkeypatch.undo()
     assert space.n_points == N_GRID
-    assert count[0] <= most
+    assert count[0] == 0

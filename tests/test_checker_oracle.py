@@ -14,6 +14,7 @@ import random
 from dataclasses import replace
 
 import checker_oracle as oracle
+from builders import as_parts
 from lipcheck import embeddings
 from lipcheck.metric import (
     CATALOG_NAMES,
@@ -58,8 +59,8 @@ def _rising():
     def srule(n, m):
         return ONE if {n, m} == {1, 2} else 2 - rat(1, n) - rat(1, m)
 
-    return _seq_model("rising", {}, seq_dist=srule, L_pair=lambda n: rat(2), L=rat(2),
-                      monotone_tails=True)
+    return _seq_model("rising", {}, seq_parts=as_parts(srule), L_pair=lambda n: rat(2),
+                      L=rat(2), monotone_tails=True)
 
 
 def _models():

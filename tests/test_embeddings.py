@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import defect, ell1_sign_check
+from builders import as_parts, defect, ell1_sign_check
 from lipcheck.embeddings import (
     BATTERY_SEED,
     ConstructionError,
@@ -191,7 +191,7 @@ def test_check_thm43_monotone_tail_declaration():
     model = _seq_model(
         "undeclared-tails",
         {},
-        seq_dist=lambda n, m: ONE + rat(1, max(n, m)),
+        seq_parts=as_parts(lambda n, m: ONE + rat(1, max(n, m))),
         L_pair=lambda n: ONE,
         L=ONE,
     )
@@ -208,7 +208,8 @@ def test_check_thm43_finite_monotone_violation():
         return ONE + rat(1, hi)
 
     model = _seq_model(
-        "bump", {}, seq_dist=srule, L_pair=lambda n: ONE, L=ONE, monotone_tails=True
+        "bump", {}, seq_parts=as_parts(srule), L_pair=lambda n: ONE, L=ONE,
+        monotone_tails=True,
     )
     res = check_thm43(model, 6)
     assert not res
@@ -412,6 +413,25 @@ def test_group_builders_refuse_non_integral_counts(tid, model, parameters, messa
     spec = FamilySpec(tid, truncate(model, 8), parameters=parameters)
     with pytest.raises(ModelError, match=f"^{message}$"):
         build_family(spec, override=override)
+
+
+@pytest.mark.parametrize("override", [False, True])
+@pytest.mark.parametrize("tid, model, anchors, error, message", [
+    ("thm43", integer_line(), (), TailDataError, "limits unavailable for model 'integer_line'"),
+    ("thm43", catalog("prop53"), (), ModelError, "model 'prop53' has no sequence structure"),
+    ("thm45", catalog("dmqr41"), (2, 3, 4, 5), TailDataError,
+     "limits unavailable for model 'dmqr41'"),
+    ("thm45", catalog("thm57"), (2, 3, 4, 5), ModelError,
+     "model 'thm57' has no sequence structure"),
+])
+def test_orbit_builders_check_the_tails_they_read(tid, model, anchors, error, message, override):
+    """thm43's builder reads L and L_pair, and thm45's the base limit, so
+    override=True raises the checked path's error; before, these raised
+    TypeError on the missing tail."""
+    spec = FamilySpec(tid, truncate(model, 10), anchors=anchors, model=model, N=10)
+    with pytest.raises(error, match=f"^{message}$") as err:
+        build_family(spec, override=override)
+    assert type(err.value) is error
 
 
 def test_registry_refuses_ids_without_the_asked_role():
@@ -792,7 +812,7 @@ def test_pipeline_dichotomy_must_be_uniform():
         return rat(2) - rat(1, n + m)
 
     model = _seq_model(
-        "mixed-gaps", {}, seq_dist=srule, L_pair=lambda n: rat(2), L=rat(2)
+        "mixed-gaps", {}, seq_parts=as_parts(srule), L_pair=lambda n: rat(2), L=rat(2)
     )
     with pytest.raises(DichotomyError) as err:
         main_theorem_pipeline(model, 8)

@@ -16,11 +16,17 @@ from math import lcm
 import pytest
 
 from lipcheck import metric, rtree
-from lipcheck.lipfun import LipFn, lip_norm, lipfn, pointwise_sup, slope, strong_pairs, zero_fn
+from lipcheck.freespace import free_add, free_element, pairing
+from lipcheck.lipfun import (
+    LipFn, combine, lip_norm, lipfn, pointwise_sup, slope, strong_pairs, zero_fn,
+)
 from lipcheck.metric import (
     CATALOG_NAMES,
     CheckResult,
     FiniteMetricSpace,
+    MetricModel,
+    ModelError,
+    PreconditionError,
     StructureError,
     ValidationReport,
     Violation,
@@ -172,6 +178,26 @@ def test_view_built_space_equals_the_value_built_one():
             twin.dist = space.dist
 
 
+def test_space_comparisons_read_the_views():
+    """free_add, pairing and combine compare their spaces on the views:
+    two equal truncations built apart are one space to them, and neither
+    builds its ``dist``; a different space is still refused."""
+    a, b = truncate(catalog("example48"), 12), truncate(catalog("example48"), 12)
+    other = truncate(catalog("example33"), 12)
+    assert a is not b
+    total = free_add(free_element(a, {1: 1}), free_element(b, {2: -1}))
+    assert total.weights == {1: 1, 2: -1}
+    f = combine([lipfn(a, range(12)), lipfn(b, [0] * 12)], [1, 1])
+    assert pairing(free_element(b, {3: 2}), f) == 6
+    assert "dist" not in vars(a) and "dist" not in vars(b)
+    with pytest.raises(PreconditionError):
+        free_add(total, free_element(other, {1: 1}))
+    with pytest.raises(PreconditionError):
+        pairing(free_element(other, {1: 1}), f)
+    with pytest.raises(PreconditionError):
+        combine([f, lipfn(other, [0] * 12)], [1, 1])
+
+
 # ---------------------------------------------------------------------------
 # validate on non-metrics
 
@@ -252,6 +278,76 @@ def test_validate_structure_errors_come_first():
         with pytest.raises(StructureError) as old:
             _validate_oracle(space)
         assert str(new.value) == str(old.value)
+
+
+def test_view_structure_errors():
+    """A space built from its view is checked on the view: ragged rows and
+    entries that are not ints."""
+    for A, message in (
+        (((0, 1), (1,)), "row 1 has length 1, expected 2"),
+        (((0, rat(1, 2)), (rat(1, 2), 0)), "non-integer view entry in row 0"),
+        (((0, 1), (1.0, 0)), "non-integer view entry in row 1"),
+    ):
+        with pytest.raises(StructureError) as err:
+            validate(FiniteMetricSpace.from_scaled(A, 1, ("a", "b")))
+        assert str(err.value) == message
+
+
+def _rule_model(rng, n, name):
+    """A hand-built model whose integer rule reads a seeded table of
+    ``(num, den)`` pairs, most not in lowest terms: symmetric entries in
+    [1, 2], which make a metric, then a few asymmetric, zero, negative or
+    triangle-breaking ones."""
+    table = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            k = rng.choice((1, 2, 3, 6))
+            table[i, j] = table[j, i] = (k * rng.randint(4, 6), k * rng.randint(3, 4))
+    for _ in range(rng.randint(0, 3)):
+        i, j = rng.sample(range(n), 2)
+        k = rng.choice((1, 2, 3))
+        table[i, j] = rng.choice(((0, k), (-k, 3 * k), (9 * k, k), (k * rng.randint(1, 9), 2 * k)))
+        if rng.random() < 0.5:
+            table[j, i] = table[i, j]
+    return MetricModel(name=name, params={}, row_parts=lambda i, j: table[i, j],
+                       row_label=lambda i: f"x{i}", base_aliases_p1=False)
+
+
+def test_truncate_reports_what_the_oracle_reports_on_non_metric_rules(monkeypatch):
+    """``truncate`` builds each space from the rule's integer view; the
+    report its validation gives equals the Fraction oracle's on the rule's
+    values, and its ModelError names the oracle's first violation."""
+    real, seen = metric.validate, []
+
+    def recording(space):
+        seen.append((space, "dist" in vars(space), real(space)))
+        return seen[-1][2]
+
+    monkeypatch.setattr(metric, "validate", recording)
+    rng = random.Random(20261019)
+    axioms, failing = set(), 0
+    for k in range(400):
+        n = rng.randint(2, 7)
+        model = _rule_model(rng, n, f"rule{k}")
+        rows = tuple(tuple(model.row_dist(i, j) for j in range(n)) for i in range(n))
+        want = _validate_oracle(FiniteMetricSpace(rows, tuple(f"x{i}" for i in range(n))))
+        try:
+            truncate(model, n)
+            error = None
+        except ModelError as exc:
+            error = str(exc)
+        space, had_dist, got = seen.pop()
+        assert not had_dist and space.dist == rows
+        assert got == want and got.to_json() == want.to_json()
+        if want.passed:
+            assert error is None
+        else:
+            v = want.violations[0]
+            assert error == f"truncation of 'rule{k}' at N={n} violates {v.axiom} at indices {v.indices}"
+        failing += not want.passed
+        axioms.update(v.axiom for v in want.violations)
+    assert axioms == {"positivity", "symmetry", "triangle"}
+    assert 100 < failing < 400
 
 
 # ---------------------------------------------------------------------------
