@@ -25,6 +25,7 @@ from .plfun import gen_zigzag, pl_norm, pl_pointwise_sup, sample_analytic, tent_
 from .embeddings import (
     BATTERY_SEED,
     FamilySpec,
+    SequenceView,
     build_family,
     check_canonical,
     coefficient_norm,
@@ -200,36 +201,36 @@ def criterion_5() -> dict:
     )
 
 
-def _case_i1_invariants(model, res) -> bool:
+def _case_i1_invariants(seq, res) -> bool:
     eps, g = res.data["eps"], res.data["g"]
-    half_l = model.L / 2
+    half_l = seq.model.L / 2
     for n, e in eps.items():
-        if e != half_l + model.phi(1, n) - model.psi(n):
+        if e != half_l + seq.phi(1, n) - seq.psi(n):
             return False
-        if g[n] != model.d_seq(1, n) - e:
+        if g[n] != seq.d(1, n) - e:
             return False
     for n, gn in g.items():
-        if gn != half_l + model.psi(n) or gn < ZERO:
+        if gn != half_l + seq.psi(n) or gn < ZERO:
             return False
     items = sorted(g)
     for i, n in enumerate(items):
         for m in items[i + 1:]:
-            if g[n] + g[m] > model.d_seq(n, m):
+            if g[n] + g[m] > seq.d(n, m):
                 return False
     return True
 
 
-def _case_i2_invariants(model, res) -> bool:
+def _case_i2_invariants(seq, res) -> bool:
     sigma, tau, eps = res.data["sigma"], res.data["tau"], res.data["eps"]
     for s, t, e in zip(sigma, tau, eps):
-        formula = (-model.phi(s, t) + model.psi(s) + model.psi(t)) / 6
+        formula = (-seq.phi(s, t) + seq.psi(s) + seq.psi(t)) / 6
         if e != formula or not e > ZERO:
             return False
     return True
 
 
-def _case_ii_invariants(model, res, N: int) -> bool:
-    space = truncate(model, N)
+def _case_ii_invariants(seq, res) -> bool:
+    space = seq.space
     rows, c = res.subspace, res.data["c"]
     if any(not ci > ZERO for ci in c):
         return False
@@ -238,6 +239,15 @@ def _case_ii_invariants(model, res, N: int) -> bool:
             if c[i] + c[j] > space.d(rows[i], rows[j]):
                 return False
     return True
+
+
+# Per case, the invariants of its construction data, read on one sequence
+# view of the run's truncation.
+_CASE_INVARIANTS = {
+    "I-(i)": _case_i1_invariants,
+    "I-(ii)": _case_i2_invariants,
+    "II": _case_ii_invariants,
+}
 
 
 def criterion_6() -> dict:
@@ -250,12 +260,7 @@ def criterion_6() -> dict:
     ok = True
     for label, model, want in runs:
         res = main_theorem_pipeline(model, 30)
-        if res.case == "I-(i)":
-            inv = _case_i1_invariants(model, res)
-        elif res.case == "I-(ii)":
-            inv = _case_i2_invariants(model, res)
-        else:
-            inv = _case_ii_invariants(model, res, 30)
+        inv = _CASE_INVARIANTS[res.case](SequenceView(model, 30, truncate(model, 30)), res)
         good = res.case == want and inv and res.report.expectation_pass
         per_run[label] = {
             "case": res.case,

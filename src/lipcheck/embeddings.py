@@ -7,8 +7,10 @@ produces the explicit Lipschitz family, and ``verify_isometry`` confirms the
 norm identities for a battery of coefficient vectors. Each checker is
 written as a generator of its hypothesis's clause violations, in a fixed
 order, and one runner makes it the public ``check_*``, whose result names
-the first; the model-backed ones read distances from the truncation they
-build and ask the model only for declared tails. ``CONSTRUCTIONS`` is
+the first. A model's distance rules are read only by ``truncate``: the
+model-backed checkers and the main pipeline read sequence distances and
+the tail gaps phi and psi through one sequence view of the validated
+truncation, and ask the model only for declared tails. ``CONSTRUCTIONS`` is
 the one table of them: per construction id its builder, its checker, its
 target and expectation, the anchors ``lipcheck check`` uses and its standard
 instance. The standard families, the three main-pipeline cases and the tree
@@ -24,9 +26,11 @@ the pointwise sup at a designated point. Its ``kind`` labels the report:
 - "exact": the norm is the coefficient norm outright, with a nameable
   witness pair (and a zero pointwise defect where claimed);
 - "asymptotic": the norm stays below the coefficient norm on every
-  truncation; the rule pins the exact finite value through an independent
-  recomputation from the model's closed forms, with the member slopes and
-  the sup at the designated point;
+  truncation; the rule pins the exact finite value through its own
+  recomputation over the family space's integer view, apart from the
+  combined functions, with the member slopes and the sup at the designated
+  point (``tests/isometry_oracle.py`` recomputes it from the model's
+  closed forms);
 - "deflated": the norm is the coefficient norm times an explicit
   truncation factor, with the remaining gap at the base pinned exactly.
 
@@ -181,30 +185,56 @@ def _no_limits(model: MetricModel, why: str = "") -> TailDataError:
     return TailDataError(f"limits unavailable for model {model.name!r}{why}")
 
 
-def _on_truncation(model: MetricModel, N: int):
-    """``model`` truncated at N, read in sequence indices: the number of
-    sequence points, the distance ``d(n, m)`` with index 0 the base point,
-    and the radius ``R(n)``."""
-    space = truncate(model, N)
-    ns = model.n_seq(N)
-    rows = (0,) + tuple(model.seq_row(n) for n in range(1, ns + 1))
-    return (
-        ns,
-        lambda n, m: space.d(rows[n], rows[m]),
-        lambda n: min_positive_radius(space, rows[n]),
-    )
+class SequenceView:
+    """``model`` truncated at N, read in sequence indices, the one place a
+    checker or pipeline takes a sequence distance from: ``ns`` sequence
+    points, ``lo`` the first of them that is not the base point, the
+    distance ``d(n, m)`` with index 0 the base point, the radius
+    ``radius(n)``, and the tail gaps ``phi(n, m) = d(n, m) - L`` and
+    ``psi(n) = L(n) - L``, which need the model's declared tails.
+
+    ``space`` is the truncation, handed in when already built; otherwise
+    ``truncate`` builds and validates it on first read, so that checks on
+    the index range alone come first.
+    """
+
+    def __init__(self, model: MetricModel, N: int, space: Optional[FiniteMetricSpace] = None):
+        model.need_sequence()
+        self.model, self.N = model, N
+        self.ns = model.n_seq(N)
+        self.lo = 2 if model.base_aliases_p1 else 1
+        self.rows = (0,) + tuple(model.seq_row(n) for n in range(1, self.ns + 1))
+        if space is not None:
+            self.space = space
+
+    @functools.cached_property
+    def space(self) -> FiniteMetricSpace:
+        return truncate(self.model, self.N)
+
+    def d(self, n: int, m: int) -> Rat:
+        return self.space.dist[self.rows[n]][self.rows[m]]
+
+    def radius(self, n: int) -> Rat:
+        return min_positive_radius(self.space, self.rows[n])
+
+    def phi(self, n: int, m: int) -> Rat:
+        self.model.need_tails()
+        return self.d(n, m) - self.model.L
+
+    def psi(self, n: int) -> Rat:
+        self.model.need_tails()
+        return self.model.L_pair(n) - self.model.L
 
 
-def _check_subsequence(model: MetricModel, subseq, N: int) -> tuple:
+def _check_subsequence(seq: SequenceView, subseq) -> tuple:
     """``subseq`` as at least two strictly increasing ints, each a sequence
-    index of ``model`` truncated at N and none the base point."""
+    index of the view ``seq`` and none the base point."""
     subseq = tuple(as_index(s, "subsequence index") for s in subseq)
     if len(subseq) < 2:
         raise PreconditionError("subsequence needs at least two indices")
     if any(b <= a for a, b in zip(subseq, subseq[1:])):
         raise PreconditionError("subsequence indices must be strictly increasing")
-    lo = 2 if model.base_aliases_p1 else 1
-    if subseq[0] < lo or subseq[-1] > model.n_seq(N):
+    if subseq[0] < seq.lo or subseq[-1] > seq.ns:
         raise PreconditionError("subsequence indices out of the truncated range")
     return subseq
 
@@ -306,7 +336,8 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
     """
     model.need_sequence()
     model.need_tails()
-    ns, d, radius = _on_truncation(model, N)
+    seq = SequenceView(model, N, truncate(model, N))
+    ns, d = seq.ns, seq.d
     for n, m in permutations(range(1, ns + 1), 2):
         d_here = d(n, m)
         if m + 1 <= ns and m + 1 != n and d_here < d(n, m + 1):
@@ -317,7 +348,7 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
         yield "monotone-tail-undeclared", (), ()
     half_l = model.L / 2
     for k in range(1, ns + 1):
-        r, bound = radius(k), model.L_pair(k) - half_l
+        r, bound = seq.radius(k), model.L_pair(k) - half_l
         if r < bound:
             yield "radius", (k,), (r, bound)
     for k, l in combinations(range(1, ns + 1), 2):
@@ -339,16 +370,16 @@ def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
       never below D;
       "separation": 2D <= d(p_s, p_t).
     """
-    model.need_sequence()
-    subseq = _check_subsequence(model, subseq, N)
+    seq = SequenceView(model, N)
+    subseq = _check_subsequence(seq, subseq)
     if model.base_limit is None:
         raise _no_limits(model)
     dlim = model.base_limit
     if dlim <= ZERO:
         yield "positive-limit", (), (dlim,)
-    _, d, radius = _on_truncation(model, N)
+    d = seq.d
     for s in subseq:
-        db, r = d(0, s), radius(s)
+        db, r = d(0, s), seq.radius(s)
         if db != r:
             yield "radius-equality", (s,), (db, r)
     for a, b in zip(subseq, subseq[1:]):
@@ -388,8 +419,8 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
     model.need_sequence()
     if model.eps is None or not model.ratio_tends_to_one:
         raise _no_limits(model, ": no declared slope-ratio limit")
-    ns = model.n_seq(N)
-    lo = 2 if model.base_aliases_p1 else 1
+    seq = SequenceView(model, N)
+    ns, lo, d = seq.ns, seq.lo, seq.d
     eps = _eps_values(model, eps_seq, ns, lo)
     for n in range(lo, ns + 1):
         if eps[n] < ZERO:
@@ -400,12 +431,12 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
                 "limits unavailable: epsilon sequence differs from the model's "
                 f"declared closed form at n={n}"
             )
-    _, d, radius = _on_truncation(model, N)
+    seq.space  # built and validated here even when no index is left to check
     g = {n: d(0, n) - eps[n] for n in range(lo, ns + 1)}
     for n in range(lo, ns + 1):
         if g[n] < ZERO:
             yield "radius-window", (n,), (g[n], ZERO)
-        r = radius(n)
+        r = seq.radius(n)
         if g[n] > r:
             yield "radius-window", (n,), (g[n], r)
     for n, m in combinations(range(lo, ns + 1), 2):
@@ -427,9 +458,10 @@ def check_thm310(model: MetricModel, N: int) -> CheckResult:
         raise TailDataError(
             f"model {model.name!r} declares no liminf certificate for phi"
         )
-    top = model.n_seq(N)
-    for n, m in combinations(range(1, top + 1), 2):
-        lhs, rhs = model.phi(n, m), model.psi(n) + model.psi(m)
+    model.need_sequence()
+    seq = SequenceView(model, N, truncate(model, N))
+    for n, m in combinations(range(1, seq.ns + 1), 2):
+        lhs, rhs = seq.phi(n, m), seq.psi(n) + seq.psi(m)
         if not lhs > rhs:
             yield "strict-gap", (n, m), (lhs, rhs)
     if not model.liminf_phi_nonneg:
@@ -554,7 +586,7 @@ def _pattern_index(coeffs) -> int:
 
 # ---------------------------------------------------------------------------
 # Family builders: FamilySpec -> (functions, members, value_maps), where
-# value_maps holds each orbit member's values by node (None for the other
+# value_maps holds each orbit member's values by row (None for the other
 # families) for the asymptotic rules.
 
 
@@ -603,12 +635,12 @@ def _orbit_family(space, count, node_of, value, row_of):
 
     Orbit position k sits at node ``node_of(k)`` with ``value(node, head)``,
     ``head`` marking the orbit's first position; ``row_of`` maps a node to
-    its row in ``space``.
+    its row in ``space``, in node order, and the value maps are keyed by row.
     """
     fns, members, maps = [], [], []
     for r, positions in prime_orbits(count):
-        vmap = {node_of(k): value(node_of(k), k == positions[0]) for k in positions}
-        fns.append(_values_fn(space, {row_of(n): v for n, v in vmap.items()}))
+        vmap = {row_of(node_of(k)): value(node_of(k), k == positions[0]) for k in positions}
+        fns.append(_values_fn(space, vmap))
         members.append(r)
         maps.append(vmap)
     return tuple(fns), tuple(members), tuple(maps)
@@ -627,7 +659,8 @@ def _build_thm43(spec: FamilySpec):
 
 
 def _build_thm45(spec: FamilySpec):
-    subseq = _check_subsequence(spec.model, spec.anchors, spec.space.n_points)
+    seq = SequenceView(spec.model, spec.space.n_points, spec.space)
+    subseq = _check_subsequence(seq, spec.anchors)
     dlim = spec.model.base_limit
     if dlim is None:
         raise _no_limits(spec.model)
@@ -638,14 +671,13 @@ def _build_thm45(spec: FamilySpec):
 
 
 def _build_thm46(spec: FamilySpec):
-    model = spec.model
-    ns = model.n_seq(spec.N)
-    lo = 2 if model.base_aliases_p1 else 1
-    eps = _eps_values(model, spec.parameters["eps"], ns, lo)
-    g = {n: model.d_base(n) - eps[n] for n in range(lo, ns + 1)}
+    seq = SequenceView(spec.model, spec.N, spec.space)
+    ns, lo = seq.ns, seq.lo
+    eps = _eps_values(spec.model, spec.parameters["eps"], ns, lo)
+    g = {n: seq.d(0, n) - eps[n] for n in range(lo, ns + 1)}
     return _orbit_family(
         spec.space, ns - lo + 1, lambda k: k + lo - 1,
-        lambda n, head: g[n] if head else -g[n], model.seq_row,
+        lambda n, head: g[n] if head else -g[n], spec.model.seq_row,
     )
 
 
@@ -917,55 +949,44 @@ def _argmax_member(coeffs):
     return max(range(len(coeffs)), key=lambda i: (abs(coeffs[i]), -i), default=0)
 
 
-def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None, strict=True):
-    """Build the asymptotic rule for an orbit family.
+def _orbit_rule(members, value_maps, space, designated=None, strict=True):
+    """Build the asymptotic rule for an orbit family on ``space``.
 
-    ``nodes`` are the model-side indices the rule loops over (sequence
-    indices, or selection indices); ``dist`` and ``row_of`` translate them.
-    The pointwise sup is taken at node ``designated``, by default the head
-    of the dominant member's orbit. Each member is witnessed by its orbit's
-    head and deepest node; with a designated node, by its deepest node and
-    the designated one (a constant orbit attains toward it).
+    ``value_maps`` hold each member's values by row, and rows follow the
+    orbit order, so a member's head is its least row and its deepest point
+    its greatest. The pointwise sup is taken at row ``designated``, by
+    default the head of the dominant member's orbit. Each member is
+    witnessed by its orbit's head and deepest row; with a designated row,
+    by its deepest row and the designated one (a constant orbit attains
+    toward it).
 
-    The recomputation walks every node pair with the closed-form distances,
-    entirely apart from the truncated-matrix path the LipFn route uses. The
-    first call lifts the distance table (``dist(u, v) == T[x][y] / D``) and
-    the value maps (over one denominator) to integers; each vector then
+    The recomputation walks every row pair of the family space's integer
+    view (``space.scaled``, read once here) apart from the LipFn route,
+    which combines the members' functions; the recomputation from the
+    model's closed forms is the oracle in ``tests/isometry_oracle.py``. The
+    value maps are lifted over one denominator here too, so each vector
     sums integer values and compares slopes by cross-multiplication. The
     norm stays strictly below the coefficient norm, or with ``strict``
     False at most meets it; the zero vector gets no record.
     """
-    nodes = tuple(nodes)
-    lifted = None
-
-    def lift():
-        pos = {u: x for x, u in enumerate(nodes)}
-        rows = [[dist(u, v) if u != v else ZERO for v in nodes] for u in nodes]
-        D, mult = common_denominator(x for row in rows for x in row)
-        T = [[x.numerator * mult[x.denominator] for x in row] for row in rows]
-        Lv, vmult = common_denominator(v for vm in value_maps for v in vm.values())
-        V, checks = [], []
-        for key, vm in zip(members, value_maps):
-            lv = {node: v.numerator * vmult[v.denominator] for node, v in vm.items()}
-            V.append(tuple((pos[node], v) for node, v in lv.items()))
-            head, deep = min(vm), max(vm)
-            if designated is None:
-                u, v, dv = head, deep, abs(lv[head] - lv[deep])
-            else:
-                u, v, dv = deep, designated, abs(lv[deep])
-            checks.append((key, row_of(u), row_of(v), dv * D, Lv * T[pos[u]][pos[v]]))
-        return pos, T, D, Lv, V, checks
-
+    A, D = space.scaled
+    Lv, vmult = common_denominator(v for vm in value_maps for v in vm.values())
+    V, member_checks = [], []
+    for key, vm in zip(members, value_maps):
+        lv = {row: v.numerator * vmult[v.denominator] for row, v in vm.items()}
+        V.append(tuple(lv.items()))
+        head, deep = min(vm), max(vm)
+        if designated is None:
+            u, v, dv = head, deep, abs(lv[head] - lv[deep])
+        else:
+            u, v, dv = deep, designated, abs(lv[deep])
+        member_checks.append((key, u, v, dv * D, Lv * A[u][v]))
     ceiling = "<" if strict else "<="
 
     def rule(C, K, norm):
-        nonlocal lifted
         if not norm:
             return None
-        if lifted is None:
-            lifted = lift()
-        pos, T, D, Lv, V, member_checks = lifted
-        W = [0] * len(nodes)
+        W = [0] * len(A)
         checks = []
         for i, c in enumerate(C):
             if not c:
@@ -975,39 +996,16 @@ def _orbit_rule(members, value_maps, nodes, dist, row_of, designated=None, stric
             key, row_u, row_v, num, den = member_checks[i]
             checks.append((key, row_u, row_v, Rat(abs(c) * num, K * den)))
         scale = K * Lv
-        num, den = max_quotient(T, W)
+        num, den = max_quotient(A, W)
         n0 = _argmax_member(C)
         x0 = min(value_maps[n0]) if designated is None else designated
-        sup_num, sup_den = max_quotient_at(T[pos[x0]], W, pos[x0])
+        sup_num, sup_den = max_quotient_at(A[x0], W, x0)
         return RuleData(
-            Rat(num * D, den * scale), tuple(checks), row_of(x0),
+            Rat(num * D, den * scale), tuple(checks), x0,
             Rat(sup_num * D, sup_den * scale), ceiling=ceiling,
         )
 
     return rule
-
-
-def _model_nodes(model: MetricModel, ns: int):
-    """Node keys and closed-form distance for a model-backed rule loop.
-
-    Node 0 stands for a separate base point; alias models use sequence
-    index 1 directly (its family value is always zero)."""
-    if model.base_aliases_p1:
-        nodes = tuple(range(1, ns + 1))
-    else:
-        nodes = (0,) + tuple(range(1, ns + 1))
-
-    def dist(u, v):
-        if u == 0:
-            return model.d_base(v)
-        if v == 0:
-            return model.d_base(u)
-        return model.d_seq(u, v)
-
-    def row_of(node):
-        return 0 if node == 0 else model.seq_row(node)
-
-    return nodes, dist, row_of
 
 
 # ---------------------------------------------------------------------------
@@ -1059,20 +1057,16 @@ def _pair_expectation(spec, members, value_maps):
     return Expectation("exact", _dominant_pair_rule(members))
 
 
-def _orbit_expectation(spec, members, value_maps):
-    nodes, dist, row_of = _model_nodes(spec.model, spec.model.n_seq(spec.N))
-    return Expectation("asymptotic", _orbit_rule(members, value_maps, nodes, dist, row_of))
+def _orbit_expectation(designated=None, strict=True):
+    """Asymptotic expectation of an orbit family, read on its own space;
+    see :func:`_orbit_rule` for ``designated`` and ``strict``."""
 
+    def expectation(spec, members, value_maps):
+        return Expectation("asymptotic", _orbit_rule(
+            members, value_maps, spec.space, designated=designated, strict=strict,
+        ))
 
-def _thm45_expectation(spec, members, value_maps):
-    model = spec.model
-    nodes, dist, row_of = _model_nodes(model, model.n_seq(spec.N))
-    # the constant orbit attains toward the base
-    base_node = 1 if model.base_aliases_p1 else 0
-    return Expectation(
-        "asymptotic",
-        _orbit_rule(members, value_maps, nodes, dist, row_of, designated=base_node),
-    )
+    return expectation
 
 
 def _sign_pattern_expectation(pair_of_group):
@@ -1100,21 +1094,6 @@ def _thm57_expectation(spec, members, value_maps):
                         base_gap=norm * residue, witness_pair=pair)
 
     return Expectation("deflated", rule)
-
-
-def _selection_expectation(dist_of):
-    """Asymptotic expectation of a main-pipeline orbit family: node k sits at
-    row k - 1 of the subspace, and nodes u, v lie ``dist_of(spec)(u, v)``
-    apart. Its sums may meet the distances exactly (the case boundary and the
-    growth recurrence allow equality), so the norm may touch the target."""
-
-    def expectation(spec, members, value_maps):
-        nodes = tuple(range(1, spec.space.n_points + 1))
-        return Expectation("asymptotic", _orbit_rule(
-            members, value_maps, nodes, dist_of(spec), lambda k: k - 1, strict=False,
-        ))
-
-    return expectation
 
 
 @dataclass(frozen=True)
@@ -1199,21 +1178,22 @@ CONSTRUCTIONS = (
         "thm43", build=_build_thm43,
         check=lambda spec: check_thm43(spec.model, spec.N),
         model=lambda: catalog("dmqr41"), default_N=30,
-        expectation=_orbit_expectation,
+        expectation=_orbit_expectation(),
     ),
     Construction(
         "thm45", build=_build_thm45,
         check=lambda spec: check_thm45(spec.model, spec.anchors, spec.N),
         anchors=lambda model, N: tuple(range(2, model.n_seq(N) + 1)),
         model=lambda: catalog("example44"), default_N=30,
-        expectation=_thm45_expectation,
+        # the constant orbit attains toward the base, row 0
+        expectation=_orbit_expectation(designated=0),
     ),
     Construction(
         "thm46", build=_build_thm46,
         check=lambda spec: check_thm46(spec.model, spec.parameters["eps"], spec.N),
         parameters=lambda model: {"eps": model.eps},
         model=lambda c=1: catalog("dmqr44", c=c), default_N=20,
-        expectation=_orbit_expectation,
+        expectation=_orbit_expectation(),
     ),
     Construction("thm310", check=lambda spec: check_thm310(spec.model, spec.N)),
     Construction(
@@ -1235,12 +1215,13 @@ CONSTRUCTIONS = (
         ),
         target="sum-norm", expectation=_thm57_expectation,
     ),
-    # built by the main pipeline on the subspaces it selects
-    Construction("thm49i", build=_build_thm49i,
-                 expectation=_selection_expectation(lambda spec: spec.model.d_seq)),
+    # built by the main pipeline on the subspaces it selects; their sums may
+    # meet the distances exactly (the case boundary and the growth recurrence
+    # allow equality), so the norm may touch the target
+    Construction("thm49i", build=_build_thm49i, expectation=_orbit_expectation(strict=False)),
     Construction("thm49ii", build=_build_thm49ii, expectation=_pair_expectation),
-    Construction("thm49case2", build=_build_thm49case2, expectation=_selection_expectation(
-        lambda spec: lambda u, v: spec.space.d(u - 1, v - 1))),
+    Construction("thm49case2", build=_build_thm49case2,
+                 expectation=_orbit_expectation(strict=False)),
 )
 
 _BY_ID = {rec.theorem_id: rec for rec in CONSTRUCTIONS}
@@ -1382,14 +1363,15 @@ def _verified(case: str, rows, built: BuiltFamily, data: dict) -> PipelineResult
     return PipelineResult(case, tuple(rows), built.functions, verify_standard(built), data)
 
 
-def _classify_bounded(model: MetricModel, ns: int) -> str:
+def _classify_bounded(seq: SequenceView) -> str:
     """The uniform comparison between pair gaps and tail gaps, or an error
     naming the first disagreeing pairs."""
     sign = None
     sign_pair = None
+    ns = seq.ns
     for n in range(1, ns + 1):
         for m in range(n + 1, ns + 1):
-            here = model.phi(n, m) >= model.psi(n) + model.psi(m)
+            here = seq.phi(n, m) >= seq.psi(n) + seq.psi(m)
             if sign is None:
                 sign, sign_pair = here, (n, m)
             elif here != sign:
@@ -1400,38 +1382,39 @@ def _classify_bounded(model: MetricModel, ns: int) -> str:
     return "I-(i)" if sign else "I-(ii)"
 
 
-def _pipeline_case_i1(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> PipelineResult:
-    ns = model.n_seq(N)
-    half_l = model.L / 2
+def _pipeline_case_i1(seq: SequenceView) -> PipelineResult:
+    ns, d = seq.ns, seq.d
+    half_l = seq.model.L / 2
     eps = {}
     g = {}
     for n in range(2, ns + 1):
-        eps[n] = half_l + model.phi(1, n) - model.psi(n)
-        g[n] = half_l + model.psi(n)
-        if model.d_seq(1, n) - eps[n] != g[n]:
+        eps[n] = half_l + seq.phi(1, n) - seq.psi(n)
+        g[n] = half_l + seq.psi(n)
+        if d(1, n) - eps[n] != g[n]:
             raise ConstructionError("epsilon assignment does not match the closed form")
         if g[n] < ZERO:
             raise ConstructionError(f"negative shifted distance at n={n}")
     for n in range(2, ns + 1):
         for m in range(n + 1, ns + 1):
-            if g[n] + g[m] > model.d_seq(n, m):
+            if g[n] + g[m] > d(n, m):
                 raise ConstructionError(f"shifted sum exceeds the distance at ({n},{m})")
 
     # the subspace keeps only sequence points, re-based at the first
-    rows = [model.seq_row(k) for k in range(1, ns + 1)]
-    sub = trunc.subspace(rows)
+    rows = list(seq.rows[1:])
+    sub = seq.space.subspace(rows)
     for k in range(2, ns + 1):
         r_sub = min_positive_radius(sub, k - 1)
         if g[k] > r_sub:
             raise ConstructionError(f"shifted distance exceeds the radius at n={k}")
 
-    built = assemble_family(FamilySpec("thm49i", sub, parameters={"g": g}, model=model))
+    built = assemble_family(FamilySpec("thm49i", sub, parameters={"g": g}))
     return _verified("I-(i)", rows, built, {"eps": eps, "g": g})
 
 
-def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> PipelineResult:
+def _pipeline_case_i2(seq: SequenceView) -> PipelineResult:
+    model = seq.model
     model.need_envelopes()
-    ns = model.n_seq(N)
+    ns = seq.ns
     if ns < 2:
         raise ConstructionError("need at least two sequence points")
     sigma = [1]
@@ -1439,7 +1422,7 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
     eps = []
     while True:
         s, t = sigma[-1], tau[-1]
-        e = (-model.phi(s, t) + model.psi(s) + model.psi(t)) / 6
+        e = (-seq.phi(s, t) + seq.psi(s) + seq.psi(t)) / 6
         if e <= ZERO:
             raise ConstructionError(f"nonpositive epsilon at pair ({s},{t})")
         eps.append(e)
@@ -1468,8 +1451,8 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         raise ConstructionError("no unused sequence index left to serve as the base")
 
     order = [base_idx] + [n for n in range(1, ns + 1) if n != base_idx]
-    rows = [model.seq_row(n) for n in order]
-    sub = trunc.subspace(rows)
+    rows = [seq.rows[n] for n in order]
+    sub = seq.space.subspace(rows)
     pos = {n: i for i, n in enumerate(order)}
 
     anchor_rows = tuple((pos[s], pos[t]) for s, t in zip(sigma, tau))
@@ -1479,9 +1462,9 @@ def _pipeline_case_i2(model: MetricModel, trunc: FiniteMetricSpace, N: int) -> P
         anchors=anchor_rows,
         parameters={
             "L": model.L,
-            "phi_st": tuple(model.phi(s, t) for s, t in zip(sigma, tau)),
-            "psi_s": tuple(model.psi(s) for s in sigma),
-            "psi_t": tuple(model.psi(t) for t in tau),
+            "phi_st": tuple(seq.phi(s, t) for s, t in zip(sigma, tau)),
+            "psi_s": tuple(seq.psi(s) for s in sigma),
+            "psi_t": tuple(seq.psi(t) for t in tau),
         },
     )
     built = assemble_family(spec)
@@ -1499,8 +1482,7 @@ def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
     while True:
         n = len(selected)
         inner = None
-        for a in selected:
-            ca = cvals[selected.index(a)]
+        for a, ca in zip(selected, cvals):
             for b in selected:
                 v = trunc.d(a, b) + ca
                 if inner is None or v > inner:
@@ -1553,9 +1535,8 @@ def main_theorem_pipeline(model: MetricModel, N: int) -> PipelineResult:
     model.need_sequence()
     trunc = truncate(model, N)
     if model.bounded:
-        ns = model.n_seq(N)
-        case = _classify_bounded(model, ns)
-        if case == "I-(i)":
-            return _pipeline_case_i1(model, trunc, N)
-        return _pipeline_case_i2(model, trunc, N)
+        seq = SequenceView(model, N, trunc)
+        if _classify_bounded(seq) == "I-(i)":
+            return _pipeline_case_i1(seq)
+        return _pipeline_case_i2(seq)
     return _pipeline_case_ii(trunc)

@@ -352,10 +352,11 @@ class MetricModel:
     A rule gives each distance as ``(num, den)``, den > 0, not necessarily in
     lowest terms. ``row_parts(i, j)``, i != j, is the authoritative rule on
     row indices. Sequence models also give the 1-based rule ``seq_parts``
-    (and ``base_parts`` when the base is a separate point) so checkers can
-    reason in sequence indices; ``row_dist``, ``d_seq`` and ``d_base`` give
-    one Fraction each. Tail fields are declared closed forms, not computed
-    limits:
+    (and ``base_parts`` when the base is a separate point), which
+    ``row_parts`` wraps. The rules are read only by :func:`truncate`: a
+    checker or pipeline reads a sequence distance from the validated
+    truncation, through ``n_seq`` and ``seq_row``. Tail fields are declared
+    closed forms, not computed limits:
 
     - ``L_pair(n)``  = lim_m d(p_n, p_m)
     - ``L``          = lim_n L_pair(n)
@@ -391,9 +392,6 @@ class MetricModel:
 
     # -- sequence/row bookkeeping ------------------------------------------
 
-    def row_dist(self, i: int, j: int) -> Rat:
-        return ZERO if i == j else Rat(*self.row_parts(i, j))
-
     @property
     def is_sequence_model(self) -> bool:
         return self.seq_parts is not None
@@ -411,25 +409,6 @@ class MetricModel:
         self.need_sequence()
         return n - 1 if self.base_aliases_p1 else n
 
-    def row_seq(self, r: int) -> int:
-        self.need_sequence()
-        if not self.base_aliases_p1 and r == 0:
-            raise PreconditionError("row 0 is the base point, not a sequence point")
-        return r + 1 if self.base_aliases_p1 else r
-
-    def d_seq(self, n: int, m: int) -> Rat:
-        self.need_sequence()
-        if n == m:
-            return ZERO
-        return Rat(*self.seq_parts(n, m))
-
-    def d_base(self, n: int) -> Rat:
-        """d(0, p_n) in sequence indexing."""
-        self.need_sequence()
-        if self.base_aliases_p1:
-            return ZERO if n == 1 else Rat(*self.seq_parts(1, n))
-        return Rat(*self.base_parts(n))
-
     # -- declared tails -----------------------------------------------------
 
     @property
@@ -439,14 +418,6 @@ class MetricModel:
     def need_tails(self):
         if not self.has_tails:
             raise TailDataError(f"limits unavailable for model {self.name!r}")
-
-    def phi(self, n: int, m: int) -> Rat:
-        self.need_tails()
-        return self.d_seq(n, m) - self.L
-
-    def psi(self, n: int) -> Rat:
-        self.need_tails()
-        return self.L_pair(n) - self.L
 
     def need_envelopes(self):
         if self.env_phi is None or self.env_psi is None or self.env_dev is None:

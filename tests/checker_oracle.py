@@ -3,14 +3,16 @@ one first-failure runner replaced.
 
 Kept verbatim as a differential oracle: each returns its ``CheckResult`` at
 the first violation it meets, and the model-backed ones read distances from
-the model's closed forms (``d_seq``, ``d_base``) where the production
-checkers read the truncation they build. The argument checks they share
-with the production code are imported; the subsequence checks of
-``check_thm45`` stay inline, as they were before they moved into a helper.
+the model's closed forms (``d_seq``, ``d_base``, ``phi`` and ``psi`` in
+``model_oracle``) where the production checkers read a sequence view of the
+truncation. The argument checks they share with the production code are
+imported; the subsequence checks of ``check_thm45`` stay inline, as they
+were before they moved into a helper.
 """
 
 from __future__ import annotations
 
+from model_oracle import d_base, d_seq, phi, psi
 from lipcheck.embeddings import (
     _check_anchor_rows,
     _check_pairs,
@@ -163,21 +165,21 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
     """
     if not model.is_sequence_model:
         raise ModelError(f"model {model.name!r} has no sequence structure")
-    model.phi(1, 2)  # raises TailDataError when limits are undeclared
+    phi(model, 1, 2)  # raises TailDataError when limits are undeclared
     space = truncate(model, N)
     ns = model.n_seq(N)
     for n in range(1, ns + 1):
         for m in range(1, ns + 1):
             if m == n:
                 continue
-            d_here = model.d_seq(n, m)
-            if m + 1 <= ns and m + 1 != n and d_here < model.d_seq(n, m + 1):
+            d_here = d_seq(model, n, m)
+            if m + 1 <= ns and m + 1 != n and d_here < d_seq(model, n, m + 1):
                 return CheckResult(
-                    False, "thm43", "monotone", (n, m), (d_here, model.d_seq(n, m + 1))
+                    False, "thm43", "monotone", (n, m), (d_here, d_seq(model, n, m + 1))
                 )
-            if n + 1 <= ns and n + 1 != m and d_here < model.d_seq(n + 1, m):
+            if n + 1 <= ns and n + 1 != m and d_here < d_seq(model, n + 1, m):
                 return CheckResult(
-                    False, "thm43", "monotone", (n, m), (d_here, model.d_seq(n + 1, m))
+                    False, "thm43", "monotone", (n, m), (d_here, d_seq(model, n + 1, m))
                 )
     if not model.monotone_tails:
         return CheckResult(False, "thm43", "monotone-tail-undeclared", (), ())
@@ -190,7 +192,7 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
     for k in range(1, ns + 1):
         for l in range(k + 1, ns + 1):
             lhs = model.L_pair(k) + model.L_pair(l)
-            rhs = model.L + model.d_seq(k, l)
+            rhs = model.L + d_seq(model, k, l)
             if lhs > rhs:
                 return CheckResult(False, "thm43", "tail-sum", (k, l), (lhs, rhs))
     return CheckResult(True, "thm43")
@@ -226,23 +228,23 @@ def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
         return CheckResult(False, "thm45", "positive-limit", (), (dlim,))
     space = truncate(model, N)
     for s in subseq:
-        db = model.d_base(s)
+        db = d_base(model, s)
         r = _seq_radius(model, space, s)
         if db != r:
             return CheckResult(False, "thm45", "radius-equality", (s,), (db, r))
     for a, b in zip(subseq, subseq[1:]):
-        if model.d_base(a) < model.d_base(b):
+        if d_base(model, a) < d_base(model, b):
             return CheckResult(
-                False, "thm45", "decreasing", (a, b), (model.d_base(a), model.d_base(b))
+                False, "thm45", "decreasing", (a, b), (d_base(model, a), d_base(model, b))
             )
     for s in subseq:
-        if model.d_base(s) < dlim:
+        if d_base(model, s) < dlim:
             return CheckResult(
-                False, "thm45", "decreasing", (s,), (model.d_base(s), dlim)
+                False, "thm45", "decreasing", (s,), (d_base(model, s), dlim)
             )
     for i in range(len(subseq)):
         for j in range(i + 1, len(subseq)):
-            d = model.d_seq(subseq[i], subseq[j])
+            d = d_seq(model, subseq[i], subseq[j])
             if 2 * dlim > d:
                 return CheckResult(
                     False, "thm45", "separation", (subseq[i], subseq[j]), (2 * dlim, d)
@@ -280,7 +282,7 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
                 f"declared closed form at n={n}"
             )
     space = truncate(model, N)
-    g = {n: model.d_base(n) - eps[n] for n in range(lo, ns + 1)}
+    g = {n: d_base(model, n) - eps[n] for n in range(lo, ns + 1)}
     for n in range(lo, ns + 1):
         if g[n] < ZERO:
             return CheckResult(False, "thm46", "radius-window", (n,), (g[n], ZERO))
@@ -289,9 +291,9 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
             return CheckResult(False, "thm46", "radius-window", (n,), (g[n], r))
     for n in range(lo, ns + 1):
         for m in range(n + 1, ns + 1):
-            if g[n] + g[m] > model.d_seq(n, m):
+            if g[n] + g[m] > d_seq(model, n, m):
                 return CheckResult(
-                    False, "thm46", "ratio", (n, m), (g[n] + g[m], model.d_seq(n, m))
+                    False, "thm46", "ratio", (n, m), (g[n] + g[m], d_seq(model, n, m))
                 )
     return CheckResult(True, "thm46")
 
@@ -313,8 +315,8 @@ def check_thm310(model: MetricModel, N: int) -> CheckResult:
     top = model.n_seq(N)
     for n in range(1, top + 1):
         for m in range(n + 1, top + 1):
-            lhs = model.phi(n, m)
-            rhs = model.psi(n) + model.psi(m)
+            lhs = phi(model, n, m)
+            rhs = psi(model, n) + psi(model, m)
             if not lhs > rhs:
                 return CheckResult(
                     False, "thm310", "strict-gap", (n, m), (lhs, rhs)

@@ -4,20 +4,26 @@ Kept verbatim as a differential oracle, with the ``Expectation`` it reads,
 the Fraction ``coefficient_norm``, and the expectation factories of every
 standard family in that API. Its asymptotic families read the Fraction
 orbit rule (with the thm45 base-pair wrapper) that the integer rule
-replaced. ``combine`` is looked up in this module, so a test can swap in
-another path.
+replaced, over the model's closed-form distances (``model_oracle``) where
+the integer rule reads the family space's view; the families' value maps,
+keyed by row, are re-keyed to the rule's nodes. ``combine`` is looked up in
+this module, so a test can swap in another path.
 
-``old_path(monkeypatch, *modules)`` routes the construction pipelines through
-this oracle: the rule factories they call hand back the old expectation's
-fields, and ``verify_isometry`` reads them into an oracle ``Expectation``.
+``old_path(monkeypatch, *modules, model=None)`` routes the construction
+pipelines through this oracle: the rule factories they call hand back the
+old expectation's fields, and ``verify_isometry`` reads them into an oracle
+``Expectation``. ``model`` is the model the pipeline runs on, whose closed
+forms the case I-(i) rule reads.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from lipcheck.embeddings import RuleData, VerificationReport, WitnessRecord, _model_nodes
+from model_oracle import _model_nodes, d_seq
+from lipcheck.embeddings import RuleData, VerificationReport, WitnessRecord
 from lipcheck.lipfun import combine, lip_norm, pointwise_sup, slope, strong_pairs
 from lipcheck.metric import PreconditionError
 from lipcheck.rational import ONE, Rat, ZERO, format_rat, rat
@@ -294,8 +300,17 @@ def _orbit_rule_oracle(members, value_maps, nodes, dist, row_of, designated=None
     return rule
 
 
-def _orbit_expectation_oracle(spec, members, value_maps):
+def _on_nodes(spec, value_maps):
+    """The model's closed-form node loop, with ``value_maps`` re-keyed from
+    rows to its nodes."""
     nodes, dist, row_of = _model_nodes(spec.model, spec.model.n_seq(spec.N))
+    node_of = {row_of(u): u for u in nodes}
+    maps = tuple({node_of[row]: v for row, v in vm.items()} for vm in value_maps)
+    return nodes, dist, row_of, maps
+
+
+def _orbit_expectation_oracle(spec, members, value_maps):
+    nodes, dist, row_of, value_maps = _on_nodes(spec, value_maps)
     return Expectation(
         "asymptotic", rule=_orbit_rule_oracle(members, value_maps, nodes, dist, row_of)
     )
@@ -303,7 +318,7 @@ def _orbit_expectation_oracle(spec, members, value_maps):
 
 def _thm45_expectation_oracle(spec, members, value_maps):
     model = spec.model
-    nodes, dist, row_of = _model_nodes(model, model.n_seq(spec.N))
+    nodes, dist, row_of, value_maps = _on_nodes(spec, value_maps)
     base_node = 1 if model.base_aliases_p1 else 0
     # the constant orbit attains toward the base
     rule = _orbit_rule_oracle(members, value_maps, nodes, dist, row_of, designated=base_node)
@@ -355,8 +370,23 @@ EXPECTATIONS = {
 }
 
 
-def _old_orbit_fields(*args, strict=True, **kwargs):
-    return {"rule": _orbit_rule_oracle(*args, **kwargs), "strict": strict}
+def _old_orbit_fields(members, value_maps, space, designated=None, strict=True, model=None):
+    """The old fields of a main-pipeline orbit rule, whose node k sits at row
+    k - 1 of the selected ``space``. A bounded ``model`` reaches the orbit
+    rule only in case I-(i), whose selection is its sequence, node k the
+    point p_k, and the rule reads the model's closed forms; case II's rule
+    reads the space's distances."""
+    if model is not None and model.bounded:
+        def dist(u, v):
+            return d_seq(model, u, v)
+    else:
+        def dist(u, v):
+            return space.d(u - 1, v - 1)
+    maps = tuple({row + 1: v for row, v in vm.items()} for vm in value_maps)
+    point = None if designated is None else designated + 1
+    rule = _orbit_rule_oracle(members, maps, range(1, space.n_points + 1), dist,
+                              lambda k: k - 1, designated=point)
+    return {"rule": rule, "strict": strict}
 
 
 def _old_pair_fields(pairs, points=None):
@@ -372,11 +402,12 @@ def _old_verify(family, target, coeff_set, expectation, seed=None):
     )
 
 
-def old_path(monkeypatch, *modules):
+def old_path(monkeypatch, *modules, model=None):
     """Route every pipeline in ``modules`` through the oracle: each rule
     factory returns the old expectation's fields in place of a rule."""
+    orbit_fields = functools.partial(_old_orbit_fields, model=model)
     for module in modules:
-        for name, old in (("_orbit_rule", _old_orbit_fields),
+        for name, old in (("_orbit_rule", orbit_fields),
                           ("_dominant_pair_rule", _old_pair_fields),
                           ("verify_isometry", _old_verify)):
             if hasattr(module, name):

@@ -1,5 +1,6 @@
 """The catalog builders of ``lipcheck.metric`` whose rules chained
-``Fraction`` arithmetic, before each rule became one exact division.
+``Fraction`` arithmetic, before each rule became one exact division, and
+the model's Fraction reads that sequence views of the truncation replaced.
 
 Kept as a differential oracle: every rule here adds, subtracts, divides or
 raises ``Fraction``s as the paper writes it, so a rewritten rule that drops
@@ -8,13 +9,77 @@ integer rules, so each rule is handed over through ``as_parts``, which
 gives its value's numerator and denominator in lowest terms; a truncation
 that reduces a rule's ``(num, den)`` wrongly disagrees with these too. Each
 builder returns a ``MetricModel`` that ``truncate`` accepts.
+
+``row_dist``, ``row_seq``, ``d_seq``, ``d_base``, ``phi``, ``psi`` and
+``_model_nodes`` are the ``MetricModel`` methods and the orbit rules' node
+loop that read a model's rules one Fraction at a time, kept verbatim as
+functions of the model: the closed forms the oracles compare against.
 """
 
 from __future__ import annotations
 
 from builders import as_parts
-from lipcheck.metric import MetricModel, ModelError, _seq_model
-from lipcheck.rational import ONE, ZERO, rat
+from lipcheck.metric import MetricModel, ModelError, PreconditionError, _seq_model
+from lipcheck.rational import ONE, Rat, ZERO, rat
+
+
+def row_dist(model: MetricModel, i: int, j: int) -> Rat:
+    return ZERO if i == j else Rat(*model.row_parts(i, j))
+
+
+def row_seq(model: MetricModel, r: int) -> int:
+    model.need_sequence()
+    if not model.base_aliases_p1 and r == 0:
+        raise PreconditionError("row 0 is the base point, not a sequence point")
+    return r + 1 if model.base_aliases_p1 else r
+
+
+def d_seq(model: MetricModel, n: int, m: int) -> Rat:
+    model.need_sequence()
+    if n == m:
+        return ZERO
+    return Rat(*model.seq_parts(n, m))
+
+
+def d_base(model: MetricModel, n: int) -> Rat:
+    """d(0, p_n) in sequence indexing."""
+    model.need_sequence()
+    if model.base_aliases_p1:
+        return ZERO if n == 1 else Rat(*model.seq_parts(1, n))
+    return Rat(*model.base_parts(n))
+
+
+def phi(model: MetricModel, n: int, m: int) -> Rat:
+    model.need_tails()
+    return d_seq(model, n, m) - model.L
+
+
+def psi(model: MetricModel, n: int) -> Rat:
+    model.need_tails()
+    return model.L_pair(n) - model.L
+
+
+def _model_nodes(model: MetricModel, ns: int):
+    """Node keys and closed-form distance for a model-backed rule loop.
+
+    Node 0 stands for a separate base point; alias models use sequence
+    index 1 directly (its family value is always zero)."""
+    if model.base_aliases_p1:
+        nodes = tuple(range(1, ns + 1))
+    else:
+        nodes = (0,) + tuple(range(1, ns + 1))
+
+    def dist(u, v):
+        if u == 0:
+            return d_base(model, v)
+        if v == 0:
+            return d_base(model, u)
+        return d_seq(model, u, v)
+
+    def row_of(node):
+        return 0 if node == 0 else model.seq_row(node)
+
+    return nodes, dist, row_of
 
 
 def _prop24() -> MetricModel:

@@ -55,8 +55,8 @@ def test_rewritten_rules_equal_their_fraction_oracles(label, build, oracle):
     for field in ("base_parts", "L_pair", "eps"):
         assert (getattr(new, field) is None) == (getattr(old, field) is None), field
     reads = {
-        "d_seq": lambda model: [model.d_seq(n, m) for n, m in PAIRS],
-        "d_base": lambda model: [model.d_base(n) for n in INDICES],
+        "d_seq": lambda model: [model_oracle.d_seq(model, n, m) for n, m in PAIRS],
+        "d_base": lambda model: [model_oracle.d_base(model, n) for n in INDICES],
         "L_pair": lambda model: model.L_pair and [model.L_pair(n) for n in INDICES],
         "eps": lambda model: model.eps and [model.eps(n) for n in INDICES],
     }
@@ -95,7 +95,7 @@ def test_truncation_view_equals_the_oracle_rows(label, build, oracle):
     top = PAST_GRID[label]
     if model.max_points is not None and top > model.max_points:
         top = N_GRID
-    full = [[reference.row_dist(i, j) for j in range(top)] for i in range(top)]
+    full = [[model_oracle.row_dist(reference, i, j) for j in range(top)] for i in range(top)]
     for N in [*range(2, N_GRID + 1), top]:
         rows = tuple(tuple(row[:N]) for row in full[:N])
         space = truncate(model, N)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from builders import as_parts, defect, ell1_sign_check
+from lipcheck import embeddings, metric
 from lipcheck.embeddings import (
     BATTERY_SEED,
     ConstructionError,
@@ -855,6 +856,56 @@ def test_pipeline_case_ii_needs_an_orbit():
 def test_pipeline_rejects_nonsequence_models():
     with pytest.raises(ModelError):
         main_theorem_pipeline(catalog("thm51star", levels=3), 8)
+
+
+def _rule_counted(model, calls):
+    """``model`` with each of its rules recording one entry in ``calls`` per
+    evaluation. ``row_parts`` wraps the uncounted sequence rules, so an entry
+    a truncation computes counts once."""
+
+    def counted(rule):
+        def evaluate(*args):
+            calls.append(args)
+            return rule(*args)
+
+        return rule and evaluate
+
+    return replace(model, **{
+        name: counted(getattr(model, name)) for name in ("row_parts", "seq_parts", "base_parts")
+    })
+
+
+# Each runs one job on rule-counted models (``counted`` wraps a model; the
+# standard instances build theirs through ``embeddings.catalog``).
+RULE_READERS = {
+    "pipeline-dmqr41": lambda counted: main_theorem_pipeline(counted(catalog("dmqr41")), 30),
+    "pipeline-example48": lambda counted: main_theorem_pipeline(counted(catalog("example48")), 30),
+    "pipeline-power_line": lambda counted: main_theorem_pipeline(counted(power_line(4)), 30),
+    "verify-thm43": lambda counted: verify_standard(standard_family("thm43")),
+    "verify-thm45": lambda counted: verify_standard(standard_family("thm45")),
+    "verify-thm46": lambda counted: verify_standard(standard_family("thm46")),
+    "check-thm310": lambda counted: check_canonical("thm310", counted(catalog("dmqr41")), 20),
+}
+
+
+@pytest.mark.parametrize("label", RULE_READERS)
+def test_model_rules_are_evaluated_only_inside_truncate(monkeypatch, count_calls, label):
+    """Checkers, orbit rules and the main pipeline read every sequence
+    distance and tail gap from the validated truncation: the model's rules
+    are evaluated exactly N(N - 1) times per truncation built, and nowhere
+    else."""
+    calls, models = [], []
+
+    def counted(model):
+        models.append(_rule_counted(model, calls))
+        return models[-1]
+
+    monkeypatch.setattr(embeddings, "catalog", lambda name, **params: counted(catalog(name, **params)))
+    truncations = count_calls(metric.truncate)
+    RULE_READERS[label](counted)
+    built = [N for model, N in truncations if any(model is m for m in models)]
+    assert built
+    assert len(calls) == sum(N * (N - 1) for N in built)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """Differential oracles for the integer coefficient battery.
 
 ``combine`` sums the members' integer views and hands its result one, and
-each asymptotic rule lifts its closed-form distance table and value maps to
-integers on its first call. The Fraction ``combine`` they replaced is kept
+each asymptotic rule reads its family space's integer view and lifts its
+value maps to integers once. The Fraction ``combine`` they replaced is kept
 here verbatim, and the Fraction ``_orbit_rule`` (with the thm45 base-pair
-wrapper) in ``isometry_oracle``, beside the ``verify_isometry`` that read
-it. The two paths must write the same verification reports, witness
-records and failure lists in order, on every standard family and every
-pipeline case, and the rules must agree vector by vector.
+wrapper), over the model's closed forms, in ``isometry_oracle``, beside the
+``verify_isometry`` that read it. The two paths must write the same
+verification reports, witness records and failure lists in order, on every
+standard family and every pipeline case, and the rules must agree vector by
+vector.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 
 import isometry_oracle as oracle
 from builders import scale
-from isometry_oracle import EXPECTATIONS as ORACLE_EXPECTATIONS, _orbit_rule_oracle
+from isometry_oracle import EXPECTATIONS as ORACLE_EXPECTATIONS
 from lipcheck import embeddings
 from lipcheck.embeddings import (
     VERIFY_THEOREMS,
@@ -233,13 +234,15 @@ def _pipeline_rule_pairs(monkeypatch, model_name):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(embeddings, "_orbit_rule", recording)
-    result = main_theorem_pipeline(load_model(model_name, {}), 30)
+    model = load_model(model_name, {})
+    result = main_theorem_pipeline(model, 30)
     monkeypatch.setattr(embeddings, "_orbit_rule", real)
     assert len(seen) == 1
     args, kwargs = seen[0]
     assert kwargs.pop("strict") is False
     new = real(*args, strict=False, **kwargs)
-    return result.case, new, _orbit_rule_oracle(*args, **kwargs), len(result.family)
+    old = oracle._old_orbit_fields(*args, model=model, **kwargs)["rule"]
+    return result.case, new, old, len(result.family)
 
 
 def _new_outcome(rule, coeffs):
@@ -278,7 +281,7 @@ def test_pipeline_rules_match_the_oracle_vector_by_vector(monkeypatch, model_nam
 
 def test_rules_read_only_their_distance_closure(monkeypatch):
     """A model-backed rule reads neither the truncated matrix nor its
-    integer view: its distances come from the model's closed forms."""
+    integer view when called: it holds the view it read once when built."""
     rules = [(tid, new, size) for tid, new, _, size in _standard_rule_pairs()]
 
     def refuse(self, *args):
@@ -326,7 +329,7 @@ def test_pipeline_results_match_the_oracle_path(monkeypatch, model_name, case):
     model = load_model(model_name, {})
     new = main_theorem_pipeline(model, 30)
     with monkeypatch.context() as m:
-        oracle.old_path(m, embeddings)
+        oracle.old_path(m, embeddings, model=model)
         m.setattr(oracle, "combine", _combine_oracle)
         old = main_theorem_pipeline(model, 30)
     assert new.case == case

@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import model_oracle
+from lipcheck.embeddings import SequenceView
 from lipcheck.metric import (
     CATALOG_NAMES,
     FiniteMetricSpace,
@@ -204,46 +206,52 @@ def test_thm57_structure():
     assert model.max_points == 65
 
 
+def _on_truncation(model, N=10):
+    """The sequence view of ``model`` truncated at N, which checkers and
+    pipelines read; index 0 is the base point."""
+    return SequenceView(model, N, truncate(model, N))
+
+
 def test_sequence_bookkeeping():
     alias = catalog("dmqr41")
     assert alias.seq_row(1) == 0
-    assert alias.row_seq(0) == 1
-    assert alias.d_base(1) == rat(0)
-    assert alias.d_base(3) == rat(4, 3)
+    assert model_oracle.row_seq(alias, 0) == 1
+    assert _on_truncation(alias).d(0, 1) == rat(0)
+    assert _on_truncation(alias).d(0, 3) == rat(4, 3)
 
     sep = catalog("example35")
     assert sep.seq_row(1) == 1
-    assert sep.d_base(2) == rat(3, 2)
+    assert _on_truncation(sep).d(0, 2) == rat(3, 2)
     with pytest.raises(PreconditionError):
-        sep.row_seq(0)
+        model_oracle.row_seq(sep, 0)
     assert sep.n_seq(10) == 9
     assert alias.n_seq(10) == 10
 
 
 def test_tail_data_declared_values():
-    model = catalog("example33")
-    assert model.psi(3) == rat(1, 3)
-    assert model.phi(2, 5) == rat(1, 2)
-    assert model.phi(5, 2) == rat(1, 2)
+    v33 = _on_truncation(catalog("example33"))
+    assert v33.psi(3) == rat(1, 3)
+    assert v33.phi(2, 5) == rat(1, 2)
+    assert v33.phi(5, 2) == rat(1, 2)
 
-    m48 = catalog("example48")
-    assert m48.psi(1) == rat(-1, 3)
-    assert m48.phi(1, 2) == rat(-1, 3) - rat(2, 9)
+    v48 = _on_truncation(catalog("example48"))
+    assert v48.psi(1) == rat(-1, 3)
+    assert v48.phi(1, 2) == rat(-1, 3) - rat(2, 9)
 
-    m41 = catalog("dmqr41")
-    assert m41.psi(7) == rat(0)
-    assert m41.phi(2, 6) == rat(1, 6)
+    v41 = _on_truncation(catalog("dmqr41"))
+    assert v41.psi(7) == rat(0)
+    assert v41.phi(2, 6) == rat(1, 6)
 
 
 def test_missing_tails_raise():
     model = catalog("dmqr44")
     with pytest.raises(TailDataError):
-        model.phi(1, 2)
+        _on_truncation(model).phi(1, 2)
     with pytest.raises(TailDataError):
         model.need_envelopes()
     structured = catalog("prop53")
     with pytest.raises(ModelError):
-        structured.d_seq(1, 2)
+        _on_truncation(structured).d(1, 2)
 
 
 @pytest.mark.parametrize(
@@ -255,7 +263,7 @@ def test_tail_monotonicity(name):
     for n in range(1, 8):
         prev = None
         for m in range(n + 1, 16):
-            gap = model.d_seq(n, m) - model.L_pair(n)
+            gap = model_oracle.d_seq(model, n, m) - model.L_pair(n)
             if gap < rat(0):
                 gap = -gap
             if prev is not None:
@@ -272,15 +280,15 @@ def test_envelope_declarations_hold_on_window(name):
     H = 24
     for s in range(1, 9):
         worst_phi = max(
-            abs(model.phi(n, m)) for n in range(s, H) for m in range(n + 1, H + 1)
+            abs(model_oracle.phi(model, n, m)) for n in range(s, H) for m in range(n + 1, H + 1)
         )
         assert worst_phi <= model.env_phi(s), (name, s)
-        worst_psi = max(abs(model.psi(n)) for n in range(s, H))
+        worst_psi = max(abs(model_oracle.psi(model, n)) for n in range(s, H))
         assert worst_psi <= model.env_psi(s), (name, s)
     for n in range(1, 5):
         for s in range(n + 1, 10):
             worst = max(
-                abs(model.phi(n, m) - model.psi(n)) for m in range(s, H)
+                abs(model_oracle.phi(model, n, m) - model_oracle.psi(model, n)) for m in range(s, H)
             )
             assert worst <= model.env_dev(n, s), (name, n, s)
 

@@ -14,7 +14,7 @@ reach every failure template and the cap of eight failures.
 
 import re
 from dataclasses import replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import pytest
 
@@ -67,9 +67,10 @@ def _standard_cases():
         yield tid, built.functions, built.target, built.expectation, old
 
 
-def _recorded(monkeypatch, modules, run):
+def _recorded(monkeypatch, modules, run, model=None):
     """Run a pipeline on the new path, recording the family and expectation
-    it verifies, and the old expectation of the same data."""
+    it verifies, and the old expectation of the same data; ``model`` is the
+    model the pipeline runs on, whose closed forms the old orbit rule reads."""
     calls = []
     real_verify = embeddings.verify_isometry
 
@@ -90,8 +91,8 @@ def _recorded(monkeypatch, modules, run):
             m.setattr(module, "verify_isometry", recording_verify)
             m.setattr(module, "_dominant_pair_rule", recording(
                 embeddings._dominant_pair_rule, oracle._old_pair_fields))
-        m.setattr(embeddings, "_orbit_rule",
-                  recording(embeddings._orbit_rule, oracle._old_orbit_fields))
+        m.setattr(embeddings, "_orbit_rule", recording(
+            embeddings._orbit_rule, partial(oracle._old_orbit_fields, model=model)))
         run()
     assert len(calls) == 1
     return calls[0]
@@ -101,7 +102,7 @@ def _pipeline_cases(monkeypatch):
     for model_name in ("power_line", "example48", "dmqr41"):
         model = load_model(model_name, {})
         yield (model_name,) + _recorded(
-            monkeypatch, (embeddings,), lambda: main_theorem_pipeline(model, 30))
+            monkeypatch, (embeddings,), lambda: main_theorem_pipeline(model, 30), model)
     star = weighted_tree(8, [(0, leaf, 1) for leaf in range(1, 8)])
     yield ("tree",) + _recorded(
         monkeypatch, (embeddings,), lambda: tree_c0_pipeline(tree_metric(star)))
