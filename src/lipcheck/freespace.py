@@ -23,16 +23,17 @@ to integers: path lengths are integer sums, and since ``D > 0`` every
 comparison and tie is the one the rationals give, so the paths and arcs
 are too. One Fraction is built per result: the transport cost, the
 matching's identity and best costs, and each witness value, built on
-first read from the integer view the witness is built from and the
-certificate reads.
+first read from the witness's stored integer view, which the certificate
+reads.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from math import lcm
 
-from .lipfun import LipFn, lip_norm, zero_fn
+from .lipfun import LipFn, lip_norm, reduced_fn, zero_fn
 from .metric import FiniteMetricSpace, LipcheckError, PreconditionError, StructureError, as_index
 from .rational import Rat, ZERO, ONE, parse_rat, rat
 
@@ -238,8 +239,7 @@ def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
     the reversed arcs. A negative cycle, which only a matrix violating
     the triangle inequality can produce, leaves no solution. The pass runs
     on the integer distances ``A`` (``d == A / D``), so ``f == F / D`` with
-    ``F`` minus the integer path lengths; the witness is built from that
-    view.
+    ``F`` minus the integer path lengths; the witness is that view, reduced.
     """
     A, D = space.scaled
     n = space.n_points
@@ -251,7 +251,7 @@ def _least_optimal_dual(space: FiniteMetricSpace, arcs) -> LipFn:
             "optimal transport arcs admit no 1-Lipschitz dual: "
             "the distances violate the triangle inequality"
         )
-    return LipFn.from_lifted(space, tuple(-x for x in found[0]), D)
+    return reduced_fn(space, tuple(-x for x in found[0]), D)
 
 
 @dataclass(frozen=True)
@@ -385,6 +385,8 @@ def complementation_test(molecule_pairs, duals, samples) -> ComplementationRepor
 # ---------------------------------------------------------------------------
 # JSON interchange
 
+_INDEX_RE = re.compile(r"0|[1-9][0-9]*")
+
 
 def free_from_json(obj, space: FiniteMetricSpace) -> FreeElement:
     if not isinstance(obj, dict) or "weights" not in obj:
@@ -397,6 +399,12 @@ def free_from_json(obj, space: FiniteMetricSpace) -> FreeElement:
     raw = obj["weights"]
     if not isinstance(raw, dict) or not all(isinstance(w, str) for w in raw.values()):
         raise StructureError("'weights' must map point indices to rational strings")
+    # One spelling per index, as parse_rat has one per value: int() would
+    # read "01", " 1", "+1" and "1_0", and two keys naming one point would
+    # silently replace each other.
+    bad = [p for p in raw if not _INDEX_RE.fullmatch(p)]
+    if bad:
+        raise StructureError(f"not a canonical point index: {bad[0]!r}")
     try:
         weights = {int(p): parse_rat(w) for p, w in raw.items()}
     except ValueError as exc:

@@ -5,12 +5,13 @@ is the largest absolute difference quotient; on a finite space that is a
 maximum, so attainment questions become equalities between rationals.
 
 The kernels run on integers. Distances are ``A / D`` from the space's
-cached integer view, and values are ``F / L`` from the function's cached
-integer view ``LipFn.lifted``, lifted once per function. A function can be
-built from that view (:meth:`LipFn.from_lifted`), and then its ``values``
-are built on first read: :func:`combine` sums integer products and builds
-its result so, and a caller that reads only the scans and slopes builds
-no value Fraction. The scans (:func:`lip_norm`, :func:`strong_pairs`,
+integer view, and values are ``F / L`` from the function's, ``LipFn.lifted``,
+the only form a function stores: L is the least denominator, so equal
+functions have equal views. Rationals enter through :func:`lipfn`; an
+integer view, which :func:`combine` sums from integer products, enters
+through :func:`reduced_fn`, which divides out the gcd. ``values`` is built
+on first read, so a caller that reads only the scans and slopes builds no
+value Fraction. The scans (:func:`lip_norm`, :func:`strong_pairs`,
 :func:`pointwise_sup`) compare the quotients ``|F[q] - F[p]| / A[p][q]``
 by integer cross-multiplication: a slope is
 ``(F[q] - F[p]) * D / (A[p][q] * L)``, and one Fraction is built at the
@@ -19,12 +20,12 @@ API boundary.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 
 from .metric import (
     FiniteMetricSpace,
-    FrozenValue,
     PreconditionError,
     StructureError,
     common_denominator,
@@ -32,65 +33,59 @@ from .metric import (
 from .rational import Rat, ZERO, rat
 
 
-class LipFn(FrozenValue):
-    """A function on a finite pointed space, vanishing at the base.
+@dataclass(frozen=True)
+class LipFn:
+    """A function on a finite pointed space, vanishing at the base, stored
+    as its least integer view.
 
-    Built from its ``values``, or with :meth:`from_lifted` from its integer
-    view, and then ``values`` is built on first read. Equality and hashing
-    compare ``space`` and ``values`` either way.
+    ``lifted`` is ``(F, L)``: a tuple of ints ``F`` and L > 0 with
+    ``f(p) == F[p] / L`` and gcd(L, every F[p]) == 1, so equality and
+    hashing compare integers. Build one with :func:`lipfn` from rationals
+    or :func:`reduced_fn` from any integer view.
     """
 
-    _fields = ("space", "values")
+    space: FiniteMetricSpace
+    lifted: tuple
 
-    def __init__(self, space: FiniteMetricSpace, values: tuple):
-        _check_shape(space, values)
-        vars(self).update(space=space, values=values)
-
-    @classmethod
-    def from_lifted(cls, space: FiniteMetricSpace, F: tuple, L: int) -> "LipFn":
-        """The function with ``f(p) == F[p] / L``, for a tuple of ints ``F``
-        and L > 0."""
-        _check_shape(space, F)
-        fn = cls.__new__(cls)
-        vars(fn).update(space=space, lifted=(F, L))
-        return fn
+    def __post_init__(self):
+        # The shape: a base point, one value per point and 0 at the base.
+        n, F = self.space.n_points, self.lifted[0]
+        if n == 0:
+            raise PreconditionError("a function needs a space with a base point")
+        if len(F) != n:
+            raise StructureError(f"{len(F)} values for a {n}-point space")
+        if F[self.space.base_index] != 0:
+            raise PreconditionError("functions must vanish at the base point")
 
     def __call__(self, p: int) -> Rat:
         return self.values[p]
 
     @cached_property
     def values(self) -> tuple:
-        """One rational per row; built from the view when the function was
-        built from it."""
+        """One rational per row, built on first read."""
         F, L = self.lifted
         return tuple(Rat(x, L) if x else ZERO for x in F)
 
-    @cached_property
-    def lifted(self):
-        """``(F, L)``: integer values over one denominator L > 0 with
-        ``f(p) == F[p] / L``, computed once per function. L need not be in
-        lowest terms; every consumer only divides by it."""
-        L, mult = common_denominator(self.values)
-        return tuple(v.numerator * mult[v.denominator] for v in self.values), L
-
-
-def _check_shape(space: FiniteMetricSpace, values) -> None:
-    """One value per point and 0 at the base; ``values`` may be rationals
-    or their integer numerators."""
-    if len(values) != space.n_points:
-        raise StructureError(
-            f"{len(values)} values for a {space.n_points}-point space"
-        )
-    if values[space.base_index] != 0:
-        raise PreconditionError("functions must vanish at the base point")
-
 
 def lipfn(space: FiniteMetricSpace, values) -> LipFn:
-    return LipFn(space, tuple(rat(v) for v in values))
+    """The function with the given values, coerced with rat(). Over the LCM
+    of the reduced denominators the view is already the least."""
+    values = [rat(v) for v in values]
+    L, mult = common_denominator(values)
+    return LipFn(space, (tuple(v.numerator * mult[v.denominator] for v in values), L))
+
+
+def reduced_fn(space: FiniteMetricSpace, F: tuple, L: int) -> LipFn:
+    """The function with ``f(p) == F[p] / L``, for a tuple of ints ``F`` and
+    L > 0, both divided by their gcd so that the stored view is the least."""
+    g = gcd(L, *F)
+    if g > 1:
+        F, L = tuple(x // g for x in F), L // g
+    return LipFn(space, (F, L))
 
 
 def zero_fn(space: FiniteMetricSpace) -> LipFn:
-    return LipFn(space, (ZERO,) * space.n_points)
+    return LipFn(space, ((0,) * space.n_points, 1))
 
 
 def slope_parts(f: LipFn, p: int, q: int):
@@ -188,7 +183,7 @@ def combine(fns, coeffs) -> LipFn:
     The nonzero coefficients are lifted over their LCM K (``c_i == C_i / K``)
     and the members' views ``F_i / L_i`` over the LCM M of the L_i, so each
     value is ``sum(C_i * (M // L_i) * F_i[p]) / (K * M)``. The result is
-    built from that integer view, so its values are built only if read.
+    that integer view, reduced, so its values are built only if read.
     """
     fns = list(fns)
     coeffs = [rat(c) for c in coeffs]
@@ -208,4 +203,4 @@ def combine(fns, coeffs) -> LipFn:
     for c, (F, L) in terms:
         w = c.numerator * mult[c.denominator] * (M // L)
         S = [s + w * x for s, x in zip(S, F)]
-    return LipFn.from_lifted(space, tuple(S), K * M)
+    return reduced_fn(space, tuple(S), K * M)

@@ -7,18 +7,17 @@ carry whatever tail data (limits along the index set) the downstream
 checkers need. A model that cannot supply a limit says so through an error
 instead of letting callers guess one numerically.
 
-Integer view: each model gives one integer rule ``(num, den)`` per
-distance, and :func:`truncate` builds its space from the view
-(:meth:`FiniteMetricSpace.from_scaled`, ``dist[i][j] == A[i][j] / D``); a
-space built from rationals clears its denominators once
-(:attr:`FiniteMetricSpace.scaled`). The axiom check compares the integers
-``A``; since ``D > 0`` every comparison and sum means the same thing on
-``A / D`` as on the rationals. An O(n^2) row-bound certificate (see
-:func:`validate`) spares the cubic triangle scan every pair of rows that
-cannot fail. Fractions are built only at the API boundary: violations carry
-the original ``dist`` entries, in the order the rational scan found them,
-and a view-built space builds ``dist`` on first read, so a kernel that reads
-only the view, a passing truncation included, builds no Fraction at all.
+Integer view: a space stores only its least integer view ``A / D``
+(:attr:`FiniteMetricSpace.scaled`). Each model gives one integer rule
+``(num, den)`` per distance, and :func:`truncate` builds its space from
+those; rationals enter only through :func:`make_space`. The axiom check
+compares the integers ``A``; since ``D > 0`` every comparison and sum means
+the same thing on ``A / D`` as on the rationals. An O(n^2) row-bound
+certificate (see :func:`validate`) spares the cubic triangle scan every
+pair of rows that cannot fail. Fractions are built only at the API
+boundary: violations carry the ``dist`` entries, in the order the rational
+scan found them, and ``dist`` is built on first read, so a kernel that
+reads only the view, a passing truncation included, builds no Fraction.
 
 Row convention: the base point is always row 0. Models whose base point is
 the first sequence element alias row i to p_{i+1}; models with a separate
@@ -29,13 +28,13 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import gcd, lcm
 from typing import Callable, Optional
 
-from .rational import Rat, ZERO, ONE, format_rat, is_rational, parse_rat, rat
+from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
 
 BASE_INDEX = 0
 
@@ -129,90 +128,33 @@ class CheckResult:
         }
 
 
-class FrozenValue:
-    """Base of the immutable values whose fields may be built on first read.
+@dataclass(frozen=True)
+class FiniteMetricSpace:
+    """An n-point metric with the base fixed at row 0, stored as its least
+    integer view.
 
-    Equality, hashing and repr read the fields named in ``_fields`` by
-    attribute access, as a frozen dataclass does, so a field not yet built
-    takes part like a stored one. Fields are set once, through the
-    instance dict, by the constructors; no attribute can be assigned or
-    deleted afterwards.
+    ``scaled`` is ``(A, D)``: int row tuples ``A`` and one denominator
+    D > 0 with ``d(i, j) == A[i][j] / D`` and gcd(D, every entry) == 1, so
+    equal distances give equal views and equality and hashing compare
+    integers. Construction does not validate the axioms; run
+    :func:`validate` for that. Rationals enter through :func:`make_space`,
+    and ``dist`` gives them back, built on first read.
     """
 
-    _fields: tuple = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-class FiniteMetricSpace(FrozenValue):
-    """An n-point metric with the base fixed at row 0.
-
-    ``dist`` is a tuple of row tuples of rationals. Construction does not
-    validate the axioms; run :func:`validate` for that. A space is built
-    from ``dist``, or with :meth:`from_scaled` from its integer view, and
-    then ``dist`` is built on first read. Equality and hashing compare
-    ``dist``, ``labels`` and ``name`` either way.
-    """
-
-    _fields = ("dist", "labels", "name")
-
-    def __init__(self, dist: tuple, labels: tuple, name: str = ""):
-        vars(self).update(dist=dist, labels=labels, name=name)
-
-    @classmethod
-    def from_scaled(cls, A: tuple, D: int, labels: tuple,
-                    name: str = "") -> "FiniteMetricSpace":
-        """The space with ``dist[i][j] == A[i][j] / D``, for int row tuples
-        ``A`` and D > 0 the LCM of the entries' reduced denominators, so
-        that ``scaled`` is ``(A, D)`` just as the values would give it."""
-        space = cls.__new__(cls)
-        vars(space).update(scaled=(A, D), labels=labels, name=name)
-        return space
+    scaled: tuple
+    labels: tuple
+    name: str = ""
 
     @cached_property
     def dist(self) -> tuple:
-        """Rows of rationals; built from the view, one Fraction per
-        distinct entry, when the space was built from its view."""
+        """Rows of rationals, one Fraction per distinct entry."""
         A, D = self.scaled
         as_rat = {x: Rat(x, D) for x in set().union(*A)}
         return tuple(tuple(as_rat[x] for x in row) for row in A)
 
-    @cached_property
-    def scaled(self):
-        """``(A, D)``: integer rows and one denominator D > 0 with
-        ``dist[i][j] == A[i][j] / D``, computed once per space. D is the
-        least common one, so two views are equal exactly when the dists are."""
-        D, mult = common_denominator(x for row in self.dist for x in row)
-        A = tuple(
-            tuple(x.numerator * mult[x.denominator] for x in row) for row in self.dist
-        )
-        return A, D
-
     @property
     def n_points(self) -> int:
-        # Counted on whichever rows the space was built from, so that
-        # neither form is built to answer it.
-        held = vars(self)
-        return len(held["dist"] if "dist" in held else held["scaled"][0])
+        return len(self.scaled[0])
 
     @property
     def base_index(self) -> int:
@@ -231,11 +173,20 @@ class FiniteMetricSpace(FrozenValue):
             raise PreconditionError("subspace needs at least one index")
         if len(set(idx)) != len(idx):
             raise PreconditionError("subspace indices must be distinct")
-        rows = tuple(
-            tuple(self.dist[a][b] for b in idx) for a in idx
-        )
+        A, D = self.scaled
+        rows = tuple(tuple(A[a][b] for b in idx) for a in idx)
         labs = tuple(self.labels[a] for a in idx)
-        return FiniteMetricSpace(rows, labs, name=self.name)
+        return _least_space(rows, D, labs, self.name)
+
+
+def _least_space(A: tuple, D: int, labels: tuple, name: str) -> FiniteMetricSpace:
+    """The space of the view ``A / D``, both divided by their gcd so that
+    the stored view is the least one."""
+    g = gcd(D, *chain.from_iterable(A))
+    if g > 1:
+        A = tuple(tuple(x // g for x in row) for row in A)
+        D //= g
+    return FiniteMetricSpace((A, D), labels, name)
 
 
 def common_denominator(values):
@@ -248,15 +199,18 @@ def common_denominator(values):
 
 
 def make_space(dist_rows, labels=None, name: str = "") -> FiniteMetricSpace:
-    """Build a space from nested lists, coercing entries with rat()."""
-    rows = tuple(tuple(rat(x) for x in row) for row in dist_rows)
+    """Build a space from nested lists, coercing entries with rat(). Over
+    the LCM of the reduced denominators the view is already the least."""
+    rows = [[rat(x) for x in row] for row in dist_rows]
     if labels is None:
         labels = tuple(f"x{i}" for i in range(len(rows)))
     else:
         labels = tuple(str(x) for x in labels)
         if len(labels) != len(rows):
             raise StructureError("label count does not match matrix size")
-    return FiniteMetricSpace(rows, labels, name=name)
+    D, mult = common_denominator(x for row in rows for x in row)
+    A = tuple(tuple(x.numerator * mult[x.denominator] for x in row) for row in rows)
+    return FiniteMetricSpace((A, D), labels, name)
 
 
 def validate(space: FiniteMetricSpace) -> ValidationReport:
@@ -271,22 +225,16 @@ def validate(space: FiniteMetricSpace) -> ValidationReport:
     ``A[j][k] <= tail_max[j] <= A[i][j] + A[i][k]`` for every k it would visit,
     so the report is the full scan's. Lines and trees, whose triangles are
     mostly tight, keep most of the cubic scan. The structure check reads the
-    rows the space was built from, rationals in ``dist`` or ints in the view;
-    ``dist`` is read only to report a violation.
+    view; ``dist`` is read only to report a violation.
     """
-    n = space.n_points
-    held = vars(space)
-    built = "dist" in held
-    for i, row in enumerate(held["dist"] if built else held["scaled"][0]):
+    A, _ = space.scaled
+    n = len(A)
+    for i, row in enumerate(A):
         if len(row) != n:
             raise StructureError(f"row {i} has length {len(row)}, expected {n}")
-        if not built:
-            if not set(map(type, row)) <= {int}:
-                raise StructureError(f"non-integer view entry in row {i}")
-        elif not all(type(x) is Rat or is_rational(x) for x in row):
-            raise StructureError(f"non-rational entry in row {i}")
+        if not set(map(type, row)) <= {int}:
+            raise StructureError(f"non-integer view entry in row {i}")
 
-    A, _ = space.scaled
     violations = []
     for i in range(n):
         if A[i][i] != 0:
@@ -427,11 +375,11 @@ class MetricModel:
 def truncate(model: MetricModel, N: int) -> FiniteMetricSpace:
     """The metric on the first N row indices of the model, validated.
 
-    The space is built from its integer view, exactly the one ``scaled``
-    would compute from the values: ``A'[i][j] = num * (D' // den)`` over D'
-    the LCM of the formula denominators, both divided by g = gcd(D', every
-    A') since a formula need not be in lowest terms. Entries are computed in
-    both orders, so the symmetry check keeps its meaning."""
+    The space is built from its integer view: ``A'[i][j] = num * (D' // den)``
+    over D' the LCM of the formula denominators, both divided by their gcd
+    since a formula need not be in lowest terms, which leaves the least view.
+    Entries are computed in both orders, so the symmetry check keeps its
+    meaning."""
     if N < 2:
         raise PreconditionError("truncation needs N >= 2")
     if model.max_points is not None and N > model.max_points:
@@ -445,11 +393,8 @@ def truncate(model: MetricModel, N: int) -> FiniteMetricSpace:
     mult = {den: D // den for den in dens}
     A = tuple(tuple(num * mult[den] for num, den in row) for row in parts)
     del parts  # not kept alive through the validation
-    g = gcd(D, *chain.from_iterable(A))
-    if g > 1:
-        A = tuple(tuple(x // g for x in row) for row in A)
     labels = tuple(model.row_label(i) for i in range(N))
-    space = FiniteMetricSpace.from_scaled(A, D // g, labels, name=model.name)
+    space = _least_space(A, D, labels, model.name)
     return _require_metric(space, f"truncation of {model.name!r} at N={N}")
 
 
@@ -841,19 +786,17 @@ def space_from_json(obj) -> FiniteMetricSpace:
         raise StructureError("'dist' must be a list of rows")
     if not all(isinstance(x, str) for row in dist for x in row):
         raise StructureError("'dist' entries must be rational strings")
+    if not dist:
+        raise StructureError("'dist' must have at least one row: the base point")
     try:
-        rows = tuple(tuple(parse_rat(x) for x in row) for row in dist)
+        rows = [[parse_rat(x) for x in row] for row in dist]
     except ValueError as exc:
         raise StructureError(str(exc)) from None
     labels = obj.get("points")
-    if labels is None:
-        labels = [f"x{i}" for i in range(len(rows))]
-    if not isinstance(labels, list):
+    if labels is not None and not isinstance(labels, list):
         raise StructureError("'points' must be a list of labels")
-    if len(labels) != len(rows):
-        raise StructureError("label count does not match matrix size")
     name = obj.get("name", "")
     if not isinstance(name, str):
         raise StructureError("'name' must be a string")
-    space = FiniteMetricSpace(rows, tuple(str(x) for x in labels), name=name)
+    space = make_space(rows, labels, name)
     return _require_metric(space, "space JSON")

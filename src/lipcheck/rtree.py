@@ -208,11 +208,11 @@ def tree_metric(tree: WeightedTree) -> FiniteMetricSpace:
                 Ay[z] = A[z][y] = Ax[z] + w
             reached.append(y)
 
-    # Every edge length is itself a distance, so D, the LCM of the edges'
-    # denominators, is the LCM of the distances' denominators: the view is
-    # the one ``scaled`` would compute from the values.
-    return FiniteMetricSpace.from_scaled(
-        tuple(map(tuple, A)), D, tuple(f"v{v}" for v in order), name=f"tree{n}"
+    # Every edge length is itself a distance in lowest terms, so no prime
+    # power of D, the LCM of the edges' denominators, divides every entry:
+    # the view is already the least one.
+    return FiniteMetricSpace(
+        (tuple(map(tuple, A)), D), tuple(f"v{v}" for v in order), name=f"tree{n}"
     )
 
 

@@ -14,7 +14,7 @@ rational rule written for a test into the integer rule a model takes.
 from __future__ import annotations
 
 from lipcheck.freespace import FreeElement, free_element
-from lipcheck.lipfun import LipFn, combine, lip_norm, pointwise_sup, slope
+from lipcheck.lipfun import LipFn, combine, lip_norm, lipfn, pointwise_sup, slope
 from lipcheck.metric import FiniteMetricSpace, PreconditionError
 from lipcheck.plfun import PLFn
 from lipcheck.rational import ONE, Rat, ZERO, rat
@@ -102,12 +102,12 @@ def defect(f: LipFn, p: int) -> Rat:
 def add(f: LipFn, g: LipFn) -> LipFn:
     if f.space.dist != g.space.dist:
         raise PreconditionError("cannot add functions on different spaces")
-    return LipFn(f.space, tuple(a + b for a, b in zip(f.values, g.values)))
+    return lipfn(f.space, tuple(a + b for a, b in zip(f.values, g.values)))
 
 
 def scale(f: LipFn, c) -> LipFn:
     c = rat(c)
-    return LipFn(f.space, tuple(c * v for v in f.values))
+    return lipfn(f.space, tuple(c * v for v in f.values))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import lipcheck
 from lipcheck import cli, freespace, lipfun, metric
@@ -294,6 +294,15 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["norm", "--space", "discrete", "--n", "3", "--values", "[true, 0, 0]"], None),
     (["norm", "--space", "discrete", "--n", "3", "--values", "[0.5, 0, 0]"], None),
     (["validate"], {"dist": [["0", "1"], ["1", "0"]], "name": ["a"]}),
+    (["validate"], {"dist": []}),
+    (["norm", "--values", "[]"], {"dist": []}),
+    (["free-norm", "--element", '{"weights": {}}'], {"dist": []}),
+    (["free-norm", "--space", "discrete", "--n", "3", "--element",
+      '{"weights": {"1": "1/2", "01": "1"}}'], None),
+    (["free-norm", "--space", "discrete", "--n", "3", "--element", '{"weights": {" 1": "1"}}'], None),
+    (["free-norm", "--space", "discrete", "--n", "3", "--element", '{"weights": {"+1": "1"}}'], None),
+    (["free-norm", "--space", "discrete", "--n", "12", "--element", '{"weights": {"1_0": "1"}}'],
+     None),
     (["verify", "--theorem", "thm34", "--n", "0"], None),
     (["verify", "--theorem", "thm34", "--param", "c=3", "--support", "1",
       "--rand-count", "1"], None),
@@ -312,7 +321,8 @@ def test_exit_codes_usage_and_model_errors(tmp_path):
     (["sample-analytic", "--resolution", str(cli.MAX_RESOLUTION + 1)], None),
 ])
 def test_malformed_input_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, space_json):
-    """Bad shapes in space files, elements and --values, unknown --param
+    """Bad shapes in space files (an empty matrix included), elements (a
+    weight key that is not a canonical index included) and --values, unknown --param
     keys of a standard instance, sizes outside 2..MAX_N, and sampling
     spans that are not finite and positive or resolutions past
     MAX_RESOLUTION, exit 2 with one error line, never with a traceback
@@ -363,18 +373,31 @@ _PARAMS = st.lists(st.tuples(
     st.sampled_from(["c", "levels", "groups", "ratio", "N", "name", "theorem_id", "zz", ""]),
     st.sampled_from(["-1", "0", "1", "2", "3", "5", "1/2", "3/2", "2/4", "abc", ""]),
 ), max_size=2)
+# Written to a file and passed as --space: metrics with zero to three
+# points, a non-metric, and junk.
+_SPACE_FILES = st.one_of(
+    st.sampled_from([
+        '{"dist": []}',
+        '{"dist": [["0"]]}',
+        '{"dist": [["0", "1"], ["1", "0"]]}',
+        '{"dist": [["0", "1/2", "1"], ["1/2", "0", "1/2"], ["1", "1/2", "0"]], "name": "tri"}',
+        '{"dist": [["0", "1"], ["2", "0"]]}',
+    ]),
+    _JUNK_JSON,
+).map(lambda text: ("space file", text))
 _N = st.one_of(st.sampled_from([2, 3, 5, 8]), st.sampled_from([None, -1, 0, 1, cli.MAX_N + 1]))
 _MODELS = st.sampled_from(cli.MODEL_NAMES + ("nope",))
 
 
 @st.composite
 def _argv(draw):
-    """A subcommand with catalog names, junk --param pairs, --n values on
-    both sides of the bounds, and junk JSON for --values and --element."""
+    """A subcommand with catalog names or space files, junk --param pairs,
+    --n values on both sides of the bounds, and junk JSON for --values and
+    --element. A space file is drawn as ``("space file", text)``."""
     command = draw(st.sampled_from(["validate", "norm", "free-norm", "check", "verify", "pipeline"]))
     argv = [command]
     if command in ("validate", "norm", "free-norm"):
-        argv += ["--space", draw(st.one_of(_MODELS, st.just("missing.json")))]
+        argv += ["--space", draw(st.one_of(_MODELS, st.just("missing.json"), _SPACE_FILES))]
     elif command == "verify":
         argv += ["--theorem", draw(st.sampled_from(cli.VERIFY_THEOREMS)),
                  "--support", str(draw(st.integers(0, 2))),
@@ -398,14 +421,30 @@ def _argv(draw):
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_argv())
+@example(["validate", "--space", ("space file", '{"dist": []}')])
+@example(["norm", "--space", ("space file", '{"dist": []}'), "--values", "[]"])
+@example(["free-norm", "--space", ("space file", '{"dist": []}'), "--element", '{"weights": {}}'])
+@example(["norm", "--space", ("space file", '{"dist": [["0"]]}'), "--values", '["0"]'])
+@example(["free-norm", "--space", ("space file", '{"dist": [["0"]]}'),
+          "--element", '{"weights": {}}'])
+@example(["free-norm", "--space", "discrete", "--n", "3",
+          "--element", '{"weights": {"1": "1/2", "01": "1"}}'])
 def test_fuzzed_argv_keeps_the_exit_code_contract(argv):
     """Any argv exits 0-3 without a traceback, and exit 1 comes only with a
     written report that records a failed check."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
+        args = []
+        for arg in argv:
+            if isinstance(arg, tuple):
+                path = os.path.join(tmp, "space.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(arg[1])
+                arg = path
+            args.append(arg)
         out = os.path.join(tmp, "out.json")
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = main(argv + ["--out", out])
+            code = main(args + ["--out", out])
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
         if code == 1:

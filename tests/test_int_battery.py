@@ -39,6 +39,7 @@ from lipcheck.lipfun import (
     max_quotient,
     max_quotient_at,
     pointwise_sup,
+    reduced_fn,
     slope,
     strong_pairs,
     zero_fn,
@@ -72,7 +73,7 @@ def _combine_oracle(fns, coeffs) -> LipFn:
         if f.space.dist != space.dist:
             raise PreconditionError("cannot add functions on different spaces")
     values = (sum((c * f.values[p] for c, f in terms), ZERO) for p in space.points())
-    return LipFn(space, tuple(values))
+    return lipfn(space, tuple(values))
 
 
 # ---------------------------------------------------------------------------
@@ -148,36 +149,42 @@ def test_combine_of_nothing_is_the_zero_function():
 
 
 def test_lifted_view_is_cached_outside_the_fields():
+    """The least view is the one stored field beside the space; ``values``
+    is built from it on first read and cached outside the fields."""
     space = TIE_SPACES[2]
     f = lipfn(space, [0, "1/2", "-1/3", "5/6", 0, 2, "-7/4", "1/12"])
-    view = f.lifted
-    assert view == ((0, 6, -4, 10, 0, 24, -21, 1), 12)
-    assert f.lifted is view
-    twin = LipFn(space, f.values)
+    assert f.lifted == ((0, 6, -4, 10, 0, 24, -21, 1), 12)
+    assert "values" not in vars(f)
+    values = f.values
+    assert f.values is values and vars(f)["values"] is values
+    twin = lipfn(space, values)
     assert f == twin and hash(f) == hash(twin)
-    assert "lifted" not in vars(twin)
+    assert "values" not in vars(twin)
     _assert_view(f)
 
 
 def test_view_built_function_equals_the_value_built_one():
-    """A function built from its view, over any denominator, is the
-    function of its values: equal, with the same hash and repr, and its
-    values are built only when read."""
+    """A function built from a view over any multiple of the least
+    denominator reduces to the function of its values: equal, with the
+    same hash, repr and view, and its values are built only when read."""
     space = TIE_SPACES[2]
     f = lipfn(space, [0, "1/2", "-1/3", "5/6", 0, 2, "-7/4", "1/12"])
     F, L = f.lifted
     for view in ((F, L), (tuple(3 * x for x in F), 3 * L)):
-        g = LipFn.from_lifted(space, *view)
-        assert g.lifted is vars(g)["lifted"] and g.lifted == view
+        g = reduced_fn(space, *view)
+        assert g.lifted == (F, L)
         assert slope(g, 1, 6) == slope(f, 1, 6) and "values" not in vars(g)
         assert g == f and hash(g) == hash(f) and repr(g) == repr(f)
         assert g.values == f.values and all(type(v) is Fraction for v in g.values)
         with pytest.raises(FrozenInstanceError):
             g.values = f.values
-    with pytest.raises(StructureError):
-        LipFn.from_lifted(space, F[:-1], L)
-    with pytest.raises(PreconditionError):
-        LipFn.from_lifted(space, (1,) + F[1:], L)
+        with pytest.raises(FrozenInstanceError):
+            g.lifted = view
+    for build in (reduced_fn, lambda space, F, L: LipFn(space, (F, L))):
+        with pytest.raises(StructureError):
+            build(space, F[:-1], L)
+        with pytest.raises(PreconditionError):
+            build(space, (1,) + F[1:], L)
 
 
 def _first_max_oracle(A, F, pairs):
@@ -287,7 +294,8 @@ def test_rules_read_only_their_distance_closure(monkeypatch):
     def refuse(self, *args):
         raise AssertionError("a rule read the truncated space")
 
-    monkeypatch.setattr(FiniteMetricSpace, "scaled", property(refuse))
+    # ``scaled`` is an instance field; the class property shadows it.
+    monkeypatch.setattr(FiniteMetricSpace, "scaled", property(refuse), raising=False)
     monkeypatch.setattr(FiniteMetricSpace, "d", refuse)
     for tid, rule, size in rules:
         coeffs = (ZERO,) * (size - 1) + (rat(3, 2),)

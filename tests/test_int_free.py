@@ -25,7 +25,7 @@ from lipcheck.freespace import (
     molecule,
     free_add,
 )
-from lipcheck.lipfun import LipFn, lip_norm
+from lipcheck.lipfun import LipFn, lip_norm, lipfn
 from lipcheck.metric import (
     CATALOG_NAMES,
     FiniteMetricSpace,
@@ -139,7 +139,7 @@ def _least_optimal_dual_oracle(space: FiniteMetricSpace, arcs) -> LipFn:
             "optimal transport arcs admit no 1-Lipschitz dual: "
             "the distances violate the triangle inequality"
         )
-    return LipFn(space, tuple(-x for x in found[0]))
+    return lipfn(space, tuple(-x for x in found[0]))
 
 
 def _tree_metric_oracle(tree: WeightedTree) -> FiniteMetricSpace:
@@ -196,7 +196,7 @@ def _assert_same_solve(mu):
     F, D = witness.lifted
     assert D > 0
     assert all(Fraction(x, D) == v for x, v in zip(F, witness.values))
-    assert lip_norm(witness) == lip_norm(LipFn(space, witness.values))
+    assert lip_norm(witness) == lip_norm(lipfn(space, witness.values))
     if mu.weights:
         result = free_norm_lp(mu)
         assert result.value == old_value
@@ -321,7 +321,7 @@ def _assert_same_tree(tree):
     assert space.labels == old.labels
     assert space.name == old.name
     handed = space.scaled
-    lazy = FiniteMetricSpace(space.dist, space.labels, space.name).scaled
+    lazy = make_space(space.dist, space.labels, space.name).scaled
     assert handed == lazy
     return space
 

@@ -11,13 +11,15 @@ same norms and attaining pairs in the same order.
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from math import lcm
+from itertools import chain
+from math import gcd, lcm
 
 import pytest
 
 import model_oracle
-from lipcheck import metric, rtree
-from lipcheck.freespace import free_add, free_element, pairing
+from lipcheck import lipfun, metric, rtree
+from lipcheck.cli import load_model
+from lipcheck.freespace import free_add, free_element, free_norm_lp, pairing
 from lipcheck.lipfun import (
     LipFn, combine, lip_norm, lipfn, pointwise_sup, slope, strong_pairs, zero_fn,
 )
@@ -35,6 +37,7 @@ from lipcheck.metric import (
     integer_line,
     make_space,
     power_line,
+    space_from_json,
     truncate,
     validate,
 )
@@ -160,19 +163,22 @@ def test_scaled_view_clears_the_distinct_denominators_once():
     assert all(type(a) is int for row in A for a in row)
     assert space.scaled is space.scaled
     # Plain int entries lift too, over D = 1.
-    ints = FiniteMetricSpace(((0, 2), (2, 0)), ("a", "b"))
+    ints = make_space(((0, 2), (2, 0)), ("a", "b"))
     assert ints.scaled == (((0, 2), (2, 0)), 1)
 
 
 def test_view_built_space_equals_the_value_built_one():
-    """A space built from its view is the space of its values: equal, with
-    the same hash, repr and view, and ``dist`` is built only when read."""
+    """A space built from its least view is the space of its values: equal,
+    with the same hash, repr and view, and ``dist`` is built only when read."""
     for space in _NORM_SPACES + (make_space([]), make_space([[0]])):
         A, D = space.scaled
-        twin = FiniteMetricSpace.from_scaled(A, D, space.labels, space.name)
+        twin = FiniteMetricSpace((A, D), space.labels, space.name)
         assert twin.n_points == space.n_points and list(twin.points()) == list(space.points())
-        assert twin.scaled == (A, D) and "dist" not in vars(twin)
-        assert twin == space and hash(twin) == hash(space) and repr(twin) == repr(space)
+        assert "dist" not in vars(twin)
+        values = make_space(space.dist, space.labels, space.name)
+        assert values.scaled == (A, D)
+        assert twin == values and hash(twin) == hash(values) and repr(twin) == repr(values)
+        assert twin == space and hash(twin) == hash(space)
         assert twin.dist == space.dist
         assert all(type(x) is Fraction for row in twin.dist for x in row)
         with pytest.raises(FrozenInstanceError):
@@ -199,6 +205,104 @@ def test_space_comparisons_read_the_views():
         combine([f, lipfn(other, [0] * 12)], [1, 1])
 
 
+def _least_space_view(space) -> bool:
+    A, D = space.scaled
+    return D > 0 and gcd(D, *chain.from_iterable(A)) == 1
+
+
+def _least_fn_view(f) -> bool:
+    F, L = f.lifted
+    return L > 0 and gcd(L, *F) == 1
+
+
+def _subspace_oracle(space, indices):
+    """The Fraction route: rows of ``dist`` entries through make_space."""
+    idx = list(indices)
+    rows = [[space.dist[a][b] for b in idx] for a in idx]
+    return make_space(rows, [space.labels[a] for a in idx], space.name)
+
+
+def test_every_route_stores_the_least_view():
+    """gcd(D, every A entry) == 1 and gcd(L, every F entry) == 1 on each
+    route into a space or a function, including a subspace and a
+    combination whose raw views share a factor with their denominators."""
+    rng = random.Random(20261019)
+    halves = make_space([[0, rat(1, 2), 1], [rat(1, 2), 0, rat(1, 2)], [1, rat(1, 2), 0]])
+    assert halves.scaled == (((0, 1, 2), (1, 0, 1), (2, 1, 0)), 2)
+    ends = halves.subspace([0, 2])  # raw view ((0, 2), (2, 0)) over 2
+    assert ends.scaled == (((0, 1), (1, 0)), 1)
+    spaces = [
+        halves, ends, make_space([[0]]), make_space([[0, 4], [4, 0]]),
+        space_from_json({"dist": [["0", "2/3"], ["2/3", "0"]]}),
+        space_from_json({"dist": [["0"]]}),
+        truncate(load_model("dmqr44", {"c": rat(7, 2)}), 128),
+    ]
+    spaces += [truncate(catalog(name), 16) for name in CATALOG_NAMES]
+    spaces += [truncate(catalog(name), 16).subspace([3, 0, 9, 12]) for name in CATALOG_NAMES]
+    spaces += [_random_tree_metric(rng, rng.randint(1, 9)) for _ in range(60)]
+    for space in spaces:
+        assert _least_space_view(space), space.name
+
+    f = lipfn(halves, [0, rat(1, 2), rat(3, 2)])
+    g = lipfn(halves, [0, rat(-1, 2), rat(1, 2)])
+    doubled = combine([f], [2])  # raw view (2 * F, 2)
+    assert doubled.lifted == ((0, 1, 3), 1)
+    fns = [f, g, doubled, zero_fn(halves), lipfn(halves, [0, 2, 4]),
+           combine([f, g], [rat(1, 2), rat(1, 2)]), combine([f, g, f], [rat(2, 3), 0, rat(4, 3)])]
+    # On d(0, 1) = d(1, 2) = 1, d(0, 2) = 1/2 the least optimal dual of
+    # delta_1 is (0, 1, 0): raw view (0, 2, 0) over D == 2.
+    kite = make_space([[0, 1, rat(1, 2)], [1, 0, 1], [rat(1, 2), 1, 0]])
+    witness = free_norm_lp(free_element(kite, {1: 1})).witness
+    assert witness.lifted == ((0, 1, 0), 1)
+    fns.append(witness)
+    for name in ("example48", "dmqr44", "thm57"):
+        space = truncate(catalog(name), 10)
+        fns.append(free_norm_lp(free_element(space, {1: 1, 4: rat(-3, 2), 7: rat(1, 3)})).witness)
+    for f in fns:
+        assert _least_fn_view(f), f.lifted
+
+
+def test_equality_and_hash_build_no_fraction(monkeypatch):
+    """Two truncations and two combinations built apart compare and hash on
+    their integer views."""
+    a = truncate(catalog("example48"), 64)
+    b = truncate(catalog("example48"), 64)
+    f = lipfn(a, [0] + [rat(k % 7 - 3, 1 + k % 4) for k in range(1, 64)])
+    g = lipfn(b, [0] + [rat(k % 5, 6) for k in range(1, 64)])
+    h = combine([f, g], [rat(1, 2), rat(1, 2)])
+    k = combine([f, f, g, g], [rat(1, 4)] * 4)
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(metric, "Rat", refuse)
+    monkeypatch.setattr(lipfun, "Rat", refuse)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert h is not k and h == k and hash(h) == hash(k)
+    assert "dist" not in vars(a) and "dist" not in vars(b)
+    assert "values" not in vars(h) and "values" not in vars(k)
+
+
+def test_subspace_of_a_view_built_truncation_builds_no_fraction(monkeypatch):
+    """``subspace`` slices the integer view and reduces it; the result is
+    the Fraction route's subspace."""
+    cases = [("example48", [5, 0, 2, 7]), ("dmqr41", [3, 1, 4, 8, 9]),
+             ("power_line", list(range(1, 30, 3))), ("prop24", [0, 12, 6]),
+             ("example35", [2, 0, 4])]
+    for name, rows in cases:
+        space = truncate(catalog(name) if name != "power_line" else power_line(), 30)
+        with monkeypatch.context() as patch:
+            def refuse(*args):
+                raise AssertionError("a Fraction was built")
+
+            patch.setattr(metric, "Rat", refuse)
+            sub = space.subspace(rows)
+            assert "dist" not in vars(space) and "dist" not in vars(sub)
+        want = _subspace_oracle(space, rows)
+        assert sub == want and hash(sub) == hash(want) and sub.scaled == want.scaled
+        assert sub.dist == want.dist and sub.labels == want.labels and sub.name == name
+
+
 # ---------------------------------------------------------------------------
 # validate on non-metrics
 
@@ -219,7 +323,7 @@ def _random_matrix(rng, n):
     for _ in range(rng.randint(0, 3)):
         i, j = rng.randrange(n), rng.randrange(n)
         rows[i][j] = rng.choice(_ENTRY_POOL)
-    return FiniteMetricSpace(tuple(map(tuple, rows)), tuple(f"x{i}" for i in range(n)))
+    return make_space(tuple(map(tuple, rows)), tuple(f"x{i}" for i in range(n)))
 
 
 def _assert_same_report(space):
@@ -252,13 +356,13 @@ def test_validate_matches_the_oracle_on_perturbed_catalog_truncations():
             i, j = rng.sample(range(9), 2)
             bump = rng.choice((rat(1, 2), rat(3), rat(-1, 7), -rows[i][j]))
             rows[i][j] = rows[j][i] = rows[i][j] + bump
-            _assert_same_report(FiniteMetricSpace(tuple(map(tuple, rows)), base.labels))
+            _assert_same_report(make_space(tuple(map(tuple, rows)), base.labels))
 
 
 def test_validate_lists_every_violation_in_scan_order():
     # A nonzero diagonal, a zero entry, asymmetric pairs and a triangle
     # violation, with int and Fraction entries mixed in one matrix.
-    space = FiniteMetricSpace(
+    space = make_space(
         ((rat(1, 2), 1, rat(4)), (1, 0, 0), (rat(9, 2), rat(1, 3), 0)),
         ("a", "b", "c"),
     )
@@ -270,27 +374,24 @@ def test_validate_lists_every_violation_in_scan_order():
 
 
 def test_validate_structure_errors_come_first():
-    for space in (
-        FiniteMetricSpace(((rat(0), rat(1)), (rat(1),)), ("a", "b")),
-        FiniteMetricSpace(((rat(0), 1.0), (rat(1), rat(0))), ("a", "b")),
-    ):
-        with pytest.raises(StructureError) as new:
-            validate(space)
-        with pytest.raises(StructureError) as old:
-            _validate_oracle(space)
-        assert str(new.value) == str(old.value)
+    space = make_space(((rat(0), rat(1)), (rat(1),)), ("a", "b"))
+    with pytest.raises(StructureError) as new:
+        validate(space)
+    with pytest.raises(StructureError) as old:
+        _validate_oracle(space)
+    assert str(new.value) == str(old.value)
 
 
 def test_view_structure_errors():
-    """A space built from its view is checked on the view: ragged rows and
-    entries that are not ints."""
+    """A space is checked on its view: ragged rows and entries that are not
+    ints, which no constructor route makes but a hand-built view can hold."""
     for A, message in (
         (((0, 1), (1,)), "row 1 has length 1, expected 2"),
         (((0, rat(1, 2)), (rat(1, 2), 0)), "non-integer view entry in row 0"),
         (((0, 1), (1.0, 0)), "non-integer view entry in row 1"),
     ):
         with pytest.raises(StructureError) as err:
-            validate(FiniteMetricSpace.from_scaled(A, 1, ("a", "b")))
+            validate(FiniteMetricSpace((A, 1), ("a", "b")))
         assert str(err.value) == message
 
 
@@ -331,7 +432,7 @@ def test_truncate_reports_what_the_oracle_reports_on_non_metric_rules(monkeypatc
         n = rng.randint(2, 7)
         model = _rule_model(rng, n, f"rule{k}")
         rows = tuple(tuple(model_oracle.row_dist(model, i, j) for j in range(n)) for i in range(n))
-        want = _validate_oracle(FiniteMetricSpace(rows, tuple(f"x{i}" for i in range(n))))
+        want = _validate_oracle(make_space(rows, tuple(f"x{i}" for i in range(n))))
         try:
             truncate(model, n)
             error = None
@@ -371,7 +472,7 @@ def _bumped(space, a, b, factor):
     """``space`` with the entry pair d(a, b) = d(b, a) scaled by ``factor``."""
     rows = [list(r) for r in space.dist]
     rows[a][b] = rows[b][a] = rows[a][b] * factor
-    return FiniteMetricSpace(tuple(map(tuple, rows)), space.labels, space.name)
+    return make_space(tuple(map(tuple, rows)), space.labels, space.name)
 
 
 def _assert_certificate_sound(space):
@@ -436,7 +537,7 @@ def test_certificate_matches_the_oracle_on_int_and_mixed_matrices():
     mixed = ((0, rat(3, 2), 2, rat(7, 2)), (rat(3, 2), 0, rat(1, 2), 9),
              (2, rat(1, 2), 0, rat(3, 2)), (rat(7, 2), 9, rat(3, 2), 0))
     for rows, fix in ((ints, rat(3, 7)), (mixed, rat(2, 9))):
-        space = FiniteMetricSpace(rows, ("a", "b", "c", "d"))
+        space = make_space(rows, ("a", "b", "c", "d"))
         assert any(type(x) is int for row in rows for x in row)
         want, _ = _assert_certificate_sound(space)
         assert [v.axiom for v in want.violations] == ["triangle"] * 2

@@ -5,7 +5,6 @@ import model_oracle
 from lipcheck.embeddings import SequenceView
 from lipcheck.metric import (
     CATALOG_NAMES,
-    FiniteMetricSpace,
     MAX_LEVELS,
     ModelError,
     PreconditionError,
@@ -56,7 +55,7 @@ def test_validate_flags_asymmetry_and_positivity():
 
 
 def test_validate_rejects_non_square():
-    space = FiniteMetricSpace(((rat(0), rat(1)), (rat(1),)), ("a", "b"))
+    space = make_space(((rat(0), rat(1)), (rat(1),)), ("a", "b"))
     with pytest.raises(StructureError):
         validate(space)
 

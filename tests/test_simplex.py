@@ -20,7 +20,7 @@ from lipcheck.freespace import (
     free_norm_lp,
     molecule,
 )
-from lipcheck.lipfun import LipFn, lip_norm, zero_fn
+from lipcheck.lipfun import lip_norm, lipfn, zero_fn
 from lipcheck.metric import (
     CATALOG_NAMES,
     LipcheckError,
@@ -175,7 +175,7 @@ def lp_oracle(mu):
     values = [ZERO] * n
     for p in range(1, n):
         values[p] = x[ucol(p)] - x[vcol(p)]
-    witness = LipFn(space, tuple(values))
+    witness = lipfn(space, tuple(values))
     return FreeNormResult(sx.value(0), witness, lip_norm(witness)), log
 
 
