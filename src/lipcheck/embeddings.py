@@ -26,11 +26,10 @@ the pointwise sup at a designated point. Its ``kind`` labels the report:
 - "exact": the norm is the coefficient norm outright, with a nameable
   witness pair (and a zero pointwise defect where claimed);
 - "asymptotic": the norm stays below the coefficient norm on every
-  truncation; the rule pins the exact finite value through its own
-  recomputation over the family space's integer view, apart from the
-  combined functions, with the member slopes and the sup at the designated
-  point (``tests/isometry_oracle.py`` recomputes it from the model's
-  closed forms);
+  truncation; the rule pins the member slopes and recomputes f_a's values,
+  norm and designated sup apart from the family's functions, its scans run
+  only when read (``tests/isometry_oracle.py`` recomputes it from the
+  model's closed forms);
 - "deflated": the norm is the coefficient norm times an explicit
   truncation factor, with the remaining gap at the base pinned exactly.
 
@@ -49,15 +48,12 @@ from typing import Callable, Optional
 from .rational import ONE, Rat, ZERO, format_rat, rat
 from .lipfun import (
     LipFn,
+    PairRoute,
     combine,
-    lip_norm,
     lipfn,
     max_quotient,
     max_quotient_at,
-    pointwise_sup,
-    slope,
-    slope_parts,
-    strong_pairs,
+    molecule_table,
 )
 from .metric import (
     CheckResult,
@@ -486,18 +482,51 @@ class FamilySpec:
     N: Optional[int] = None
 
 
+class _ReadOnce:
+    """A dataclass field that may be given as a callable, called on the
+    first read, whose result is kept; with the field's ``default``."""
+
+    def __init__(self, *default):
+        self.default = default
+
+    def __set_name__(self, owner, name):
+        self.slot = "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            if self.default:
+                return self.default[0]
+            raise AttributeError(self.slot[1:])  # the field has no default
+        value = obj.__dict__[self.slot]
+        if callable(value):
+            value = obj.__dict__[self.slot] = value()
+        return value
+
+    def __set__(self, obj, value):
+        obj.__dict__[self.slot] = value
+
+
 @dataclass(frozen=True)
 class RuleData:
     """What one combination f_a must show, as its family's rule derives it
-    from a; an unset field names nothing to check."""
+    from a; an unset field names nothing to check.
 
-    expected_norm: Rat
+    A rule recomputing f_a may give the two expected values as callables,
+    run when read, and ``values``, f_a's values W over one denominator S
+    as ``(W, S)``."""
+
+    expected_norm: Rat = _ReadOnce()
     member_checks: tuple = ()  # (member_key, row_u, row_v, expected_abs_slope)
     designated_point: Optional[int] = None
-    expected_sup: Optional[Rat] = None  # None: the computed norm, a zero defect
+    expected_sup: Optional[Rat] = _ReadOnce(None)  # None: the computed norm, a zero defect
     base_gap: Optional[Rat] = None  # coefficient norm minus the designated sup
     witness_pair: Optional[tuple] = None  # (u, v) whose slope is expected_norm
     ceiling: str = ""  # "<" or "<=": a rule-recomputed norm against the coefficient norm
+    values: Optional[tuple] = field(default=None, compare=False, repr=False)
+
+    def unread(self, name: str) -> bool:
+        """Whether field ``name`` is still a callable nothing has read."""
+        return callable(self.__dict__["_" + name])
 
 
 @dataclass(frozen=True)
@@ -830,17 +859,14 @@ def standard_battery(size: int, seed: int = BATTERY_SEED, rand_count: int = BATT
     if size < 1:
         raise PreconditionError("battery needs at least one family member")
     head = min(size, SIGN_SUPPORT_LIMIT if support is None else support)
-    vectors = []
-    for signs in product((-1, 0, 1), repeat=head):
-        vec = tuple(rat(s) for s in signs) + tuple([ZERO] * (size - head))
-        vectors.append(vec)
+    tail = (ZERO,) * (size - head)
+    vectors = [signs + tail for signs in product((-ONE, ZERO, ONE), repeat=head)]
     rng = random.Random(seed)
     for _ in range(rand_count):
         entries = []
         for _ in range(size):
             den = rng.randint(1, 20)
-            num = rng.randint(-3 * den, 3 * den)
-            entries.append(rat(num, den))
+            entries.append(Rat(rng.randint(-3 * den, 3 * den), den))
         vectors.append(tuple(entries))
     return tuple(vectors)
 
@@ -856,15 +882,27 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
     against the coefficient norm, the members' absolute slopes, the sup at
     the designated point (a zero defect when no sup is expected) and the
     base gap, the witness pair's signed slope. Failures are collected, never
-    raised; the first eight are kept, in the order they occur."""
-    family = tuple(family)
+    raised; the first eight are kept, in the order they occur.
+
+    Each vector is read off the family's molecule table where
+    :func:`molecule_table` estimates it cheaper, else combined and its
+    pairs scanned. A rule's unread norm or sup is compared only if the
+    route's values differ from the rule's at some unit vector, checked once
+    per family: both are linear in a."""
+    family, coeff_set = tuple(family), tuple(coeff_set)
     if not family:
         raise PreconditionError("empty family")
+    table = molecule_table(family, len(coeff_set))
+
+    def route(coeffs, C, K):
+        return table.combination(C, K) if table else PairRoute(combine(family, coeffs))
+
     exact_all = True
     expect_all = True
     worst = ZERO
     witnesses = []
     failures = []
+    rule_matches = None  # the route's values are the rule's; checked on first need
 
     def fail(msg):
         nonlocal expect_all
@@ -875,15 +913,11 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
     for coeffs in coeff_set:
         coeffs = tuple(rat(a) for a in coeffs)
         C, K, cn = lift_coefficients(coeffs, target)
-        f = combine(family, coeffs)
+        f = route(coeffs, C, K)
         data = expectation.rule(C, K, cn)
-        # Without a witness pair, one scan finds the norm and the attaining
-        # pairs that name the recorded witness.
-        if data is None or data.witness_pair is None:
-            attaining = strong_pairs(f)
-            ln = slope(f, *attaining[0]) if attaining else ZERO
-        else:
-            attaining, ln = None, lip_norm(f)
+        # Without a witness pair, one scan finds the norm and the least
+        # attaining pair, the recorded witness.
+        ln, first = f.norm(data is None or data.witness_pair is None)
         gap = abs(cn - ln)
         if gap > worst:
             worst = gap
@@ -895,7 +929,12 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
             if ln != ZERO:
                 fail("zero vector with nonzero norm")
         else:
-            expected = data.expected_norm
+            if rule_matches is None and data.values is not None:
+                rule_matches = _rule_matches(len(family), route, expectation.rule)
+            # A rule value nothing has read yet is what the route shows
+            # when the route's values are the rule's.
+            own = rule_matches and data.values is not None
+            expected = ln if own and data.unread("expected_norm") else data.expected_norm
             if ln != expected:
                 what = "rule value " if data.ceiling else ""
                 fail(f"norm {format_rat(ln)} != {what}{format_rat(expected)}")
@@ -905,29 +944,31 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                 elif data.ceiling == "<" and ln == cn:
                     fail("truncation norm not strictly below target")
             for key, u, v, want in data.member_checks:
-                num, den = slope_parts(f, u, v)
+                num, den = f.slope_parts(u, v)
                 if abs(num) * want.denominator != want.numerator * den:
                     fail(f"member {key} slope {format_rat(Rat(abs(num), den))} "
                          f"!= {format_rat(want)}")
             point = data.designated_point
             if point is not None:
-                sup_here = pointwise_sup(f, point)
+                sup_here = f.pointwise_sup(point)
                 point_defect = ln - sup_here
-                if data.expected_sup is None:
+                expected_sup = (sup_here if own and data.unread("expected_sup")
+                                else data.expected_sup)
+                if expected_sup is None:
                     if point_defect != ZERO:
                         fail(f"defect {format_rat(point_defect)} at {point}")
-                elif sup_here != data.expected_sup:
+                elif sup_here != expected_sup:
                     fail(f"sup at {point} is {format_rat(sup_here)}")
                 if data.base_gap is not None and cn - sup_here != data.base_gap:
                     fail(f"base gap {format_rat(cn - sup_here)} off rule")
             pair = data.witness_pair
             if pair is not None:
-                num, den = slope_parts(f, *pair)
+                num, den = f.slope_parts(*pair)
                 if num * expected.denominator != expected.numerator * den:
                     fail(f"witness pair {pair} misses the norm")
 
         if pair is None and ln > ZERO:
-            pair = attaining[0]
+            pair = first
         witnesses.append(WitnessRecord(coeffs, ln, pair, point, point_defect))
 
     return VerificationReport(
@@ -941,6 +982,21 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
         failures=tuple(failures),
         seed=seed,
     )
+
+
+def _rule_matches(k: int, route, rule) -> bool:
+    """Whether the battery's ``route`` gives at each unit vector e_i the
+    values the rule recomputes for e_i. Both are linear in a, so then they
+    agree at every a."""
+    for i in range(k):
+        e = (0,) * i + (1,) + (0,) * (k - i - 1)
+        data = rule(e, 1, ONE)
+        if data is None or data.values is None:
+            return False
+        (W, S), (F, L) = data.values, route(e, e, 1).values()
+        if len(W) != len(F) or any(w * L != x * S for w, x in zip(W, F)):
+            return False
+    return True
 
 
 def _argmax_member(coeffs):
@@ -960,12 +1016,14 @@ def _orbit_rule(members, value_maps, space, designated=None, strict=True):
     by its deepest row and the designated one (a constant orbit attains
     toward it).
 
-    The recomputation walks every row pair of the family space's integer
-    view (``space.scaled``, read once here) apart from the LipFn route,
-    which combines the members' functions; the recomputation from the
+    The rule recomputes f_a over the family space's integer view
+    (``space.scaled``, read once here) apart from the family's functions:
+    each vector sums the value maps' integers W over one denominator, and
+    slopes compare by cross-multiplication. It hands over W; the norm, a
+    scan of every row pair, and the sup, a scan of the designated row, run
+    only when read, which ``verify_isometry`` does only if the family's
+    values differ from W at some unit vector. The recomputation from the
     model's closed forms is the oracle in ``tests/isometry_oracle.py``. The
-    value maps are lifted over one denominator here too, so each vector
-    sums integer values and compares slopes by cross-multiplication. The
     norm stays strictly below the coefficient norm, or with ``strict``
     False at most meets it; the zero vector gets no record.
     """
@@ -996,14 +1054,18 @@ def _orbit_rule(members, value_maps, space, designated=None, strict=True):
             key, row_u, row_v, num, den = member_checks[i]
             checks.append((key, row_u, row_v, Rat(abs(c) * num, K * den)))
         scale = K * Lv
-        num, den = max_quotient(A, W)
+
+        def norm():
+            num, den = max_quotient(A, W)
+            return Rat(num * D, den * scale)
+
+        def sup():
+            num, den = max_quotient_at(A[x0], W, x0)
+            return Rat(num * D, den * scale)
+
         n0 = _argmax_member(C)
         x0 = min(value_maps[n0]) if designated is None else designated
-        sup_num, sup_den = max_quotient_at(A[x0], W, x0)
-        return RuleData(
-            Rat(num * D, den * scale), tuple(checks), x0,
-            Rat(sup_num * D, sup_den * scale), ceiling=ceiling,
-        )
+        return RuleData(norm, tuple(checks), x0, sup, ceiling=ceiling, values=(W, scale))
 
     return rule
 

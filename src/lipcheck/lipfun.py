@@ -16,6 +16,11 @@ value Fraction. The scans (:func:`lip_norm`, :func:`strong_pairs`,
 by integer cross-multiplication: a slope is
 ``(F[q] - F[p]) * D / (A[p][q] * L)``, and one Fraction is built at the
 API boundary.
+
+A battery over a family reads its combinations off the family's
+:class:`MoleculeTable`, one row per direction of the members' slope
+vectors, instead of scanning every pair: where :func:`molecule_table`
+estimates that it pays.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm
+from operator import floordiv, mul, neg, sub
+from itertools import compress, count, repeat
 
 from .metric import (
     FiniteMetricSpace,
@@ -204,3 +211,259 @@ def combine(fns, coeffs) -> LipFn:
         w = c.numerator * mult[c.denominator] * (M // L)
         S = [s + w * x for s, x in zip(S, F)]
     return reduced_fn(space, tuple(S), K * M)
+
+
+# A battery's estimated cost on each route, in quarters of a pair-scan step
+# (fitted on CPython 3.11, 2-core x86, to the standard and pipeline
+# families). Per vector the pair route pays a set-up, each value combine
+# sums and each pair; the table route a set-up, each row and each nonzero
+# entry. Building the rows pays per pair of distinct columns, per member
+# there and per pair of points; it is done only where it costs at most a
+# BUILD_SHARE-th of the pair route.
+PAIR_ROUTE_VECTOR, COMBINE_VALUE, PAIR_STEP = 300, 1, 4
+TABLE_ROUTE_VECTOR, ROW_STEP, ENTRY_STEP = 150, 5, 1
+BUILD_GROUP_PAIR, BUILD_MEMBER, BUILD_PAIR, BUILD_SHARE = 64, 5, 2, 8
+# Row weights are exact when the distances' lcm has at most this many bits.
+EXACT_SCALE_BITS = 128
+
+
+class MoleculeTable:
+    """The molecule table of a family f_1..f_k on one space.
+
+    The unit ball of the free space is the convex hull of the molecules
+    (δ_p − δ_q) / d(p, q), so ‖Σ c_i f_i‖ is the largest |Σ c_i w_i| over
+    the pairs, w being the members' slopes at (p, q). Over the members'
+    least common denominator M their values at p form an integer column
+    G[p], and G[q] − G[p] == g·u for an integer g and a primitive direction
+    u whose first nonzero entry is positive. One row per direction keeps
+    the largest |g| / A[p][q] and, among the pairs reaching it, the least
+    pair oriented the way f rises when ⟨c, u⟩ > 0, and when ⟨c, u⟩ < 0.
+    Other pairs never attain a nonzero norm, so one scan of the rows gives
+    the norm and, as the least oriented pair of the attaining rows,
+    ``strong_pairs(f)[0]``. Points with equal columns form one group; the
+    rows, one per pair of groups at most, are built on first read.
+    """
+
+    def __init__(self, functions):
+        space = functions[0].space
+        views = []
+        for f in functions:
+            if f.space is not space and f.space.scaled != space.scaled:
+                raise PreconditionError("cannot add functions on different spaces")
+            views.append(f.lifted)
+        self.space, self.size = space, len(views)
+        self.scale = M = lcm(*[L for _, L in views])
+        self.columns = tuple(zip(*[map(mul, F, repeat(M // L)) for F, L in views]))
+        index = {}
+        self.group_of = tuple(map(lambda col: index.setdefault(col, len(index)), self.columns))
+        self.group_columns = tuple(index)
+        # per member, its nonzero values by group
+        self.member_groups = [[] for _ in views]
+        for g, col in enumerate(self.group_columns):
+            for i, x in enumerate(col):
+                if x:
+                    self.member_groups[i].append((g, x))
+
+    @cached_property
+    def rows(self) -> tuple:
+        """``(u, num, den, up, down)`` per direction u: ``num / den`` is the
+        largest |g| / A[p][q], ``up`` and ``down`` the least attaining pairs
+        oriented for ⟨c, u⟩ > 0 and < 0."""
+        A, _ = self.space.scaled
+        points = [[] for _ in self.group_columns]
+        for p, group in enumerate(self.group_of):
+            points[group].append(p)
+        groups = list(zip(self.group_columns, points))
+        rows = {}
+        for b, (cq, Q) in enumerate(groups):
+            for cp, P in groups[:b]:
+                d = tuple(map(sub, cq, cp))
+                g = gcd(*d)
+                if next(filter(None, d)) < 0:
+                    g = -g
+                u = tuple(map(floordiv, d, repeat(g)))
+                den, pq, qp = _closest_pairs(A, P, Q)
+                # f rises from P to Q exactly when g * <c, u> > 0
+                up, down = (pq, qp) if g > 0 else (qp, pq)
+                num = abs(g)
+                row = rows.get(u)
+                if row is None or num * row[1] > row[0] * den:
+                    rows[u] = [num, den, up, down]
+                elif num * row[1] == row[0] * den:
+                    row[2], row[3] = min(row[2], up), min(row[3], down)
+        return tuple((u, *row) for u, row in rows.items())
+
+    @cached_property
+    def _weights(self):
+        """Per member the rows of its nonzero direction entries and the
+        entries; per row num / den times one scale, rounded down and up
+        (one list when all are exact); the scale; the rows' fields. The
+        scale is the dens' lcm when short, else a power of two putting the
+        largest weight near 2**62."""
+        rows = self.rows
+        entries = [([], []) for _ in range(self.size)]
+        shift = 0
+        for r, (u, num, den, _, _) in enumerate(rows):
+            shift = max(shift, num.bit_length() - den.bit_length())
+            for i, x in enumerate(u):
+                if x:
+                    entries[i][0].append(r)
+                    entries[i][1].append(x)
+        _, nums, dens, ups, downs = zip(*rows) if rows else ((),) * 5
+        scale = 1
+        for den in set(dens):
+            scale = lcm(scale, den)
+            if scale.bit_length() > EXACT_SCALE_BITS:
+                scale = 1 << max(62 - shift, 0)
+                break
+        floor = list(map(floordiv, map(mul, nums, repeat(scale)), dens))
+        ceil = list(map(neg, map(floordiv, map(mul, nums, repeat(-scale)), dens)))
+        return entries, floor, ceil if ceil != floor else floor, scale, nums, dens, ups, downs
+
+    def scan(self, C, find_pair: bool = False):
+        """``(num, den, pair)``: ``num / den`` is the norm of Σ C[i] f_i for
+        integers C, one per member, and with ``find_pair`` ``pair`` is the
+        least oriented attaining pair (None for a zero combination).
+
+        A row's value times the scale lies between |<C, u>| times its two
+        weights. The largest lower end is at most the norm's, and every
+        attaining row's upper end reaches it: only those rows are compared
+        exactly, and none when every weight is exact.
+        """
+        entries, floor, ceil, scale, nums, dens, ups, downs = self._weights
+        dots = [0] * len(nums)
+        for c, (where, xs) in zip(C, entries):
+            if c:
+                for r, x in zip(where, xs):
+                    dots[r] += c * x
+        sizes = list(map(abs, dots))
+        low = list(map(mul, sizes, floor))
+        lo = max(low, default=0)
+        if ceil is floor:
+            num, den = lo, scale
+            hits = list(compress(count(), map(lo.__eq__, low))) if lo else []
+        else:
+            num, den, hits = 0, 1, []
+            for r in compress(count(), map(lo.__le__, map(mul, sizes, ceil))):
+                v = sizes[r] * nums[r]
+                if v:
+                    lhs, rhs = v * den, num * dens[r]
+                    if lhs > rhs:
+                        num, den, hits = v, dens[r], [r]
+                    elif lhs == rhs:
+                        hits.append(r)
+        pair = None
+        if find_pair and hits:
+            pair = min(ups[r] if dots[r] > 0 else downs[r] for r in hits)
+        return num * self.space.scaled[1], den * self.scale, pair
+
+    def combination(self, C, K: int) -> "Combination":
+        """Σ c_i f_i for ``c_i == C[i] / K``, over the first len(C) members."""
+        if len(C) > self.size:
+            raise PreconditionError(f"{len(C)} coefficients for a family of {self.size}")
+        return Combination(self, tuple(C) + (0,) * (self.size - len(C)), K)
+
+
+class Combination:
+    """A combination read off a molecule table, with no function built: the
+    norm from one scan of the rows, a slope from two columns in O(k), the
+    pointwise sup from one distance row."""
+
+    __slots__ = ("table", "C", "K")
+
+    def __init__(self, table: MoleculeTable, C: tuple, K: int):
+        self.table, self.C, self.K = table, C, K
+
+    def norm(self, find_pair: bool = False):
+        """``(norm, pair)``, the pair as :meth:`MoleculeTable.scan` finds it."""
+        num, den, pair = self.table.scan(self.C, find_pair)
+        return Rat(num, den * self.K), pair
+
+    def slope_parts(self, p: int, q: int):
+        if p == q:
+            raise PreconditionError("slope needs two distinct points")
+        table, C = self.table, self.C
+        A, D = table.space.scaled
+        rise = sum(map(mul, C, table.columns[q])) - sum(map(mul, C, table.columns[p]))
+        return rise * D, A[p][q] * table.scale * self.K
+
+    def values(self):
+        """``(W, S)``: the values as integers over one denominator."""
+        table = self.table
+        sums = [0] * len(table.group_columns)
+        for c, entries in zip(self.C, table.member_groups):
+            if c:
+                for g, x in entries:
+                    sums[g] += c * x
+        return list(map(sums.__getitem__, table.group_of)), table.scale * self.K
+
+    def pointwise_sup(self, p: int) -> Rat:
+        A, D = self.table.space.scaled
+        W, S = self.values()
+        num, den = max_quotient_at(A[p], W, p)
+        return Rat(num * D, den * S)
+
+
+class PairRoute:
+    """A :func:`combine` result read as a :class:`Combination` is, its norm
+    and first attaining pair from a scan of every pair."""
+
+    __slots__ = ("f",)
+
+    def __init__(self, f: LipFn):
+        self.f = f
+
+    def norm(self, find_pair: bool = False):
+        if not find_pair:
+            return lip_norm(self.f), None
+        attaining = strong_pairs(self.f)
+        return (slope(self.f, *attaining[0]), attaining[0]) if attaining else (ZERO, None)
+
+    def slope_parts(self, p: int, q: int):
+        return slope_parts(self.f, p, q)
+
+    def pointwise_sup(self, p: int) -> Rat:
+        return pointwise_sup(self.f, p)
+
+    def values(self):
+        return self.f.lifted
+
+
+def molecule_table(functions, vectors: int):
+    """The family's :class:`MoleculeTable` if ``vectors`` scans of it are
+    estimated to cost less than ``vectors`` runs of the pair route; else
+    None, also for a family on fewer than two points or on more than one
+    space, whose errors the pair route reports. The estimate reads the
+    battery size, the pair count and the rows' and nonzero entries' counts,
+    for which the rows are built, unless that alone would cost more than a
+    BUILD_SHARE-th of the pair route."""
+    n = functions[0].space.n_points
+    try:
+        table = MoleculeTable(functions)
+    except PreconditionError:
+        return None
+    groups = len(table.group_columns)
+    pair_route = vectors * (PAIR_ROUTE_VECTOR + COMBINE_VALUE * n * table.size
+                            + PAIR_STEP * n * (n - 1) // 2)
+    build = ((BUILD_GROUP_PAIR + BUILD_MEMBER * table.size) * groups * (groups - 1) // 2
+             + BUILD_PAIR * n * (n - 1) // 2)
+    if n < 2 or BUILD_SHARE * build > pair_route:
+        return None
+    entries = sum(len(where) for where, _ in table._weights[0])
+    scan = TABLE_ROUTE_VECTOR + ROW_STEP * len(table.rows) + ENTRY_STEP * entries
+    return table if vectors * scan < pair_route else None
+
+
+def _closest_pairs(A, P, Q):
+    """``(a, pq, qp)``: the least distance ``a == A[p][q]`` over p in P and
+    q in Q, both ascending, with the least pairs (p, q) and (q, p) at it."""
+    best = None
+    for p in P:
+        Ap = A[p]
+        for q in Q:
+            a = Ap[q]
+            if best is None or a < best:
+                best, pq, qp = a, (p, q), (q, p)
+            elif a == best and (q, p) < qp:
+                qp = (q, p)
+    return best, pq, qp

@@ -168,7 +168,10 @@ class FiniteMetricSpace:
 
     def subspace(self, indices) -> "FiniteMetricSpace":
         """Restrict to ``indices``; the first listed index becomes the base."""
-        idx = list(indices)
+        idx = [as_index(a, "subspace index") for a in indices]
+        for a in idx:
+            if not 0 <= a < self.n_points:
+                raise PreconditionError(f"subspace index {a} outside the space")
         if len(idx) < 1:
             raise PreconditionError("subspace needs at least one index")
         if len(set(idx)) != len(idx):

@@ -38,6 +38,8 @@ builds the space from it, so a passing four-point check on a tree metric
 builds no Fraction.
 """
 
+from __future__ import annotations
+
 from dataclasses import dataclass
 from typing import Optional
 

@@ -9,6 +9,12 @@ the integer rule reads the family space's view; the families' value maps,
 keyed by row, are re-keyed to the rule's nodes. ``combine`` is looked up in
 this module, so a test can swap in another path.
 
+``pair_route_verify`` is the one-rule ``verify_isometry`` as it stood
+before the molecule table: every vector combined by ``combine`` and its
+pairs scanned by ``strong_pairs`` or ``lip_norm``, every rule norm read,
+so an orbit rule runs its own ``max_quotient`` scan. It reads the
+production ``Expectation`` and ``RuleData``.
+
 ``old_path(monkeypatch, *modules, model=None)`` routes the construction
 pipelines through this oracle: the rule factories they call hand back the
 old expectation's fields, and ``verify_isometry`` reads them into an oracle
@@ -23,8 +29,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from model_oracle import _model_nodes, d_seq
-from lipcheck.embeddings import RuleData, VerificationReport, WitnessRecord
-from lipcheck.lipfun import combine, lip_norm, pointwise_sup, slope, strong_pairs
+from lipcheck.embeddings import RuleData, VerificationReport, WitnessRecord, lift_coefficients
+from lipcheck.lipfun import combine, lip_norm, pointwise_sup, slope, slope_parts, strong_pairs
 from lipcheck.metric import PreconditionError
 from lipcheck.rational import ONE, Rat, ZERO, format_rat, rat
 
@@ -188,6 +194,100 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
 
         if pair is None and ln > ZERO:
             pair = (attaining or strong_pairs(f))[0]
+        witnesses.append(WitnessRecord(coeffs, ln, pair, point, point_defect))
+
+    return VerificationReport(
+        target=target,
+        coefficient_set=tuple(tuple(a) for a in coeff_set),
+        exact_pass=exact_all,
+        worst_defect=worst,
+        witnesses=tuple(witnesses),
+        expectation_kind=expectation.kind,
+        expectation_pass=expect_all,
+        failures=tuple(failures),
+        seed=seed,
+    )
+
+
+def pair_route_verify(family, target: str, coeff_set, expectation,
+                      seed: Optional[int] = None) -> VerificationReport:
+    """Check every coefficient vector against the RuleData its expectation's
+    rule derives from it, in this order: the norm, under a ceiling the norm
+    against the coefficient norm, the members' absolute slopes, the sup at
+    the designated point (a zero defect when no sup is expected) and the
+    base gap, the witness pair's signed slope. Failures are collected, never
+    raised; the first eight are kept, in the order they occur."""
+    family = tuple(family)
+    if not family:
+        raise PreconditionError("empty family")
+    exact_all = True
+    expect_all = True
+    worst = ZERO
+    witnesses = []
+    failures = []
+
+    def fail(msg):
+        nonlocal expect_all
+        expect_all = False
+        if len(failures) < 8:
+            failures.append(f"a=({','.join(format_rat(a) for a in coeffs)}): {msg}")
+
+    for coeffs in coeff_set:
+        coeffs = tuple(rat(a) for a in coeffs)
+        C, K, cn = lift_coefficients(coeffs, target)
+        f = combine(family, coeffs)
+        data = expectation.rule(C, K, cn)
+        # Without a witness pair, one scan finds the norm and the attaining
+        # pairs that name the recorded witness.
+        if data is None or data.witness_pair is None:
+            attaining = strong_pairs(f)
+            ln = slope(f, *attaining[0]) if attaining else ZERO
+        else:
+            attaining, ln = None, lip_norm(f)
+        gap = abs(cn - ln)
+        if gap > worst:
+            worst = gap
+        if ln != cn:
+            exact_all = False
+        point = point_defect = pair = None
+
+        if data is None:
+            if ln != ZERO:
+                fail("zero vector with nonzero norm")
+        else:
+            expected = data.expected_norm
+            if ln != expected:
+                what = "rule value " if data.ceiling else ""
+                fail(f"norm {format_rat(ln)} != {what}{format_rat(expected)}")
+            if data.ceiling:
+                if ln > cn:
+                    fail("truncation norm exceeds the target")
+                elif data.ceiling == "<" and ln == cn:
+                    fail("truncation norm not strictly below target")
+            for key, u, v, want in data.member_checks:
+                num, den = slope_parts(f, u, v)
+                if abs(num) * want.denominator != want.numerator * den:
+                    fail(f"member {key} slope {format_rat(Rat(abs(num), den))} "
+                         f"!= {format_rat(want)}")
+            point = data.designated_point
+            if point is not None:
+                sup_here = pointwise_sup(f, point)
+                point_defect = ln - sup_here
+                if data.expected_sup is None:
+                    if point_defect != ZERO:
+                        fail(f"defect {format_rat(point_defect)} at {point}")
+                elif sup_here != data.expected_sup:
+                    fail(f"sup at {point} is {format_rat(sup_here)}")
+                if data.base_gap is not None and cn - sup_here != data.base_gap:
+                    fail(f"base gap {format_rat(cn - sup_here)} off rule")
+            pair = data.witness_pair
+            if pair is not None:
+                num, den = slope_parts(f, *pair)
+                if num * expected.denominator != expected.numerator * den:
+                    fail(f"witness pair {pair} misses the norm")
+
+        if pair is None and ln > ZERO:
+            pair = attaining[0]
         witnesses.append(WitnessRecord(coeffs, ln, pair, point, point_defect))
 
     return VerificationReport(

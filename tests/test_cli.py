@@ -697,6 +697,34 @@ def test_the_package_imports_only_the_standard_library():
     assert sources and found == []
 
 
+def test_a_reimported_package_frees_its_earlier_copy():
+    """No module evaluates an annotation that subscripts a package class
+    (``Optional[WeightedTree]`` did): typing's caches kept such a class, and
+    through it every module's globals, so each fresh import of the package
+    added a copy that no garbage collection freed. Run in a subprocess, as
+    re-importing here would hand later tests new classes."""
+    script = (
+        "import gc, importlib, sys, weakref\n"
+        "def load():\n"
+        "    for name in [m for m in sys.modules if m.split('.')[0] == 'lipcheck']:\n"
+        "        del sys.modules[name]\n"
+        "    importlib.import_module('lipcheck.cli')\n"
+        "    importlib.import_module('lipcheck.acceptance')\n"
+        "    return sys.modules\n"
+        "old = [weakref.ref(vars(m)[k]) for m in list(load().values())\n"
+        "       if m.__name__.startswith('lipcheck.') for k, v in vars(m).items()\n"
+        "       if callable(v) and getattr(v, '__module__', '') == m.__name__]\n"
+        "load()\n"
+        "gc.collect()\n"
+        "print(len(old), sum(ref() is not None for ref in old))\n"
+    )
+    src = os.path.dirname(os.path.dirname(os.path.abspath(lipcheck.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert int(out[0]) > 100 and out[1] == "0"
+
+
 def test_main_back_to_back_matches_fresh_processes(tmp_path):
     """main reuses one parser per process; back-to-back calls with
     different subcommands write the bytes a fresh process writes."""

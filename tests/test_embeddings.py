@@ -33,7 +33,16 @@ from lipcheck.embeddings import (
     verify_isometry,
     verify_standard,
 )
-from lipcheck.lipfun import combine, lip_norm, lipfn, pointwise_sup, slope, strong_pairs
+from lipcheck.lipfun import (
+    MoleculeTable,
+    combine,
+    lip_norm,
+    lipfn,
+    max_quotient,
+    pointwise_sup,
+    slope,
+    strong_pairs,
+)
 from lipcheck.metric import (
     ModelError,
     PreconditionError,
@@ -502,17 +511,25 @@ def test_standard_family_sizes_and_targets():
     assert standard_family("thm46").members == (2, 3)
 
 
-def test_verify_computes_one_norm_per_vector(count_calls):
-    """verify_isometry scans each combination's pairs once: thm43 has no
-    designated witness pair, so one strong_pairs scan gives the norm and
-    the recorded pair, reused for the defect."""
+def test_verify_computes_one_norm_per_vector(count_calls, monkeypatch):
+    """verify_isometry reads each combination off the family's molecule
+    table with one scan: thm43 has no designated witness pair, so that scan
+    gives the norm and the recorded pair, reused for the defect. No pair is
+    scanned, neither by ``lip_norm`` or ``strong_pairs`` nor by the rule's
+    own ``max_quotient``, whose values equal the family's member by
+    member."""
     built = standard_family("thm43")
     battery = standard_battery(built.size)
-    norms = count_calls(lip_norm)
-    scans = count_calls(strong_pairs)
+    scans = []
+    real = MoleculeTable.scan
+    monkeypatch.setattr(MoleculeTable, "scan",
+                        lambda self, C, find_pair=False: scans.append(find_pair)
+                        or real(self, C, find_pair))
+    pair_scans = [count_calls(fn) for fn in (lip_norm, strong_pairs, max_quotient)]
     report = verify_standard(built)
     assert report.expectation_pass
-    assert len(norms) + len(scans) == len(battery) == len(report.witnesses)
+    assert scans == [True] * len(battery) and len(battery) == len(report.witnesses)
+    assert [len(calls) for calls in pair_scans] == [0, 0, 0]
 
 
 def test_thm57_deflated():

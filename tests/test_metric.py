@@ -68,6 +68,24 @@ def test_subspace_rebases_at_first_index():
     assert sub.d(0, 1) == space.d(2, 0)
 
 
+@pytest.mark.parametrize("indices, message", [
+    ([-1, 0], "subspace index -1 outside the space"),
+    ([4, -1], "subspace index -1 outside the space"),
+    ([1.5, 0], "subspace index 1.5 is not an integer"),
+    ([9, 0], "subspace index 9 outside the space"),
+])
+def test_subspace_refuses_indices_outside_the_space(indices, message):
+    """Negative indices no longer wrap to the last rows (``[4, -1]`` named
+    row 4 twice, with a zero distance between distinct points); a float or
+    an index past the end raises PreconditionError, not TypeError or
+    IndexError."""
+    space = truncate(catalog("discrete"), 5)
+    with pytest.raises(PreconditionError) as err:
+        space.subspace(indices)
+    assert str(err.value) == message
+    assert space.subspace([4, 3]).d(0, 1) == space.d(4, 3)
+
+
 # ---------------------------------------------------------------------------
 # Truncation oracles (values computed from the closed-form rules by hand)
 
