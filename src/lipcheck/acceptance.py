@@ -202,20 +202,20 @@ def criterion_5() -> dict:
 
 
 def _case_i1_invariants(seq, res) -> bool:
-    eps, g = res.data["eps"], res.data["g"]
+    eps, g, r = res.data["eps"], res.data["g"], seq.rat
     half_l = seq.model.L / 2
     for n, e in eps.items():
-        if e != half_l + seq.phi(1, n) - seq.psi(n):
+        if e != half_l + r(seq.phi(1, n) - seq.psi(n)):
             return False
-        if g[n] != seq.d(1, n) - e:
+        if g[n] != r(seq.dist[1][n]) - e:
             return False
     for n, gn in g.items():
-        if gn != half_l + seq.psi(n) or gn < ZERO:
+        if gn != half_l + r(seq.psi(n)) or gn < ZERO:
             return False
     items = sorted(g)
     for i, n in enumerate(items):
         for m in items[i + 1:]:
-            if g[n] + g[m] > seq.d(n, m):
+            if g[n] + g[m] > r(seq.dist[n][m]):
                 return False
     return True
 
@@ -223,7 +223,7 @@ def _case_i1_invariants(seq, res) -> bool:
 def _case_i2_invariants(seq, res) -> bool:
     sigma, tau, eps = res.data["sigma"], res.data["tau"], res.data["eps"]
     for s, t, e in zip(sigma, tau, eps):
-        formula = (-seq.phi(s, t) + seq.psi(s) + seq.psi(t)) / 6
+        formula = seq.rat(-seq.phi(s, t) + seq.psi(s) + seq.psi(t)) / 6
         if e != formula or not e > ZERO:
             return False
     return True

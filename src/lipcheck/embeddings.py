@@ -43,6 +43,8 @@ import inspect
 import random
 from dataclasses import dataclass, field
 from itertools import combinations, permutations, product
+from math import lcm
+from operator import itemgetter, neg
 from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
@@ -68,6 +70,7 @@ from .metric import (
     int_param,
     integer_line,
     min_positive_radius,
+    min_radius,
     truncate,
 )
 
@@ -184,10 +187,11 @@ def _no_limits(model: MetricModel, why: str = "") -> TailDataError:
 class SequenceView:
     """``model`` truncated at N, read in sequence indices, the one place a
     checker or pipeline takes a sequence distance from: ``ns`` sequence
-    points, ``lo`` the first of them that is not the base point, the
-    distance ``d(n, m)`` with index 0 the base point, the radius
-    ``radius(n)``, and the tail gaps ``phi(n, m) = d(n, m) - L`` and
-    ``psi(n) = L(n) - L``, which need the model's declared tails.
+    points, ``lo`` the first of them that is not the base point, and as
+    integers over ``scale``, the truncation's D times what the declared L
+    and L(n) need, the rows ``dist`` of d(n, m) with index 0 the base point,
+    the radius ``radius(n)`` and the tail gaps ``phi(n, m) = d(n, m) - L``
+    and ``psi(n) = L(n) - L``, which need the model's declared tails.
 
     ``space`` is the truncation, handed in when already built; otherwise
     ``truncate`` builds and validates it on first read, so that checks on
@@ -207,19 +211,39 @@ class SequenceView:
     def space(self) -> FiniteMetricSpace:
         return truncate(self.model, self.N)
 
-    def d(self, n: int, m: int) -> Rat:
-        return self.space.dist[self.rows[n]][self.rows[m]]
+    @functools.cached_property
+    def _declared(self) -> tuple:
+        model = self.model
+        return (model.L, *map(model.L_pair, range(1, self.ns + 1))) if model.has_tails else ()
 
-    def radius(self, n: int) -> Rat:
-        return min_positive_radius(self.space, self.rows[n])
+    @functools.cached_property
+    def scale(self) -> int:
+        return lcm(self.space.scaled[1], *(t.denominator for t in self._declared))
 
-    def phi(self, n: int, m: int) -> Rat:
+    @functools.cached_property
+    def dist(self) -> tuple:
+        A, D = self.space.scaled
+        get, k = itemgetter(*self.rows), self.scale // D
+        rows = tuple(map(get, get(A)))
+        return rows if k == 1 else tuple(tuple(x * k for x in row) for row in rows)
+
+    @functools.cached_property
+    def tails(self) -> tuple:  # (L, Lp): L and, as Lp[n], L(n)
         self.model.need_tails()
-        return self.d(n, m) - self.model.L
+        Lp = tuple(t.numerator * (self.scale // t.denominator) for t in self._declared)
+        return Lp[0], Lp
 
-    def psi(self, n: int) -> Rat:
-        self.model.need_tails()
-        return self.model.L_pair(n) - self.model.L
+    def rat(self, x: int) -> Rat:  # for a value a report prints
+        return Rat(x, self.scale)
+
+    def radius(self, n: int) -> int:
+        return min(filter(None, self.dist[n]))  # the rows cover every point
+
+    def phi(self, n: int, m: int) -> int:
+        return self.dist[n][m] - self.tails[0]
+
+    def psi(self, n: int) -> int:
+        return self.tails[1][n] - self.tails[0]
 
 
 def _check_subsequence(seq: SequenceView, subseq) -> tuple:
@@ -244,15 +268,15 @@ def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
     Clause "separation": d(p_a, p_b) >= d(p_a, q_a) + d(p_b, q_b).
     """
     points, partners = _check_point_partners(space, points, partners)
+    A, D = space.scaled
     for p, q in zip(points, partners):
-        r = min_positive_radius(space, p)
-        if space.d(p, q) != r:
-            yield "radius", (p, q), (space.d(p, q), r)
+        r = min_radius(A, p)
+        if A[p][q] != r:
+            yield "radius", (p, q), (Rat(A[p][q], D), Rat(r, D))
     for (pa, qa), (pb, qb) in combinations(zip(points, partners), 2):
-        lhs = space.d(pa, pb)
-        rhs = space.d(pa, qa) + space.d(pb, qb)
+        lhs, rhs = A[pa][pb], A[pa][qa] + A[pb][qb]
         if lhs < rhs:
-            yield "separation", (pa, pb), (lhs, rhs)
+            yield "separation", (pa, pb), (Rat(lhs, D), Rat(rhs, D))
 
 
 @_checker
@@ -264,18 +288,17 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     distances between the two pairs.
     """
     pairs = _check_pairs(space, pairs)
-    half = rat(1, 2)
+    A, D = space.scaled
     for p, q in pairs:
-        half_d = half * space.d(p, q)
         for r in (p, q):
-            rad = min_positive_radius(space, r)
-            if rad < half_d:
-                yield "radius", (p, q), (rad, half_d)
+            rad = min_radius(A, r)
+            if 2 * rad < A[p][q]:
+                yield "radius", (p, q), (Rat(rad, D), Rat(A[p][q], 2 * D))
     for (i, (pa, qa)), (j, (pb, qb)) in combinations(enumerate(pairs), 2):
-        lhs = space.d(pa, qa) + space.d(pb, qb)
-        cross = min(space.d(pa, pb), space.d(pa, qb), space.d(qa, pb), space.d(qa, qb))
+        lhs = A[pa][qa] + A[pb][qb]
+        cross = min(A[pa][pb], A[pa][qb], A[qa][pb], A[qa][qb])
         if lhs > 2 * cross:
-            yield "cross-gap", (i, j), (lhs, 2 * cross)
+            yield "cross-gap", (i, j), (Rat(lhs, D), Rat(2 * cross, D))
 
 
 @_checker
@@ -290,34 +313,36 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
       (4) d_a + d_b - R(p_a) - R(p_b) + R(q_a) + R(q_b) <= 2 d(q_a, q_b).
     """
     pairs = _check_pairs(space, pairs)
-    rad = {r: min_positive_radius(space, r) for pq in pairs for r in pq}
-    dd = [space.d(p, q) for p, q in pairs]
+    A, D = space.scaled
+    rad = {r: min_radius(A, r) for pq in pairs for r in pq}
+    dd = [A[p][q] for p, q in pairs]
     for (p, q), d in zip(pairs, dd):
         if d > rad[p] + rad[q]:
-            yield "pair-radius", (p, q), (d, rad[p] + rad[q])
+            yield "pair-radius", (p, q), (Rat(d, D), Rat(rad[p] + rad[q], D))
     for (i, (pa, qa)), (j, (pb, qb)) in permutations(enumerate(pairs), 2):
         base = dd[i] + dd[j]
         if i < j:
             lhs = base + rad[pa] + rad[pb] - rad[qa] - rad[qb]
-            if lhs > 2 * space.d(pa, pb):
-                yield "pp", (i, j), (lhs, 2 * space.d(pa, pb))
+            if lhs > 2 * A[pa][pb]:
+                yield "pp", (i, j), (Rat(lhs, D), Rat(2 * A[pa][pb], D))
             lhs = base - rad[pa] - rad[pb] + rad[qa] + rad[qb]
-            if lhs > 2 * space.d(qa, qb):
-                yield "qq", (i, j), (lhs, 2 * space.d(qa, qb))
+            if lhs > 2 * A[qa][qb]:
+                yield "qq", (i, j), (Rat(lhs, D), Rat(2 * A[qa][qb], D))
         lhs = base + rad[pa] - rad[pb] - rad[qa] + rad[qb]
-        if lhs > 2 * space.d(pa, qb):
-            yield "pq", (i, j), (lhs, 2 * space.d(pa, qb))
+        if lhs > 2 * A[pa][qb]:
+            yield "pq", (i, j), (Rat(lhs, D), Rat(2 * A[pa][qb], D))
 
 
 @_checker
 def check_prop42(space: FiniteMetricSpace, points) -> CheckResult:
     """Spike-family pointwise hypothesis: d(p_n, p_m) >= R(p_n) + R(p_m)."""
     points = _check_anchor_rows(space, points, "point")
-    rad = {p: min_positive_radius(space, p) for p in points}
+    A, D = space.scaled
+    rad = {p: min_radius(A, p) for p in points}
     for p, q in combinations(points, 2):
-        lhs, rhs = space.d(p, q), rad[p] + rad[q]
+        lhs, rhs = A[p][q], rad[p] + rad[q]
         if lhs < rhs:
-            yield "separation", (p, q), (lhs, rhs)
+            yield "separation", (p, q), (Rat(lhs, D), Rat(rhs, D))
 
 
 @_checker
@@ -333,24 +358,24 @@ def check_thm43(model: MetricModel, N: int) -> CheckResult:
     model.need_sequence()
     model.need_tails()
     seq = SequenceView(model, N, truncate(model, N))
-    ns, d = seq.ns, seq.d
+    ns, d, r = seq.ns, seq.dist, seq.rat
     for n, m in permutations(range(1, ns + 1), 2):
-        d_here = d(n, m)
-        if m + 1 <= ns and m + 1 != n and d_here < d(n, m + 1):
-            yield "monotone", (n, m), (d_here, d(n, m + 1))
-        if n + 1 <= ns and n + 1 != m and d_here < d(n + 1, m):
-            yield "monotone", (n, m), (d_here, d(n + 1, m))
+        d_here = d[n][m]
+        if m + 1 <= ns and m + 1 != n and d_here < d[n][m + 1]:
+            yield "monotone", (n, m), (r(d_here), r(d[n][m + 1]))
+        if n + 1 <= ns and n + 1 != m and d_here < d[n + 1][m]:
+            yield "monotone", (n, m), (r(d_here), r(d[n + 1][m]))
     if not model.monotone_tails:
         yield "monotone-tail-undeclared", (), ()
-    half_l = model.L / 2
+    L, Lp = seq.tails
     for k in range(1, ns + 1):
-        r, bound = seq.radius(k), model.L_pair(k) - half_l
-        if r < bound:
-            yield "radius", (k,), (r, bound)
+        rad, bound = seq.radius(k), 2 * Lp[k] - L
+        if 2 * rad < bound:
+            yield "radius", (k,), (r(rad), Rat(bound, 2 * seq.scale))
     for k, l in combinations(range(1, ns + 1), 2):
-        lhs, rhs = model.L_pair(k) + model.L_pair(l), model.L + d(k, l)
+        lhs, rhs = Lp[k] + Lp[l], L + d[k][l]
         if lhs > rhs:
-            yield "tail-sum", (k, l), (lhs, rhs)
+            yield "tail-sum", (k, l), (r(lhs), r(rhs))
 
 
 @_checker
@@ -371,22 +396,23 @@ def check_thm45(model: MetricModel, subseq, N: int) -> CheckResult:
     if model.base_limit is None:
         raise _no_limits(model)
     dlim = model.base_limit
-    if dlim <= ZERO:
+    if dlim.numerator <= 0:
         yield "positive-limit", (), (dlim,)
-    d = seq.d
+    d, r = seq.dist, seq.rat
+    # d(n, m) < dlim, cross-multiplied over dlim's denominator
+    lim, S = dlim.numerator * seq.scale, dlim.denominator
     for s in subseq:
-        db, r = d(0, s), seq.radius(s)
-        if db != r:
-            yield "radius-equality", (s,), (db, r)
+        if d[0][s] != seq.radius(s):
+            yield "radius-equality", (s,), (r(d[0][s]), r(seq.radius(s)))
     for a, b in zip(subseq, subseq[1:]):
-        if d(0, a) < d(0, b):
-            yield "decreasing", (a, b), (d(0, a), d(0, b))
+        if d[0][a] < d[0][b]:
+            yield "decreasing", (a, b), (r(d[0][a]), r(d[0][b]))
     for s in subseq:
-        if d(0, s) < dlim:
-            yield "decreasing", (s,), (d(0, s), dlim)
+        if d[0][s] * S < lim:
+            yield "decreasing", (s,), (r(d[0][s]), dlim)
     for s, t in combinations(subseq, 2):
-        if 2 * dlim > d(s, t):
-            yield "separation", (s, t), (2 * dlim, d(s, t))
+        if 2 * lim > d[s][t] * S:
+            yield "separation", (s, t), (Rat(2 * dlim.numerator, S), r(d[s][t]))
 
 
 def _eps_values(model: MetricModel, eps_seq, ns: int, lo: int):
@@ -416,28 +442,38 @@ def check_thm46(model: MetricModel, eps_seq, N: int) -> CheckResult:
     if model.eps is None or not model.ratio_tends_to_one:
         raise _no_limits(model, ": no declared slope-ratio limit")
     seq = SequenceView(model, N)
-    ns, lo, d = seq.ns, seq.lo, seq.d
+    ns, lo = seq.ns, seq.lo
     eps = _eps_values(model, eps_seq, ns, lo)
     for n in range(lo, ns + 1):
-        if eps[n] < ZERO:
+        if eps[n].numerator < 0:
             raise PreconditionError(f"epsilon values must be nonnegative, got {eps[n]}")
     for n in range(lo, ns + 1):
-        if eps[n] != model.eps(n):
+        declared = model.eps(n)
+        if (eps[n].numerator, eps[n].denominator) != (declared.numerator, declared.denominator):
             raise TailDataError(
                 "limits unavailable: epsilon sequence differs from the model's "
                 f"declared closed form at n={n}"
             )
-    seq.space  # built and validated here even when no index is left to check
-    g = {n: d(0, n) - eps[n] for n in range(lo, ns + 1)}
+    d = seq.dist  # built and validated here even when no index is left to check
+    g, T = _shifted_distances(seq, eps)
+    k = T // seq.scale
     for n in range(lo, ns + 1):
-        if g[n] < ZERO:
-            yield "radius-window", (n,), (g[n], ZERO)
-        r = seq.radius(n)
-        if g[n] > r:
-            yield "radius-window", (n,), (g[n], r)
+        if g[n] < 0:
+            yield "radius-window", (n,), (Rat(g[n], T), ZERO)
+        rad = seq.radius(n)
+        if g[n] > rad * k:
+            yield "radius-window", (n,), (Rat(g[n], T), seq.rat(rad))
     for n, m in combinations(range(lo, ns + 1), 2):
-        if g[n] + g[m] > d(n, m):
-            yield "ratio", (n, m), (g[n] + g[m], d(n, m))
+        if g[n] + g[m] > d[n][m] * k:
+            yield "ratio", (n, m), (Rat(g[n] + g[m], T), seq.rat(d[n][m]))
+
+
+def _shifted_distances(seq: SequenceView, eps: dict):
+    """``(g, T)``: g_n = d(p_n, 0) - eps_n as ``g[n]`` over one denominator T."""
+    T = lcm(seq.scale, *(e.denominator for e in eps.values()))
+    k = T // seq.scale
+    return {n: seq.dist[0][n] * k - e.numerator * (T // e.denominator)
+            for n, e in eps.items()}, T
 
 
 @_checker
@@ -456,10 +492,11 @@ def check_thm310(model: MetricModel, N: int) -> CheckResult:
         )
     model.need_sequence()
     seq = SequenceView(model, N, truncate(model, N))
+    (L, Lp), d = seq.tails, seq.dist
     for n, m in combinations(range(1, seq.ns + 1), 2):
-        lhs, rhs = seq.phi(n, m), seq.psi(n) + seq.psi(m)
+        lhs, rhs = d[n][m] - L, Lp[n] + Lp[m] - 2 * L
         if not lhs > rhs:
-            yield "strict-gap", (n, m), (lhs, rhs)
+            yield "strict-gap", (n, m), (seq.rat(lhs), seq.rat(rhs))
     if not model.liminf_phi_nonneg:
         yield "liminf-certificate", (), ()
 
@@ -569,18 +606,6 @@ class VerificationReport:
     failures: tuple = ()
     seed: Optional[int] = None
 
-    def to_json(self) -> dict:
-        return {
-            "target": self.target,
-            "coeff_count": len(self.coefficient_set),
-            "exact_pass": self.exact_pass,
-            "worst_defect": format_rat(self.worst_defect),
-            "expectation_kind": self.expectation_kind,
-            "expectation_pass": self.expectation_pass,
-            "seed": self.seed,
-            "failures": list(self.failures),
-        }
-
 
 @dataclass(frozen=True)
 class BuiltFamily:
@@ -648,15 +673,14 @@ def _build_pairs(spec: FamilySpec, values):
 
 
 def _balanced_values(space, p, q):
-    half = rat(1, 2)
-    return half * space.d(p, q), -half * space.d(p, q)
+    A, D = space.scaled
+    return Rat(A[p][q], 2 * D), Rat(-A[p][q], 2 * D)
 
 
 def _radius_shifted_values(space, p, q):
-    half = rat(1, 2)
-    dpq = space.d(p, q)
-    rp, rq = min_positive_radius(space, p), min_positive_radius(space, q)
-    return half * (dpq + rp - rq), half * (-dpq + rp - rq)
+    A, D = space.scaled
+    shift = min_radius(A, p) - min_radius(A, q)
+    return Rat(A[p][q] + shift, 2 * D), Rat(-A[p][q] + shift, 2 * D)
 
 
 def _orbit_family(space, count, node_of, value, row_of):
@@ -702,8 +726,8 @@ def _build_thm45(spec: FamilySpec):
 def _build_thm46(spec: FamilySpec):
     seq = SequenceView(spec.model, spec.N, spec.space)
     ns, lo = seq.ns, seq.lo
-    eps = _eps_values(spec.model, spec.parameters["eps"], ns, lo)
-    g = {n: seq.d(0, n) - eps[n] for n in range(lo, ns + 1)}
+    g, T = _shifted_distances(seq, _eps_values(spec.model, spec.parameters["eps"], ns, lo))
+    g = {n: Rat(x, T) for n, x in g.items()}
     return _orbit_family(
         spec.space, ns - lo + 1, lambda k: k + lo - 1,
         lambda n, head: g[n] if head else -g[n], spec.model.seq_row,
@@ -835,16 +859,21 @@ def build_family(spec: FamilySpec, override: bool = False):
 _TARGET_NORMS = {"sup-norm": lambda sizes: max(sizes, default=0), "sum-norm": sum}
 
 
-def lift_coefficients(coeffs, target: str):
-    """``(C, K, norm)`` for a tuple of rationals: the integers C over one
-    positive denominator K with ``coeffs[n] == C[n] / K``, and the norm of
-    the coefficients in ``target``, taken on C."""
+def _lift(coeffs, target: str):
+    """``(C, K, N)``: integers C over one positive denominator K with
+    ``coeffs[n] == C[n] / K``, and their norm N / K in ``target``."""
     norm_of = _TARGET_NORMS.get(target)
     if norm_of is None:
         raise PreconditionError(f"unknown target {target!r}")
-    K, mult = common_denominator(coeffs)
-    C = tuple(a.numerator * mult[a.denominator] for a in coeffs)
-    return C, K, Rat(norm_of(map(abs, C)), K)
+    K = lcm(*[a.denominator for a in coeffs])
+    C = tuple(a.numerator * (K // a.denominator) for a in coeffs)
+    return C, K, norm_of(map(abs, C))
+
+
+def lift_coefficients(coeffs, target: str):
+    """``(C, K, norm)``: :func:`_lift`, with the norm N / K as a rational."""
+    C, K, N = _lift(coeffs, target)
+    return C, K, Rat(N, K)
 
 
 def coefficient_norm(coeffs, target: str) -> Rat:
@@ -886,22 +915,28 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
 
     Each vector is read off the family's molecule table where
     :func:`molecule_table` estimates it cheaper, else combined and its
-    pairs scanned. A rule's unread norm or sup is compared only if the
-    route's values differ from the rule's at some unit vector, checked once
-    per family: both are linear in a."""
+    pairs scanned, and compared as integer pairs ``(num, den)``. As
+    ‖−f‖ = ‖f‖, a vector whose negation came earlier reuses its norm, sup
+    and least attaining pair, reversed, with no scan. A rule's unread norm
+    or sup is compared only if the route's values differ from the rule's at
+    some unit vector, checked once per family: both are linear in a."""
     family, coeff_set = tuple(family), tuple(coeff_set)
     if not family:
         raise PreconditionError("empty family")
-    table = molecule_table(family, len(coeff_set))
+    vectors = [(a, *_lift(a, target)) for a in (tuple(map(rat, c)) for c in coeff_set)]
+    classes = {(max(C, tuple(map(neg, C))), K) for _, C, K, _ in vectors}  # {a, -a}
+    table = molecule_table(family, len(classes))  # one scan per class
 
     def route(coeffs, C, K):
         return table.combination(C, K) if table else PairRoute(combine(family, coeffs))
 
-    exact_all = True
-    expect_all = True
-    worst = ZERO
-    witnesses = []
-    failures = []
+    # A route adding one fixed function to every combination is not odd,
+    # and shows it at a = 0: then every vector reads its own combination.
+    zero = (0,) * len(family)
+    mirror = bool(vectors) and not any(route(zero, zero, 1).values()[0])
+    exact_all = expect_all = True
+    worst, witnesses, failures = (0, 1), [], []
+    memo = {}  # per (-C, K) awaiting that vector, what it reuses
     rule_matches = None  # the route's values are the rule's; checked on first need
 
     def fail(msg):
@@ -910,23 +945,28 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
         if len(failures) < 8:
             failures.append(f"a=({','.join(format_rat(a) for a in coeffs)}): {msg}")
 
-    for coeffs in coeff_set:
-        coeffs = tuple(rat(a) for a in coeffs)
-        C, K, cn = lift_coefficients(coeffs, target)
+    for coeffs, C, K, N in vectors:
+        seen = memo.pop((C, K), None)
+        cn = seen[0] if seen else Rat(N, K) if N else ZERO
         f = route(coeffs, C, K)
         data = expectation.rule(C, K, cn)
         # Without a witness pair, one scan finds the norm and the least
         # attaining pair, the recorded witness.
-        ln, first = f.norm(data is None or data.witness_pair is None)
-        gap = abs(cn - ln)
-        if gap > worst:
-            worst = gap
-        if ln != cn:
-            exact_all = False
+        find = data is None or data.witness_pair is None
+        if seen and (seen[4] or not find):
+            _, num, den, ln, find, pairs, sup = seen
+            pairs = pairs and pairs[::-1]
+        else:
+            num, den, pairs = f.norm_parts(find)
+            ln, sup = Rat(num, den) if num else ZERO, None
+        gap = abs(N * den - num * K)  # |cn - ln| == gap / (K * den)
+        if gap * worst[1] > worst[0] * K * den:
+            worst = (gap, K * den)
+        exact_all = exact_all and not gap
         point = point_defect = pair = None
 
         if data is None:
-            if ln != ZERO:
+            if num:
                 fail("zero vector with nonzero norm")
         else:
             if rule_matches is None and data.values is not None:
@@ -934,48 +974,57 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
             # A rule value nothing has read yet is what the route shows
             # when the route's values are the rule's.
             own = rule_matches and data.values is not None
-            expected = ln if own and data.unread("expected_norm") else data.expected_norm
-            if ln != expected:
-                what = "rule value " if data.ceiling else ""
-                fail(f"norm {format_rat(ln)} != {what}{format_rat(expected)}")
+            en, ed = num, den
+            if not (own and data.unread("expected_norm")):
+                want = data.expected_norm
+                en, ed = want.numerator, want.denominator
+                if num * ed != en * den:
+                    what = "rule value " if data.ceiling else ""
+                    fail(f"norm {format_rat(ln)} != {what}{format_rat(want)}")
             if data.ceiling:
-                if ln > cn:
+                if num * K > N * den:
                     fail("truncation norm exceeds the target")
-                elif data.ceiling == "<" and ln == cn:
+                elif data.ceiling == "<" and not gap:
                     fail("truncation norm not strictly below target")
             for key, u, v, want in data.member_checks:
-                num, den = f.slope_parts(u, v)
-                if abs(num) * want.denominator != want.numerator * den:
-                    fail(f"member {key} slope {format_rat(Rat(abs(num), den))} "
+                rise, run = f.slope_parts(u, v)
+                if abs(rise) * want.denominator != want.numerator * run:
+                    fail(f"member {key} slope {format_rat(Rat(abs(rise), run))} "
                          f"!= {format_rat(want)}")
             point = data.designated_point
             if point is not None:
-                sup_here = f.pointwise_sup(point)
-                point_defect = ln - sup_here
-                expected_sup = (sup_here if own and data.unread("expected_sup")
-                                else data.expected_sup)
-                if expected_sup is None:
-                    if point_defect != ZERO:
-                        fail(f"defect {format_rat(point_defect)} at {point}")
-                elif sup_here != expected_sup:
-                    fail(f"sup at {point} is {format_rat(sup_here)}")
-                if data.base_gap is not None and cn - sup_here != data.base_gap:
-                    fail(f"base gap {format_rat(cn - sup_here)} off rule")
+                if sup is None or sup[0] != point:
+                    sn, sd = f.sup_parts(point)
+                    defect = num * sd - sn * den
+                    sup = point, sn, sd, Rat(defect, den * sd) if defect else ZERO
+                _, sn, sd, point_defect = sup
+                if not (own and data.unread("expected_sup")):
+                    want = data.expected_sup
+                    if want is None:
+                        if point_defect:
+                            fail(f"defect {format_rat(point_defect)} at {point}")
+                    elif sn * want.denominator != want.numerator * sd:
+                        fail(f"sup at {point} is {format_rat(Rat(sn, sd))}")
+                want, rest = data.base_gap, N * sd - sn * K  # cn - sup == rest / (K * sd)
+                if want is not None and rest * want.denominator != want.numerator * K * sd:
+                    fail(f"base gap {format_rat(Rat(rest, K * sd))} off rule")
             pair = data.witness_pair
             if pair is not None:
-                num, den = f.slope_parts(*pair)
-                if num * expected.denominator != expected.numerator * den:
+                rise, run = f.slope_parts(*pair)
+                if rise * ed != en * run:
                     fail(f"witness pair {pair} misses the norm")
 
-        if pair is None and ln > ZERO:
-            pair = first
+        if pair is None and num:
+            pair = pairs[0]
         witnesses.append(WitnessRecord(coeffs, ln, pair, point, point_defect))
+        if mirror and not seen:
+            memo[tuple(map(neg, C)), K] = (cn, num, den, ln, find, pairs, sup)
 
     return VerificationReport(
         target=target,
         coefficient_set=tuple(tuple(a) for a in coeff_set),
         exact_pass=exact_all,
-        worst_defect=worst,
+        worst_defect=Rat(*worst) if worst[0] else ZERO,
         witnesses=tuple(witnesses),
         expectation_kind=expectation.kind,
         expectation_pass=expect_all,
@@ -1002,7 +1051,8 @@ def _rule_matches(k: int, route, rule) -> bool:
 def _argmax_member(coeffs):
     """Smallest position carrying the largest absolute coefficient (0 for
     an empty vector, the zero vector's answer)."""
-    return max(range(len(coeffs)), key=lambda i: (abs(coeffs[i]), -i), default=0)
+    sizes = list(map(abs, coeffs))
+    return sizes.index(max(sizes)) if sizes else 0
 
 
 def _orbit_rule(members, value_maps, space, designated=None, strict=True):
@@ -1115,6 +1165,12 @@ def _point_partners(spec):
     return _check_point_partners(spec.space, points, partners)
 
 
+def _nearest_pairs(space, points):
+    """Each point p with the least row at its radius, where a spike at p attains."""
+    A, _ = space.scaled
+    return tuple((p, A[p].index(min_radius(A, p))) for p in points)
+
+
 def _pair_expectation(spec, members, value_maps):
     return Expectation("exact", _dominant_pair_rule(members))
 
@@ -1147,13 +1203,14 @@ def _thm57_expectation(spec, members, value_maps):
     sign-matched group witnesses the norm."""
     levels = spec.parameters["levels"]
     residue = spec.parameters["c"] ** (-levels)
-    factor = ONE - residue
+    r, s = residue.numerator, residue.denominator  # the factor is (s - r) / s
 
     def rule(C, K, norm):
-        expected = norm * factor
-        pair = (0, (_pattern_index(C) + 1) * levels) if norm else None
+        N, K = norm.numerator, norm.denominator * s
+        expected = Rat(N * (s - r), K)
+        pair = (0, (_pattern_index(C) + 1) * levels) if N else None
         return RuleData(expected, designated_point=0, expected_sup=expected,
-                        base_gap=norm * residue, witness_pair=pair)
+                        base_gap=Rat(N * r, K), witness_pair=pair)
 
     return Expectation("deflated", rule)
 
@@ -1233,7 +1290,7 @@ CONSTRUCTIONS = (
         anchors=lambda model, N: tuple(range(1, N, 2)),
         model=lambda: integer_line(), default_N=12,
         expectation=lambda spec, members, value_maps: Expectation(
-            "exact", _dominant_pair_rule(tuple((p, p - 1) for p in members), members),
+            "exact", _dominant_pair_rule(_nearest_pairs(spec.space, members), members),
         ),
     ),
     Construction(
@@ -1428,47 +1485,49 @@ def _verified(case: str, rows, built: BuiltFamily, data: dict) -> PipelineResult
 def _classify_bounded(seq: SequenceView) -> str:
     """The uniform comparison between pair gaps and tail gaps, or an error
     naming the first disagreeing pairs."""
-    sign = None
-    sign_pair = None
     ns = seq.ns
+    if ns < 2:
+        return "I-(ii)"  # no pair to compare
+    # phi(n, m) >= psi(n) + psi(m), with L added on both sides
+    d, (L, Lp) = seq.dist, seq.tails
+    sign = d[1][2] + L >= Lp[1] + Lp[2]
     for n in range(1, ns + 1):
+        dn, gap = d[n], Lp[n] - L
         for m in range(n + 1, ns + 1):
-            here = seq.phi(n, m) >= seq.psi(n) + seq.psi(m)
-            if sign is None:
-                sign, sign_pair = here, (n, m)
-            elif here != sign:
+            if (dn[m] >= gap + Lp[m]) != sign:
                 raise DichotomyError(
-                    "dichotomy not uniform on range: pairs "
-                    f"{sign_pair} and {(n, m)} disagree"
+                    f"dichotomy not uniform on range: pairs (1, 2) and {(n, m)} disagree"
                 )
     return "I-(i)" if sign else "I-(ii)"
 
 
 def _pipeline_case_i1(seq: SequenceView) -> PipelineResult:
-    ns, d = seq.ns, seq.d
-    half_l = seq.model.L / 2
-    eps = {}
-    g = {}
+    # eps_n = L/2 + phi(1, n) - psi(n) and g_n = L/2 + psi(n), over 2S
+    ns, d, S = seq.ns, seq.dist, seq.scale
+    L, _ = seq.tails
+    eps, g = {}, {}
     for n in range(2, ns + 1):
-        eps[n] = half_l + seq.phi(1, n) - seq.psi(n)
-        g[n] = half_l + seq.psi(n)
-        if d(1, n) - eps[n] != g[n]:
+        eps[n] = L + 2 * (seq.phi(1, n) - seq.psi(n))
+        g[n] = L + 2 * seq.psi(n)
+        if 2 * d[1][n] - eps[n] != g[n]:
             raise ConstructionError("epsilon assignment does not match the closed form")
-        if g[n] < ZERO:
+        if g[n] < 0:
             raise ConstructionError(f"negative shifted distance at n={n}")
     for n in range(2, ns + 1):
         for m in range(n + 1, ns + 1):
-            if g[n] + g[m] > d(n, m):
+            if g[n] + g[m] > 2 * d[n][m]:
                 raise ConstructionError(f"shifted sum exceeds the distance at ({n},{m})")
 
     # the subspace keeps only sequence points, re-based at the first
     rows = list(seq.rows[1:])
     sub = seq.space.subspace(rows)
+    A, D = sub.scaled
     for k in range(2, ns + 1):
-        r_sub = min_positive_radius(sub, k - 1)
-        if g[k] > r_sub:
+        if g[k] * D > min_radius(A, k - 1) * 2 * S:
             raise ConstructionError(f"shifted distance exceeds the radius at n={k}")
 
+    eps = {n: Rat(x, 2 * S) for n, x in eps.items()}
+    g = {n: Rat(x, 2 * S) for n, x in g.items()}
     built = assemble_family(FamilySpec("thm49i", sub, parameters={"g": g}))
     return _verified("I-(i)", rows, built, {"eps": eps, "g": g})
 
@@ -1479,36 +1538,29 @@ def _pipeline_case_i2(seq: SequenceView) -> PipelineResult:
     ns = seq.ns
     if ns < 2:
         raise ConstructionError("need at least two sequence points")
-    sigma = [1]
-    tau = [2]
-    eps = []
+    sigma, tau, eps = [1], [2], []  # eps over 6 * seq.scale
+
+    def below(bound, e):  # bound < e / (6 * seq.scale)
+        return bound.numerator * 6 * seq.scale < e * bound.denominator
+
     while True:
         s, t = sigma[-1], tau[-1]
-        e = (-seq.phi(s, t) + seq.psi(s) + seq.psi(t)) / 6
-        if e <= ZERO:
+        e = -seq.phi(s, t) + seq.psi(s) + seq.psi(t)
+        if e <= 0:
             raise ConstructionError(f"nonpositive epsilon at pair ({s},{t})")
         eps.append(e)
-        nxt = None
-        for cand in range(t + 1, ns):  # need cand + 1 <= ns for the tau partner
-            if (
-                model.env_phi(cand) < e
-                and model.env_psi(cand) < e
-                and model.env_dev(s, cand) < e
-                and model.env_dev(t, cand) < e
-            ):
-                nxt = cand
-                break
+        # cand + 1 <= ns for the tau partner
+        nxt = next((cand for cand in range(t + 1, ns)
+                    if below(model.env_phi(cand), e) and below(model.env_psi(cand), e)
+                    and below(model.env_dev(s, cand), e) and below(model.env_dev(t, cand), e)),
+                   None)
         if nxt is None:
             break
         sigma.append(nxt)
         tau.append(nxt + 1)
 
     used = set(sigma) | set(tau)
-    base_idx = None
-    for n in range(1, ns + 1):
-        if n not in used:
-            base_idx = n
-            break
+    base_idx = next((n for n in range(1, ns + 1) if n not in used), None)
     if base_idx is None:
         raise ConstructionError("no unused sequence index left to serve as the base")
 
@@ -1518,72 +1570,55 @@ def _pipeline_case_i2(seq: SequenceView) -> PipelineResult:
     pos = {n: i for i, n in enumerate(order)}
 
     anchor_rows = tuple((pos[s], pos[t]) for s, t in zip(sigma, tau))
-    spec = FamilySpec(
-        "thm49ii",
-        sub,
-        anchors=anchor_rows,
-        parameters={
-            "L": model.L,
-            "phi_st": tuple(seq.phi(s, t) for s, t in zip(sigma, tau)),
-            "psi_s": tuple(seq.psi(s) for s in sigma),
-            "psi_t": tuple(seq.psi(t) for t in tau),
-        },
-    )
-    built = assemble_family(spec)
+    built = assemble_family(FamilySpec("thm49ii", sub, anchors=anchor_rows, parameters={
+        "L": model.L,
+        "phi_st": tuple(seq.rat(seq.phi(s, t)) for s, t in zip(sigma, tau)),
+        "psi_s": tuple(seq.rat(seq.psi(s)) for s in sigma),
+        "psi_t": tuple(seq.rat(seq.psi(t)) for t in tau),
+    }))
+    A, D = sub.scaled
     for i, (f, (srow, trow)) in enumerate(zip(built.functions, anchor_rows), 1):
-        if f.values[srow] - f.values[trow] != sub.d(srow, trow):
+        F, Lf = f.lifted
+        if (F[srow] - F[trow]) * D != A[srow][trow] * Lf:
             raise ConstructionError(f"pair values do not span the distance at member {i}")
-    data = {"sigma": tuple(sigma), "tau": tuple(tau), "eps": tuple(eps), "base": base_idx}
+    eps = tuple(Rat(e, 6 * seq.scale) for e in eps)
+    data = {"sigma": tuple(sigma), "tau": tuple(tau), "eps": eps, "base": base_idx}
     return _verified("I-(ii)", rows, built, data)
 
 
 def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
-    n_rows = trunc.n_points
-    selected = [0]
-    cvals = [ONE]
+    A, D = trunc.scaled  # distances and weights over the truncation's D
+    selected, cvals = [0], [D]
     while True:
-        n = len(selected)
-        inner = None
-        for a, ca in zip(selected, cvals):
-            for b in selected:
-                v = trunc.d(a, b) + ca
-                if inner is None or v > inner:
-                    inner = v
-        bound = rat(n) * inner
-        nxt = None
-        for r in range(n_rows):
-            if r in selected:
-                continue
-            if all(trunc.d(k, r) > bound for k in selected):
-                nxt = r
-                break
+        inner = max(A[a][b] + ca for a, ca in zip(selected, cvals) for b in selected)
+        bound = len(selected) * inner
+        nxt = next((r for r in range(trunc.n_points) if r not in selected
+                    and all(A[k][r] > bound for k in selected)), None)
         if nxt is None:
             break
         selected.append(nxt)
-        diam = max(
-            trunc.d(a, b) for a in selected for b in selected
-        )
-        cvals.append(diam - inner)
+        cvals.append(max(A[a][b] for a in selected for b in selected) - inner)
 
     if len(selected) < 2:
         raise ConstructionError("growth selection found no second point")
-    for c in cvals:
-        if c <= ZERO:
-            raise ConstructionError("nonpositive weight in the growth recurrence")
+    if any(c <= 0 for c in cvals):
+        raise ConstructionError("nonpositive weight in the growth recurrence")
     k_sel = len(selected)
     for i in range(k_sel):
         for j in range(i + 1, k_sel):
-            if cvals[i] + cvals[j] > trunc.d(selected[i], selected[j]):
+            if cvals[i] + cvals[j] > A[selected[i]][selected[j]]:
                 raise ConstructionError(
                     f"weight sum exceeds the distance at selection ({i + 1},{j + 1})"
                 )
     sub = trunc.subspace(selected)
+    A_sub, D_sub = sub.scaled
     for i in range(k_sel):
-        if cvals[i] > min_positive_radius(sub, i):
+        if cvals[i] * D_sub > min_radius(A_sub, i) * D:
             raise ConstructionError(f"weight exceeds the radius at selection {i + 1}")
 
-    built = assemble_family(FamilySpec("thm49case2", sub, parameters={"c": tuple(cvals)}))
-    return _verified("II", selected, built, {"c": tuple(cvals)})
+    cvals = tuple(Rat(c, D) for c in cvals)
+    built = assemble_family(FamilySpec("thm49case2", sub, parameters={"c": cvals}))
+    return _verified("II", selected, built, {"c": cvals})
 
 
 def main_theorem_pipeline(model: MetricModel, N: int) -> PipelineResult:

@@ -54,9 +54,6 @@ class FreeElement:
     space: FiniteMetricSpace
     weights: dict
 
-    def support(self):
-        return sorted(self.weights)
-
 
 def _point(space: FiniteMetricSpace, p) -> int:
     p = as_index(p, "point index")

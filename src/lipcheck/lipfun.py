@@ -64,9 +64,6 @@ class LipFn:
         if F[self.space.base_index] != 0:
             raise PreconditionError("functions must vanish at the base point")
 
-    def __call__(self, p: int) -> Rat:
-        return self.values[p]
-
     @cached_property
     def values(self) -> tuple:
         """One rational per row, built on first read."""
@@ -174,14 +171,19 @@ def strong_pairs(f: LipFn):
     return pairs
 
 
+def sup_parts(space: FiniteMetricSpace, view, p: int):
+    """``(num, den)``: the pointwise sup at p of the function with integer
+    view ``view == (F, L)`` on ``space`` is ``num / den``."""
+    if space.n_points < 2:
+        raise PreconditionError("pointwise sup needs at least two points")
+    (A, D), (F, L) = space.scaled, view
+    num, den = max_quotient_at(A[p], F, p)
+    return num * D, den * L
+
+
 def pointwise_sup(f: LipFn, p: int) -> Rat:
     """Largest absolute slope over pairs through p (a max, finitely)."""
-    if f.space.n_points < 2:
-        raise PreconditionError("pointwise sup needs at least two points")
-    A, D = f.space.scaled
-    F, L = f.lifted
-    num, den = max_quotient_at(A[p], F, p)
-    return Rat(num * D, den * L)
+    return Rat(*sup_parts(f.space, f.lifted, p))
 
 
 def combine(fns, coeffs) -> LipFn:
@@ -215,14 +217,14 @@ def combine(fns, coeffs) -> LipFn:
 
 # A battery's estimated cost on each route, in quarters of a pair-scan step
 # (fitted on CPython 3.11, 2-core x86, to the standard and pipeline
-# families). Per vector the pair route pays a set-up, each value combine
+# families). Per scan the pair route pays a set-up, each value combine
 # sums and each pair; the table route a set-up, each row and each nonzero
 # entry. Building the rows pays per pair of distinct columns, per member
 # there and per pair of points; it is done only where it costs at most a
 # BUILD_SHARE-th of the pair route.
 PAIR_ROUTE_VECTOR, COMBINE_VALUE, PAIR_STEP = 300, 1, 4
 TABLE_ROUTE_VECTOR, ROW_STEP, ENTRY_STEP = 150, 5, 1
-BUILD_GROUP_PAIR, BUILD_MEMBER, BUILD_PAIR, BUILD_SHARE = 64, 5, 2, 8
+BUILD_GROUP_PAIR, BUILD_MEMBER, BUILD_PAIR, BUILD_SHARE = 64, 5, 2, 4
 # Row weights are exact when the distances' lcm has at most this many bits.
 EXACT_SCALE_BITS = 128
 
@@ -321,9 +323,10 @@ class MoleculeTable:
         return entries, floor, ceil if ceil != floor else floor, scale, nums, dens, ups, downs
 
     def scan(self, C, find_pair: bool = False):
-        """``(num, den, pair)``: ``num / den`` is the norm of Σ C[i] f_i for
-        integers C, one per member, and with ``find_pair`` ``pair`` is the
-        least oriented attaining pair (None for a zero combination).
+        """``(num, den, pairs)``: ``num / den`` is the norm of Σ C[i] f_i for
+        integers C, one per member, and with ``find_pair`` ``pairs`` is the
+        least oriented attaining pair of it and of its negation, which swaps
+        up and down over the same rows (None for a zero combination).
 
         A row's value times the scale lies between |<C, u>| times its two
         weights. The largest lower end is at most the norm's, and every
@@ -352,10 +355,11 @@ class MoleculeTable:
                         num, den, hits = v, dens[r], [r]
                     elif lhs == rhs:
                         hits.append(r)
-        pair = None
-        if find_pair and hits:
-            pair = min(ups[r] if dots[r] > 0 else downs[r] for r in hits)
-        return num * self.space.scaled[1], den * self.scale, pair
+        pairs = None
+        if find_pair and hits:  # the least of the rows' pairs oriented for C, and for -C
+            pairs = tuple(map(min, zip(*[(ups[r], downs[r]) if dots[r] > 0 else (downs[r], ups[r])
+                                         for r in hits])))
+        return num * self.space.scaled[1], den * self.scale, pairs
 
     def combination(self, C, K: int) -> "Combination":
         """Σ c_i f_i for ``c_i == C[i] / K``, over the first len(C) members."""
@@ -374,10 +378,11 @@ class Combination:
     def __init__(self, table: MoleculeTable, C: tuple, K: int):
         self.table, self.C, self.K = table, C, K
 
-    def norm(self, find_pair: bool = False):
-        """``(norm, pair)``, the pair as :meth:`MoleculeTable.scan` finds it."""
-        num, den, pair = self.table.scan(self.C, find_pair)
-        return Rat(num, den * self.K), pair
+    def norm_parts(self, find_pair: bool = False):
+        """``(num, den, pairs)``: the norm is ``num / den``, and ``pairs`` as
+        :meth:`MoleculeTable.scan` finds them."""
+        num, den, pairs = self.table.scan(self.C, find_pair)
+        return num, den * self.K, pairs
 
     def slope_parts(self, p: int, q: int):
         if p == q:
@@ -397,44 +402,46 @@ class Combination:
                     sums[g] += c * x
         return list(map(sums.__getitem__, table.group_of)), table.scale * self.K
 
-    def pointwise_sup(self, p: int) -> Rat:
-        A, D = self.table.space.scaled
-        W, S = self.values()
-        num, den = max_quotient_at(A[p], W, p)
-        return Rat(num * D, den * S)
+    def sup_parts(self, p: int):
+        return sup_parts(self.table.space, self.values(), p)
 
 
 class PairRoute:
     """A :func:`combine` result read as a :class:`Combination` is, its norm
-    and first attaining pair from a scan of every pair."""
+    and attaining pairs from a scan of every pair."""
 
     __slots__ = ("f",)
 
     def __init__(self, f: LipFn):
         self.f = f
 
-    def norm(self, find_pair: bool = False):
+    def norm_parts(self, find_pair: bool = False):
+        f = self.f
         if not find_pair:
-            return lip_norm(self.f), None
-        attaining = strong_pairs(self.f)
-        return (slope(self.f, *attaining[0]), attaining[0]) if attaining else (ZERO, None)
+            num, den = max_quotient(f.space.scaled[0], f.lifted[0])
+            return num * f.space.scaled[1], den * f.lifted[1], None
+        attaining = strong_pairs(f)  # -f attains on the same pairs, reversed
+        if not attaining:
+            return 0, 1, None
+        return (*slope_parts(f, *attaining[0]), (attaining[0], min(pq[::-1] for pq in attaining)))
 
     def slope_parts(self, p: int, q: int):
         return slope_parts(self.f, p, q)
 
-    def pointwise_sup(self, p: int) -> Rat:
-        return pointwise_sup(self.f, p)
+    def sup_parts(self, p: int):
+        return sup_parts(self.f.space, self.f.lifted, p)
 
     def values(self):
         return self.f.lifted
 
 
-def molecule_table(functions, vectors: int):
-    """The family's :class:`MoleculeTable` if ``vectors`` scans of it are
-    estimated to cost less than ``vectors`` runs of the pair route; else
+def molecule_table(functions, scans: int):
+    """The family's :class:`MoleculeTable` if ``scans`` scans of it are
+    estimated to cost less than ``scans`` runs of the pair route; else
     None, also for a family on fewer than two points or on more than one
-    space, whose errors the pair route reports. The estimate reads the
-    battery size, the pair count and the rows' and nonzero entries' counts,
+    space, whose errors the pair route reports. A battery scans once per
+    class {a, -a} of its vectors. The estimate reads the
+    scan count, the pair count and the rows' and nonzero entries' counts,
     for which the rows are built, unless that alone would cost more than a
     BUILD_SHARE-th of the pair route."""
     n = functions[0].space.n_points
@@ -443,7 +450,7 @@ def molecule_table(functions, vectors: int):
     except PreconditionError:
         return None
     groups = len(table.group_columns)
-    pair_route = vectors * (PAIR_ROUTE_VECTOR + COMBINE_VALUE * n * table.size
+    pair_route = scans * (PAIR_ROUTE_VECTOR + COMBINE_VALUE * n * table.size
                             + PAIR_STEP * n * (n - 1) // 2)
     build = ((BUILD_GROUP_PAIR + BUILD_MEMBER * table.size) * groups * (groups - 1) // 2
              + BUILD_PAIR * n * (n - 1) // 2)
@@ -451,7 +458,7 @@ def molecule_table(functions, vectors: int):
         return None
     entries = sum(len(where) for where, _ in table._weights[0])
     scan = TABLE_ROUTE_VECTOR + ROW_STEP * len(table.rows) + ENTRY_STEP * entries
-    return table if vectors * scan < pair_route else None
+    return table if scans * scan < pair_route else None
 
 
 def _closest_pairs(A, P, Q):

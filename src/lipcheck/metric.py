@@ -278,18 +278,18 @@ def _require_metric(space: FiniteMetricSpace, what: str) -> FiniteMetricSpace:
     return space
 
 
+def min_radius(A, p: int) -> int:
+    """The least entry of row p of an integer view off the diagonal."""
+    row = A[p]
+    return min(row[:p] + row[p + 1:])
+
+
 def min_positive_radius(space: FiniteMetricSpace, p: int) -> Rat:
     """Distance from p to the rest of the space (a minimum, finitely)."""
     if space.n_points < 2:
         raise PreconditionError("radius needs at least two points")
-    best = None
-    for q in space.points():
-        if q == p:
-            continue
-        d = space.dist[p][q]
-        if best is None or d < best:
-            best = d
-    return best
+    A, D = space.scaled
+    return Rat(min_radius(A, p), D)
 
 
 # ---------------------------------------------------------------------------

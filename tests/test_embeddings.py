@@ -514,9 +514,11 @@ def test_standard_family_sizes_and_targets():
 def test_verify_computes_one_norm_per_vector(count_calls, monkeypatch):
     """verify_isometry reads each combination off the family's molecule
     table with one scan: thm43 has no designated witness pair, so that scan
-    gives the norm and the recorded pair, reused for the defect. No pair is
-    scanned, neither by ``lip_norm`` or ``strong_pairs`` nor by the rule's
-    own ``max_quotient``, whose values equal the family's member by
+    gives the norm and the recorded pair, reused for the defect. A vector
+    whose negation came earlier reuses that scan: the 27 sign vectors are
+    the zero vector and 13 pairs, so the 127 vectors take 114 scans. No pair
+    is scanned, neither by ``lip_norm`` or ``strong_pairs`` nor by the
+    rule's own ``max_quotient``, whose values equal the family's member by
     member."""
     built = standard_family("thm43")
     battery = standard_battery(built.size)
@@ -528,7 +530,7 @@ def test_verify_computes_one_norm_per_vector(count_calls, monkeypatch):
     pair_scans = [count_calls(fn) for fn in (lip_norm, strong_pairs, max_quotient)]
     report = verify_standard(built)
     assert report.expectation_pass
-    assert scans == [True] * len(battery) and len(battery) == len(report.witnesses)
+    assert scans == [True] * 114 and len(battery) == len(report.witnesses) == 127
     assert [len(calls) for calls in pair_scans] == [0, 0, 0]
 
 

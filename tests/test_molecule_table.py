@@ -7,7 +7,7 @@ every vector with ``combine`` and scans its pairs with ``strong_pairs`` or
 ``verify_isometry`` must write the same reports as ``pair_route_verify``,
 the pair-route verifier kept in ``isometry_oracle``, whichever route the
 cost estimate picks and with the table forced. Counts pin the table sizes,
-the estimate's choices and one table scan per vector.
+the estimate's choices and one table scan per vector and its negation.
 """
 
 import random
@@ -110,15 +110,20 @@ def _assert_kernels_agree(fns, vectors):
     for coeffs in vectors:
         f = combine(fns, coeffs)
         comb = table.combination(*_lifted(coeffs))
-        attaining = strong_pairs(f)
-        assert comb.norm(True) == (lip_norm(f), attaining[0] if attaining else None), coeffs
-        assert comb.norm()[0] == lip_norm(f)
+        num, den, pairs = comb.norm_parts(True)
+        assert Rat(num, den) == lip_norm(f), coeffs
+        # the pairs of f and of -f, the latter read off the same rows
+        firsts = [strong_pairs(g)[0] for g in (f, combine(fns, [-a for a in coeffs]))
+                  if strong_pairs(g)]
+        assert pairs == (tuple(firsts) or None), coeffs
+        num, den, pairs = comb.norm_parts()
+        assert Rat(num, den) == lip_norm(f) and pairs is None
         W, S = comb.values()
         F, L = f.lifted
         assert [Rat(w, S) for w in W] == [Rat(x, L) for x in F]
         n = f.space.n_points
         for p in range(n):
-            assert comb.pointwise_sup(p) == pointwise_sup(f, p)
+            assert Rat(*comb.sup_parts(p)) == pointwise_sup(f, p)
             for q in range(n):
                 if q != p:
                     a, b = comb.slope_parts(p, q)
@@ -298,25 +303,27 @@ def test_rows_keep_one_least_pair_per_orientation():
             assert den == A[up[0]][up[1]] and num > 0
 
 
-def _vectors_of(built, support=None, rand_count=100):
-    return len(standard_battery(built.size, support=support, rand_count=rand_count))
+def _scans_of(built, support=None, rand_count=100):
+    """The scans of a standard battery: one per ± pair of sign vectors, one
+    for the zero vector and one per random vector."""
+    head = min(built.size, embeddings.SIGN_SUPPORT_LIMIT if support is None else support)
+    return (3 ** head + 1) // 2 + rand_count
 
 
 def test_the_estimate_picks_the_route():
-    """Pinned choices on the standard battery (support 5, 100 random
-    vectors) and on the benchmark's (support 4, 20 random vectors).
-    thm57's 685 rows are a third of its pairs, each dense, and building
-    them would cost more than an eighth of its pair route: no table on
-    either. prop23 has a row per pair, so its table pays only on the 343
-    vectors of the standard battery; example48 at N = 128, 2,016 rows of
-    two entries against 8,128 pairs, builds its table for 343 vectors but
-    not for 101."""
-    for name, picks in (("thm57", (False, False)), ("prop23", (True, False)),
-                        ("example48@128", (True, False)), ("thm43", (True, True)),
+    """Pinned choices on the scans of the standard battery (support 5, 100
+    random vectors) and of the benchmark's (support 4, 20 random vectors).
+    thm57's 685 rows are a third of its pairs, each dense: building them
+    costs more than a quarter of the pair route's 34 scans, but not of its
+    114. prop23 has a row per pair, so its table pays only on the 222 scans
+    of the standard battery. example48 at N = 128 has 2,016 rows of two
+    entries against 8,128 pairs, and builds its table for either."""
+    for name, picks in (("thm57", (True, False)), ("prop23", (True, False)),
+                        ("example48@128", (True, True)), ("thm43", (True, True)),
                         ("thm34", (True, True)), ("thm51", (True, True)),
                         ("dmqr41@128", (True, True))):
         built = STANDARD.get(name) or PIPELINE[name]
-        shapes = (_vectors_of(built), _vectors_of(built, support=4, rand_count=20))
+        shapes = (_scans_of(built), _scans_of(built, support=4, rand_count=20))
         got = tuple(molecule_table(built.functions, v) is not None for v in shapes)
         assert got == picks, name
 
@@ -334,8 +341,10 @@ def _count_scans(monkeypatch, count_calls):
 
 
 def test_one_table_scan_per_vector_on_the_dmqr41_pipeline(monkeypatch, count_calls):
+    """One scan per vector whose negation came no earlier: the 243 sign
+    vectors are the zero vector and 121 pairs, so 343 vectors take 222."""
     scans, pair_scans = _count_scans(monkeypatch, count_calls)
     result = main_theorem_pipeline(load_model("dmqr41", {}), 128)
     assert result.case == "I-(i)" and result.report.expectation_pass
-    assert scans == [True] * len(result.report.witnesses) == [True] * 343
+    assert scans == [True] * 222 and len(result.report.witnesses) == 343
     assert [len(calls) for calls in pair_scans] == [0, 0, 0]
