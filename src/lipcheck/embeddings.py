@@ -26,10 +26,11 @@ the pointwise sup at a designated point. Its ``kind`` labels the report:
 - "exact": the norm is the coefficient norm outright, with a nameable
   witness pair (and a zero pointwise defect where claimed);
 - "asymptotic": the norm stays below the coefficient norm on every
-  truncation; the rule pins the member slopes and recomputes f_a's values,
-  norm and designated sup apart from the family's functions, its scans run
-  only when read (``tests/isometry_oracle.py`` recomputes it from the
-  model's closed forms);
+  truncation, and is bounded there instead of named; the rule pins each
+  member's slope on its witness pair, read off the construction's declared
+  orbit values and never off the built functions, which bounds the norm
+  from below (``tests/isometry_oracle.py`` recomputes f_a's norm and sup
+  from the model's closed forms);
 - "deflated": the norm is the coefficient norm times an explicit
   truncation factor, with the remaining gap at the base pinned exactly.
 
@@ -48,15 +49,7 @@ from operator import itemgetter, neg
 from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
-from .lipfun import (
-    LipFn,
-    PairRoute,
-    combine,
-    lipfn,
-    max_quotient,
-    max_quotient_at,
-    molecule_table,
-)
+from .lipfun import LipFn, PairRoute, combine, lipfn, molecule_table
 from .metric import (
     CheckResult,
     FiniteMetricSpace,
@@ -66,7 +59,6 @@ from .metric import (
     TailDataError,
     as_index,
     catalog,
-    common_denominator,
     int_param,
     integer_line,
     min_positive_radius,
@@ -519,51 +511,19 @@ class FamilySpec:
     N: Optional[int] = None
 
 
-class _ReadOnce:
-    """A dataclass field that may be given as a callable, called on the
-    first read, whose result is kept; with the field's ``default``."""
-
-    def __init__(self, *default):
-        self.default = default
-
-    def __set_name__(self, owner, name):
-        self.slot = "_" + name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            if self.default:
-                return self.default[0]
-            raise AttributeError(self.slot[1:])  # the field has no default
-        value = obj.__dict__[self.slot]
-        if callable(value):
-            value = obj.__dict__[self.slot] = value()
-        return value
-
-    def __set__(self, obj, value):
-        obj.__dict__[self.slot] = value
-
-
 @dataclass(frozen=True)
 class RuleData:
     """What one combination f_a must show, as its family's rule derives it
-    from a; an unset field names nothing to check.
+    from a; an unset field names nothing to check. A rule with a ceiling
+    bounds the norm instead of naming it, and names no sup."""
 
-    A rule recomputing f_a may give the two expected values as callables,
-    run when read, and ``values``, f_a's values W over one denominator S
-    as ``(W, S)``."""
-
-    expected_norm: Rat = _ReadOnce()
+    expected_norm: Optional[Rat] = None
     member_checks: tuple = ()  # (member_key, row_u, row_v, expected_abs_slope)
     designated_point: Optional[int] = None
-    expected_sup: Optional[Rat] = _ReadOnce(None)  # None: the computed norm, a zero defect
+    expected_sup: Optional[Rat] = None  # None: the computed norm, a zero defect
     base_gap: Optional[Rat] = None  # coefficient norm minus the designated sup
     witness_pair: Optional[tuple] = None  # (u, v) whose slope is expected_norm
-    ceiling: str = ""  # "<" or "<=": a rule-recomputed norm against the coefficient norm
-    values: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    def unread(self, name: str) -> bool:
-        """Whether field ``name`` is still a callable nothing has read."""
-        return callable(self.__dict__["_" + name])
+    ceiling: str = ""  # "<" or "<=": the norm against the coefficient norm
 
 
 @dataclass(frozen=True)
@@ -639,9 +599,7 @@ def _pattern_index(coeffs) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Family builders: FamilySpec -> (functions, members, value_maps), where
-# value_maps holds each orbit member's values by row (None for the other
-# families) for the asymptotic rules.
+# Family builders: FamilySpec -> (functions, members)
 
 
 def _refuse_base_anchor(rows):
@@ -653,14 +611,14 @@ def _build_unit_spikes(spec: FamilySpec):
     space = spec.space
     points = _check_anchor_rows(space, spec.anchors or range(1, space.n_points), "point")
     _refuse_base_anchor(points)
-    return tuple(_values_fn(space, {p: ONE}) for p in points), points, None
+    return tuple(_values_fn(space, {p: ONE}) for p in points), points
 
 
 def _build_radius_spikes(space: FiniteMetricSpace, points):
     points = _check_anchor_rows(space, points, "point")
     _refuse_base_anchor(points)
     fns = tuple(_values_fn(space, {p: min_positive_radius(space, p)}) for p in points)
-    return fns, points, None
+    return fns, points
 
 
 def _build_pairs(spec: FamilySpec, values):
@@ -669,7 +627,7 @@ def _build_pairs(spec: FamilySpec, values):
     pairs = _check_pairs(space, spec.anchors)
     _refuse_base_anchor([r for pq in pairs for r in pq])
     fns = tuple(_values_fn(space, dict(zip((p, q), values(space, p, q)))) for p, q in pairs)
-    return fns, pairs, None
+    return fns, pairs
 
 
 def _balanced_values(space, p, q):
@@ -684,54 +642,54 @@ def _radius_shifted_values(space, p, q):
 
 
 def _orbit_family(space, count, node_of, value, row_of):
-    """One member per prime orbit {r, r^2, ...} inside 1..count.
+    """One member per prime orbit {r, r^2, ...} inside 1..count, keyed by r.
 
-    Orbit position k sits at node ``node_of(k)`` with ``value(node, head)``,
-    ``head`` marking the orbit's first position; ``row_of`` maps a node to
-    its row in ``space``, in node order, and the value maps are keyed by row.
+    The four arguments after ``space`` are an orbit row's declaration:
+    orbit position k sits at node ``node_of(k)`` with ``value(node, head)``,
+    ``head`` marking the orbit's first position, and ``row_of`` maps a node
+    to its row in ``space``, in node order. :func:`_orbit_rule` reads the
+    same declaration.
     """
-    fns, members, maps = [], [], []
+    fns, members = [], []
     for r, positions in prime_orbits(count):
         vmap = {row_of(node_of(k)): value(node_of(k), k == positions[0]) for k in positions}
         fns.append(_values_fn(space, vmap))
         members.append(r)
-        maps.append(vmap)
-    return tuple(fns), tuple(members), tuple(maps)
+    return tuple(fns), tuple(members)
 
 
-def _build_thm43(spec: FamilySpec):
+# Orbit declarations: FamilySpec -> (count, node_of, value, row_of), as
+# _orbit_family reads them.
+
+
+def _thm43_orbits(spec: FamilySpec):
+    # sequence index n: L(n) - L/2 at an orbit's head, -L/2 below it
     model = spec.model
     model.need_sequence()
     model.need_tails()
     half_l = model.L / 2
-    return _orbit_family(
-        spec.space, model.n_seq(spec.N), lambda k: k,
-        lambda n, head: model.L_pair(n) - half_l if head else -half_l,
-        model.seq_row,
-    )
+    return (model.n_seq(spec.N), lambda k: k,
+            lambda n, head: model.L_pair(n) - half_l if head else -half_l, model.seq_row)
 
 
-def _build_thm45(spec: FamilySpec):
+def _thm45_orbits(spec: FamilySpec):
+    # the subsequence's k-th index: the base limit throughout
     seq = SequenceView(spec.model, spec.space.n_points, spec.space)
     subseq = _check_subsequence(seq, spec.anchors)
     dlim = spec.model.base_limit
     if dlim is None:
         raise _no_limits(spec.model)
-    return _orbit_family(
-        spec.space, len(subseq), lambda k: subseq[k - 1],
-        lambda n, head: dlim, spec.model.seq_row,
-    )
+    return len(subseq), lambda k: subseq[k - 1], lambda n, head: dlim, spec.model.seq_row
 
 
-def _build_thm46(spec: FamilySpec):
+def _thm46_orbits(spec: FamilySpec):
+    # sequence index n: the shifted distance g_n at an orbit's head, -g_n below
     seq = SequenceView(spec.model, spec.N, spec.space)
     ns, lo = seq.ns, seq.lo
     g, T = _shifted_distances(seq, _eps_values(spec.model, spec.parameters["eps"], ns, lo))
     g = {n: Rat(x, T) for n, x in g.items()}
-    return _orbit_family(
-        spec.space, ns - lo + 1, lambda k: k + lo - 1,
-        lambda n, head: g[n] if head else -g[n], spec.model.seq_row,
-    )
+    return (ns - lo + 1, lambda k: k + lo - 1,
+            lambda n, head: g[n] if head else -g[n], spec.model.seq_row)
 
 
 def _build_thm51(spec: FamilySpec):
@@ -746,7 +704,7 @@ def _build_thm51(spec: FamilySpec):
             if prow < space.n_points:
                 vmap[prow] = _sign_bit(g, n)
         fns.append(_values_fn(space, vmap))
-    return tuple(fns), tuple(range(1, levels + 1)), None
+    return tuple(fns), tuple(range(1, levels + 1))
 
 
 def _build_prop53(spec: FamilySpec):
@@ -763,7 +721,7 @@ def _build_prop53(spec: FamilySpec):
             if 2 * g + 2 < space.n_points:
                 vmap[2 * g + 2] = -s * half
         fns.append(_values_fn(space, vmap))
-    return tuple(fns), tuple(range(1, levels + 1)), None
+    return tuple(fns), tuple(range(1, levels + 1))
 
 
 def _build_thm57(spec: FamilySpec):
@@ -784,17 +742,15 @@ def _build_thm57(spec: FamilySpec):
                 if row < space.n_points:
                     vmap[row] = s * (ONE - c ** (-k))
         fns.append(_values_fn(space, vmap))
-    return tuple(fns), tuple(range(1, depth + 1)), None
+    return tuple(fns), tuple(range(1, depth + 1))
 
 
-def _build_thm49i(spec: FamilySpec):
+def _thm49i_orbits(spec: FamilySpec):
     # space: the sequence points re-based at the first, sequence index k at
     # row k - 1; parameters["g"]: the shifted distances g_n, n >= 2.
     g = spec.parameters["g"]
-    return _orbit_family(
-        spec.space, spec.space.n_points - 1, lambda k: k + 1,
-        lambda n, head: g[n] if head else -g[n], lambda k: k - 1,
-    )
+    return (spec.space.n_points - 1, lambda k: k + 1,
+            lambda n, head: g[n] if head else -g[n], lambda k: k - 1)
 
 
 def _build_thm49ii(spec: FamilySpec):
@@ -810,17 +766,15 @@ def _build_thm49ii(spec: FamilySpec):
         pval = half * (big_l + phis[i] + psis[i] - psit[i])
         qval = -half * (big_l + phis[i] - psis[i] + psit[i])
         fns.append(_values_fn(spec.space, {srow: pval, trow: qval}))
-    return tuple(fns), tuple(spec.anchors), None
+    return tuple(fns), tuple(spec.anchors)
 
 
-def _build_thm49case2(spec: FamilySpec):
+def _thm49case2_orbits(spec: FamilySpec):
     # space: the greedily selected subspace (selection order = rows);
     # parameters["c"]: the weight recurrence values along the selection.
     cvals = tuple(rat(x) for x in spec.parameters["c"])
-    return _orbit_family(
-        spec.space, len(cvals), lambda k: k,
-        lambda k, head: cvals[k - 1] if head else -cvals[k - 1], lambda k: k - 1,
-    )
+    return (len(cvals), lambda k: k,
+            lambda k, head: cvals[k - 1] if head else -cvals[k - 1], lambda k: k - 1)
 
 
 def run_checker(spec: FamilySpec) -> Optional[CheckResult]:
@@ -848,7 +802,7 @@ def build_family(spec: FamilySpec, override: bool = False):
             f"{checker.clause!r} at {checker.witness_indices}; "
             "pass override=True to build the shape anyway"
         )
-    fns, _, _ = build(spec)
+    fns, _ = build(spec)
     return fns
 
 
@@ -907,19 +861,18 @@ def standard_battery(size: int, seed: int = BATTERY_SEED, rand_count: int = BATT
 def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                     seed: Optional[int] = None) -> VerificationReport:
     """Check every coefficient vector against the RuleData its expectation's
-    rule derives from it, in this order: the norm, under a ceiling the norm
-    against the coefficient norm, the members' absolute slopes, the sup at
-    the designated point (a zero defect when no sup is expected) and the
-    base gap, the witness pair's signed slope. Failures are collected, never
-    raised; the first eight are kept, in the order they occur.
+    rule derives from it, in this order: the norm, or under a ceiling the
+    norm against the coefficient norm, the members' absolute slopes, the sup
+    at the designated point (a zero defect when no sup is expected; under a
+    ceiling the defect is only recorded) and the base gap, the witness
+    pair's signed slope. Failures are collected, never raised; the first
+    eight are kept, in the order they occur.
 
     Each vector is read off the family's molecule table where
     :func:`molecule_table` estimates it cheaper, else combined and its
     pairs scanned, and compared as integer pairs ``(num, den)``. As
     ‖−f‖ = ‖f‖, a vector whose negation came earlier reuses its norm, sup
-    and least attaining pair, reversed, with no scan. A rule's unread norm
-    or sup is compared only if the route's values differ from the rule's at
-    some unit vector, checked once per family: both are linear in a."""
+    and least attaining pair, reversed, with no scan."""
     family, coeff_set = tuple(family), tuple(coeff_set)
     if not family:
         raise PreconditionError("empty family")
@@ -937,7 +890,6 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
     exact_all = expect_all = True
     worst, witnesses, failures = (0, 1), [], []
     memo = {}  # per (-C, K) awaiting that vector, what it reuses
-    rule_matches = None  # the route's values are the rule's; checked on first need
 
     def fail(msg):
         nonlocal expect_all
@@ -969,23 +921,17 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
             if num:
                 fail("zero vector with nonzero norm")
         else:
-            if rule_matches is None and data.values is not None:
-                rule_matches = _rule_matches(len(family), route, expectation.rule)
-            # A rule value nothing has read yet is what the route shows
-            # when the route's values are the rule's.
-            own = rule_matches and data.values is not None
-            en, ed = num, den
-            if not (own and data.unread("expected_norm")):
-                want = data.expected_norm
-                en, ed = want.numerator, want.denominator
-                if num * ed != en * den:
-                    what = "rule value " if data.ceiling else ""
-                    fail(f"norm {format_rat(ln)} != {what}{format_rat(want)}")
-            if data.ceiling:
+            en, ed = num, den  # the norm a witness pair must meet
+            if data.ceiling:  # bounds the norm instead of naming it
                 if num * K > N * den:
                     fail("truncation norm exceeds the target")
                 elif data.ceiling == "<" and not gap:
                     fail("truncation norm not strictly below target")
+            else:
+                want = data.expected_norm
+                en, ed = want.numerator, want.denominator
+                if num * ed != en * den:
+                    fail(f"norm {format_rat(ln)} != {format_rat(want)}")
             for key, u, v, want in data.member_checks:
                 rise, run = f.slope_parts(u, v)
                 if abs(rise) * want.denominator != want.numerator * run:
@@ -998,7 +944,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
                     defect = num * sd - sn * den
                     sup = point, sn, sd, Rat(defect, den * sd) if defect else ZERO
                 _, sn, sd, point_defect = sup
-                if not (own and data.unread("expected_sup")):
+                if not data.ceiling:  # a ceiling names no sup: the defect is recorded
                     want = data.expected_sup
                     if want is None:
                         if point_defect:
@@ -1033,21 +979,6 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
     )
 
 
-def _rule_matches(k: int, route, rule) -> bool:
-    """Whether the battery's ``route`` gives at each unit vector e_i the
-    values the rule recomputes for e_i. Both are linear in a, so then they
-    agree at every a."""
-    for i in range(k):
-        e = (0,) * i + (1,) + (0,) * (k - i - 1)
-        data = rule(e, 1, ONE)
-        if data is None or data.values is None:
-            return False
-        (W, S), (F, L) = data.values, route(e, e, 1).values()
-        if len(W) != len(F) or any(w * L != x * S for w, x in zip(W, F)):
-            return False
-    return True
-
-
 def _argmax_member(coeffs):
     """Smallest position carrying the largest absolute coefficient (0 for
     an empty vector, the zero vector's answer)."""
@@ -1055,67 +986,41 @@ def _argmax_member(coeffs):
     return sizes.index(max(sizes)) if sizes else 0
 
 
-def _orbit_rule(members, value_maps, space, designated=None, strict=True):
-    """Build the asymptotic rule for an orbit family on ``space``.
+def _orbit_rule(space, count, node_of, value, row_of, designated=None, strict=True):
+    """The asymptotic rule of the orbit family that :func:`_orbit_family`
+    builds on ``space`` from the same declaration.
 
-    ``value_maps`` hold each member's values by row, and rows follow the
-    orbit order, so a member's head is its least row and its deepest point
-    its greatest. The pointwise sup is taken at row ``designated``, by
-    default the head of the dominant member's orbit. Each member is
-    witnessed by its orbit's head and deepest row; with a designated row,
-    by its deepest row and the designated one (a constant orbit attains
-    toward it).
-
-    The rule recomputes f_a over the family space's integer view
-    (``space.scaled``, read once here) apart from the family's functions:
-    each vector sums the value maps' integers W over one denominator, and
-    slopes compare by cross-multiplication. It hands over W; the norm, a
-    scan of every row pair, and the sup, a scan of the designated row, run
-    only when read, which ``verify_isometry`` does only if the family's
-    values differ from W at some unit vector. The recomputation from the
-    model's closed forms is the oracle in ``tests/isometry_oracle.py``. The
-    norm stays strictly below the coefficient norm, or with ``strict``
-    False at most meets it; the zero vector gets no record.
+    Each member is witnessed by its orbit's head and deepest row; with a
+    designated row, by its deepest row and the designated one (a constant
+    orbit attains toward it). Its slope s_n there is read off the declared
+    values at those rows and the space's distance, never off the family's
+    functions. The orbits are disjoint, so on f_a that pair's slope is
+    |a_n| s_n: the member checks pin it, and with it ‖f_a‖ ≥ max_n |a_n| s_n.
+    From above the norm is bounded, not named: it stays strictly below the
+    coefficient norm, or with ``strict`` False at most meets it. The sup is
+    taken at row ``designated``, by default the head of the dominant member's
+    orbit, and only its defect is recorded. The zero vector gets no record.
     """
     A, D = space.scaled
-    Lv, vmult = common_denominator(v for vm in value_maps for v in vm.values())
-    V, member_checks = [], []
-    for key, vm in zip(members, value_maps):
-        lv = {row: v.numerator * vmult[v.denominator] for row, v in vm.items()}
-        V.append(tuple(lv.items()))
-        head, deep = min(vm), max(vm)
+    heads, slopes = [], []
+    for r, positions in prime_orbits(count):
+        head, deep = node_of(positions[0]), node_of(positions[-1])
+        u, v = row_of(head), row_of(deep)
+        heads.append(u)
         if designated is None:
-            u, v, dv = head, deep, abs(lv[head] - lv[deep])
+            rise = value(head, True) - value(deep, False)
         else:
-            u, v, dv = deep, designated, abs(lv[deep])
-        member_checks.append((key, u, v, dv * D, Lv * A[u][v]))
+            u, v, rise = v, designated, value(deep, False)
+        slopes.append((r, u, v, abs(rat(rise)) * D / A[u][v]))
     ceiling = "<" if strict else "<="
 
     def rule(C, K, norm):
         if not norm:
             return None
-        W = [0] * len(A)
-        checks = []
-        for i, c in enumerate(C):
-            if not c:
-                continue
-            for x, v in V[i]:
-                W[x] += c * v
-            key, row_u, row_v, num, den = member_checks[i]
-            checks.append((key, row_u, row_v, Rat(abs(c) * num, K * den)))
-        scale = K * Lv
-
-        def norm():
-            num, den = max_quotient(A, W)
-            return Rat(num * D, den * scale)
-
-        def sup():
-            num, den = max_quotient_at(A[x0], W, x0)
-            return Rat(num * D, den * scale)
-
-        n0 = _argmax_member(C)
-        x0 = min(value_maps[n0]) if designated is None else designated
-        return RuleData(norm, tuple(checks), x0, sup, ceiling=ceiling, values=(W, scale))
+        checks = tuple((key, u, v, Rat(abs(c) * s.numerator, K * s.denominator))
+                       for c, (key, u, v, s) in zip(C, slopes) if c)
+        x0 = heads[_argmax_member(C)] if designated is None else designated
+        return RuleData(member_checks=checks, designated_point=x0, ceiling=ceiling)
 
     return rule
 
@@ -1171,20 +1076,20 @@ def _nearest_pairs(space, points):
     return tuple((p, A[p].index(min_radius(A, p))) for p in points)
 
 
-def _pair_expectation(spec, members, value_maps):
+def _pair_expectation(spec, members):
     return Expectation("exact", _dominant_pair_rule(members))
 
 
-def _orbit_expectation(designated=None, strict=True):
-    """Asymptotic expectation of an orbit family, read on its own space;
-    see :func:`_orbit_rule` for ``designated`` and ``strict``."""
-
-    def expectation(spec, members, value_maps):
-        return Expectation("asymptotic", _orbit_rule(
-            members, value_maps, spec.space, designated=designated, strict=strict,
-        ))
-
-    return expectation
+def _orbit_row(orbits, designated=None, strict=True):
+    """The builder and the asymptotic expectation of an orbit row, both read
+    off its one declaration ``orbits(spec) -> (count, node_of, value,
+    row_of)``; see :func:`_orbit_rule` for ``designated`` and ``strict``."""
+    return {
+        "build": lambda spec: _orbit_family(spec.space, *orbits(spec)),
+        "expectation": lambda spec, members: Expectation("asymptotic", _orbit_rule(
+            spec.space, *orbits(spec), designated=designated, strict=strict,
+        )),
+    }
 
 
 def _sign_pattern_expectation(pair_of_group):
@@ -1194,10 +1099,10 @@ def _sign_pattern_expectation(pair_of_group):
     def rule(C, K, norm):
         return RuleData(norm, witness_pair=pair_of_group(_pattern_index(C)) if norm else None)
 
-    return lambda spec, members, value_maps: Expectation("exact", rule)
+    return lambda spec, members: Expectation("exact", rule)
 
 
-def _thm57_expectation(spec, members, value_maps):
+def _thm57_expectation(spec, members):
     """The norm and the sup at the base deflate by 1 - c^-levels, leaving the
     residue |a| c^-levels as the gap at the base; the deepest point of the
     sign-matched group witnesses the norm."""
@@ -1219,20 +1124,22 @@ def _thm57_expectation(spec, members, value_maps):
 class Construction:
     """One construction id and everything lipcheck knows about it.
 
-    ``build(spec)`` returns (functions, members, value_maps), and every
-    family built from the row is verified in ``target`` against
-    ``expectation(spec, members, value_maps)``; ``check(spec)`` tests the
-    hypothesis through a ``check_*`` checker, a clause generator under the
-    runner that reports the first violation. ``anchors(model, N)`` and ``parameters(model)`` lay out the
-    canonical spec on the model truncated at N: ``lipcheck check`` tests it,
-    and the standard instance builds on it unless ``standard_anchors`` lays
-    out its own. The standard instance truncates ``model(**params)`` at
+    ``build(spec)`` returns (functions, members), and every family built
+    from the row is verified in ``target`` against ``expectation(spec,
+    members)``; an orbit row declares its orbits once and reads both off
+    that declaration (:func:`_orbit_row`), so its expectation never reads
+    the functions built. ``check(spec)`` tests the hypothesis through a
+    ``check_*`` checker, a clause generator under the runner that reports
+    the first violation. ``anchors(model, N)`` and ``parameters(model)`` lay
+    out the canonical spec on the model truncated at N: ``lipcheck check``
+    tests it, and the standard instance builds on it unless
+    ``standard_anchors`` lays out its own. The standard instance truncates ``model(**params)`` at
     ``default_N`` (at every point of the model when None); the keywords of
     ``model`` are the only parameters it accepts.
 
-    The checks and expectations call the module-level ``check_*`` names and
-    rule factories at call time, so a wrapper installed on them later sees
-    every call.
+    The checks, builders and expectations call the module-level ``check_*``
+    names, ``_orbit_family`` and the rule factories at call time, so a
+    wrapper installed on them later sees every call.
     """
 
     theorem_id: str
@@ -1253,7 +1160,7 @@ CONSTRUCTIONS = (
         "prop23", build=_build_unit_spikes,
         anchors=lambda model, N: tuple(range(1, N)),
         model=lambda: catalog("prop23"), default_N=16,
-        expectation=lambda spec, members, value_maps: Expectation(
+        expectation=lambda spec, members: Expectation(
             "exact",
             _dominant_pair_rule(tuple((p, 0) for p in members), (0,) * len(members)),
         ),
@@ -1266,7 +1173,7 @@ CONSTRUCTIONS = (
         anchors=lambda model, N: _split(_disjoint_pairs(N)),
         model=lambda: integer_line(), default_N=10,
         standard_anchors=lambda model, N: _split((p, p - 1) for p in range(1, N, 2)),
-        expectation=lambda spec, members, value_maps: Expectation(
+        expectation=lambda spec, members: Expectation(
             "exact", _dominant_pair_rule(tuple(zip(*_point_partners(spec)))),
         ),
     ),
@@ -1289,30 +1196,25 @@ CONSTRUCTIONS = (
         check=lambda spec: check_prop42(spec.space, spec.anchors), space_check=True,
         anchors=lambda model, N: tuple(range(1, N, 2)),
         model=lambda: integer_line(), default_N=12,
-        expectation=lambda spec, members, value_maps: Expectation(
+        expectation=lambda spec, members: Expectation(
             "exact", _dominant_pair_rule(_nearest_pairs(spec.space, members), members),
         ),
     ),
     Construction(
-        "thm43", build=_build_thm43,
-        check=lambda spec: check_thm43(spec.model, spec.N),
-        model=lambda: catalog("dmqr41"), default_N=30,
-        expectation=_orbit_expectation(),
+        "thm43", check=lambda spec: check_thm43(spec.model, spec.N),
+        model=lambda: catalog("dmqr41"), default_N=30, **_orbit_row(_thm43_orbits),
     ),
     Construction(
-        "thm45", build=_build_thm45,
-        check=lambda spec: check_thm45(spec.model, spec.anchors, spec.N),
+        "thm45", check=lambda spec: check_thm45(spec.model, spec.anchors, spec.N),
         anchors=lambda model, N: tuple(range(2, model.n_seq(N) + 1)),
         model=lambda: catalog("example44"), default_N=30,
         # the constant orbit attains toward the base, row 0
-        expectation=_orbit_expectation(designated=0),
+        **_orbit_row(_thm45_orbits, designated=0),
     ),
     Construction(
-        "thm46", build=_build_thm46,
-        check=lambda spec: check_thm46(spec.model, spec.parameters["eps"], spec.N),
+        "thm46", check=lambda spec: check_thm46(spec.model, spec.parameters["eps"], spec.N),
         parameters=lambda model: {"eps": model.eps},
-        model=lambda c=1: catalog("dmqr44", c=c), default_N=20,
-        expectation=_orbit_expectation(),
+        model=lambda c=1: catalog("dmqr44", c=c), default_N=20, **_orbit_row(_thm46_orbits),
     ),
     Construction("thm310", check=lambda spec: check_thm310(spec.model, spec.N)),
     Construction(
@@ -1337,10 +1239,9 @@ CONSTRUCTIONS = (
     # built by the main pipeline on the subspaces it selects; their sums may
     # meet the distances exactly (the case boundary and the growth recurrence
     # allow equality), so the norm may touch the target
-    Construction("thm49i", build=_build_thm49i, expectation=_orbit_expectation(strict=False)),
+    Construction("thm49i", **_orbit_row(_thm49i_orbits, strict=False)),
     Construction("thm49ii", build=_build_thm49ii, expectation=_pair_expectation),
-    Construction("thm49case2", build=_build_thm49case2,
-                 expectation=_orbit_expectation(strict=False)),
+    Construction("thm49case2", **_orbit_row(_thm49case2_orbits, strict=False)),
 )
 
 _BY_ID = {rec.theorem_id: rec for rec in CONSTRUCTIONS}
@@ -1408,9 +1309,8 @@ def assemble_family(spec: FamilySpec, checker: Optional[CheckResult] = None) -> 
     """The family ``spec`` names, built by its construction, with the
     table's target and expectation; ``checker`` is recorded as given."""
     rec = _construction(spec.theorem_id, "build", "family builder")
-    fns, members, value_maps = rec.build(spec)
-    expectation = rec.expectation(spec, members, value_maps)
-    return BuiltFamily(spec, fns, rec.target, expectation, members, checker)
+    fns, members = rec.build(spec)
+    return BuiltFamily(spec, fns, rec.target, rec.expectation(spec, members), members, checker)
 
 
 def verify_standard(built: BuiltFamily, seed: int = BATTERY_SEED,
@@ -1509,6 +1409,8 @@ def _pipeline_case_i1(seq: SequenceView) -> PipelineResult:
     for n in range(2, ns + 1):
         eps[n] = L + 2 * (seq.phi(1, n) - seq.psi(n))
         g[n] = L + 2 * seq.psi(n)
+        # An identity, kept as a guard on the two closed forms: with
+        # phi(1, n) = d(1, n) - L, 2d - (L + 2(d - L - psi)) = L + 2 psi.
         if 2 * d[1][n] - eps[n] != g[n]:
             raise ConstructionError("epsilon assignment does not match the closed form")
         if g[n] < 0:

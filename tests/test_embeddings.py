@@ -517,9 +517,7 @@ def test_verify_computes_one_norm_per_vector(count_calls, monkeypatch):
     gives the norm and the recorded pair, reused for the defect. A vector
     whose negation came earlier reuses that scan: the 27 sign vectors are
     the zero vector and 13 pairs, so the 127 vectors take 114 scans. No pair
-    is scanned, neither by ``lip_norm`` or ``strong_pairs`` nor by the
-    rule's own ``max_quotient``, whose values equal the family's member by
-    member."""
+    is scanned by ``lip_norm``, ``strong_pairs`` or ``max_quotient``."""
     built = standard_family("thm43")
     battery = standard_battery(built.size)
     scans = []

@@ -63,6 +63,11 @@ def _mirror_battery(rng, size):
 
 
 def _doubled_norm(data, C):
+    """The named norm doubled; under a ceiling, which names no norm, the
+    member slopes that bound it from below."""
+    if data.ceiling:
+        return replace(data, member_checks=tuple(
+            (key, u, v, 2 * s) for key, u, v, s in data.member_checks))
     return replace(data, expected_norm=2 * data.expected_norm)
 
 
@@ -269,8 +274,8 @@ def test_pipelines_read_only_integer_views(monkeypatch, model_name, case):
 # comes from arithmetic, so the count is the same on every Python version.
 VERIFY_FRACTIONS = {
     "prop23": 135, "prop31": 120, "thm34": 120, "thm37": 120, "prop42": 120,
-    "thm43": 187, "thm45": 190, "thm46": 104, "thm51": 120, "prop53": 120, "thm57": 164,
-    "dmqr41": 578, "example48": 442, "power_line": 511,
+    "thm43": 184, "thm45": 187, "thm46": 102, "thm51": 120, "prop53": 120, "thm57": 164,
+    "dmqr41": 575, "example48": 442, "power_line": 509,
 }
 # The only rational comparisons left in these jobs check the parameters of
 # the dmqr44, thm57 and power_line models and of the thm57 builder.

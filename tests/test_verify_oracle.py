@@ -6,10 +6,12 @@ expectations in that API. Both must write equal reports, witness records
 and failure lists in order included, on all eleven standard families, the
 three pipeline cases and the tree pipeline. Each runs on its own
 expectation and on seeded wrong ones: a bumped norm factor, a wrong
-designated point, a flipped or wrong witness pair, a wrong rule value or
-member slope, and a flipped strictness. Perturbed members and a combination
-that misses the zero vector break the norms themselves. Together they
-reach every failure template and the cap of eight failures.
+designated point, a flipped or wrong witness pair, a wrong member slope,
+and a flipped strictness. Perturbed members and a combination that misses
+the zero vector break the norms themselves. Together they reach every
+failure template and the cap of eight failures. An asymptotic verdict
+names no norm or sup, so on the unperturbed asymptotic families each
+witness record is held to the oracle's closed-form norm and sup directly.
 """
 
 import re
@@ -41,7 +43,6 @@ TEMPLATES = {
     "sup": r"sup at \d+ is \S+",
     "base gap": r"base gap \S+ off rule",
     "zero vector": r"zero vector with nonzero norm",
-    "rule value": r"norm \S+ != rule value \S+",
     "exceeds": r"truncation norm exceeds the target",
     "not strict": r"truncation norm not strictly below target",
     "member": r"member .+ slope \S+ != \S+",
@@ -62,8 +63,7 @@ def _template(failure):
 def _standard_cases():
     for tid in VERIFY_THEOREMS:
         built = standard_family(tid)
-        _, members, value_maps = embeddings._BY_ID[tid].build(built.spec)
-        old = oracle.EXPECTATIONS[tid](built.spec, members, value_maps)
+        old = oracle.EXPECTATIONS[tid](built.spec, built.members)
         yield tid, built.functions, built.target, built.expectation, old
 
 
@@ -172,16 +172,6 @@ def _wrong_witness(old, new):
                 data, witness_pair=(0, 1) if norm else None)))
 
 
-def _wrong_rule_value(old, new):
-    if old.kind != "asymptotic":
-        return None
-
-    def change(data, *_):
-        return replace(data, expected_norm=data.expected_norm * 2)
-
-    return _old_rule_mapped(old, change), _new_mapped(new, change)
-
-
 def _wrong_member_slopes(old, new):
     if old.kind != "asymptotic":
         return None
@@ -209,7 +199,6 @@ def _mutations(family):
         "last point": _wrong_point(last),
         "flipped witness": _flipped_witness,
         "wrong witness": _wrong_witness,
-        "rule value": _wrong_rule_value,
         "member slopes": _wrong_member_slopes,
         "strictness": _flipped_strictness,
     }
@@ -220,7 +209,7 @@ def _mutations(family):
 
 
 def _perturbed(fns):
-    """Member 0 tripled: the norms and the rule values break."""
+    """Member 0 tripled: the norms and the member slopes break."""
     return (scale(fns[0], 3),) + tuple(fns[1:])
 
 
@@ -255,7 +244,18 @@ def _compare(monkeypatch, family, target, battery, new, old, seen, broken=False)
     return got
 
 
-def _run_case(monkeypatch, case, seen, capped, biting):
+def _assert_closed_forms(report, rule):
+    """Each nonzero vector's witness record carries the closed-form norm of
+    the oracle's rule, and its sup at the rule's designated point."""
+    for w in report.witnesses:
+        if any(w.coeffs):
+            data = rule(w.coeffs)
+            assert w.norm == data.expected_norm, w.coeffs
+            assert w.point == data.designated_point, w.coeffs
+            assert w.norm - w.point_defect == data.expected_sup, w.coeffs
+
+
+def _run_case(monkeypatch, case, seen, capped, biting, closed):
     name, family, target, new, old = case
     if old.rule is not None:  # the Fraction rule, once per vector
         old = replace(old, rule=lru_cache(maxsize=None)(old.rule))
@@ -267,6 +267,9 @@ def _run_case(monkeypatch, case, seen, capped, biting):
         _compare(monkeypatch, family, target, zero_first, new, old, seen, broken=True),
     ]
     assert reports[0].expectation_pass, name
+    if old.kind == "asymptotic":
+        _assert_closed_forms(reports[0], old.rule)
+        closed.append(name)
     for label, mutation in _mutations(family).items():
         pair = mutation(old, new)
         if pair is not None:
@@ -289,12 +292,13 @@ ROUTES = {
 def test_every_case_matches_the_oracle_on_seeded_wrong_expectations(monkeypatch, route):
     if ROUTES[route] is not None:
         monkeypatch.setattr(embeddings, "molecule_table", ROUTES[route])
-    seen, capped, biting, names = set(), [], set(), []
+    seen, capped, biting, names, closed = set(), [], set(), [], []
     cases = list(_standard_cases()) + list(_pipeline_cases(monkeypatch))
     for case in cases:
-        _run_case(monkeypatch, case, seen, capped, biting)
+        _run_case(monkeypatch, case, seen, capped, biting, closed)
         names.append(case[0])
     assert names == list(VERIFY_THEOREMS) + ["power_line", "example48", "dmqr41", "tree"]
+    assert closed == ["thm43", "thm45", "thm46", "power_line", "dmqr41"]
     assert seen == set(TEMPLATES)
     assert biting == set(_mutations(cases[0][1]))
     assert capped
