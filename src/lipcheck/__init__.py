@@ -2,7 +2,7 @@
 
 from .embeddings import main_theorem_pipeline, standard_family, verify_standard
 from .freespace import free_element, free_norm_flow, free_norm_lp
-from .lipfun import lip_norm, lipfn
+from .lipfun import combine, lip_norm, lipfn
 from .metric import catalog, make_space, truncate, validate
 from .rational import BACKEND, Rat, format_rat, parse_rat, rat
 from .rtree import tree_c0_pipeline, weighted_tree
@@ -13,6 +13,7 @@ __all__ = [
     "BACKEND",
     "Rat",
     "catalog",
+    "combine",
     "format_rat",
     "free_element",
     "free_norm_flow",

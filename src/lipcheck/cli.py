@@ -331,6 +331,8 @@ def cmd_verify(config: RunConfig) -> int:
     default_n = standard_size(config.theorem, config.params)
     n = _check_range("truncation size", default_n if config.n is None else config.n, 2, MAX_N)
     built = standard_family(config.theorem, N=n, **config.params)
+    if not built.size:
+        raise PreconditionError(f"{config.theorem} has no family member at N = {n}: nothing to verify")
     report = verify_standard(built, seed=config.seed, rand_count=config.rand_count,
                              support=config.support)
     blob = report_json(config.theorem, built.spec.space.name, n, built.checker, report)

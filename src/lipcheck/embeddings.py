@@ -49,7 +49,7 @@ from operator import itemgetter, neg
 from typing import Callable, Optional
 
 from .rational import ONE, Rat, ZERO, format_rat, rat
-from .lipfun import LipFn, PairRoute, combine, lipfn, molecule_table
+from .lipfun import LipFn, MoleculeTable, lipfn
 from .metric import (
     CheckResult,
     FiniteMetricSpace,
@@ -868,25 +868,20 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
     pair's signed slope. Failures are collected, never raised; the first
     eight are kept, in the order they occur.
 
-    Each vector is read off the family's molecule table where
-    :func:`molecule_table` estimates it cheaper, else combined and its
-    pairs scanned, and compared as integer pairs ``(num, den)``. As
-    ‖−f‖ = ‖f‖, a vector whose negation came earlier reuses its norm, sup
-    and least attaining pair, reversed, with no scan."""
+    Each vector is read off the family's molecule table and compared as
+    integer pairs ``(num, den)``. As ‖−f‖ = ‖f‖, a vector whose negation
+    came earlier reuses its norm, sup and least attaining pair, reversed,
+    with no scan."""
     family, coeff_set = tuple(family), tuple(coeff_set)
     if not family:
         raise PreconditionError("empty family")
     vectors = [(a, *_lift(a, target)) for a in (tuple(map(rat, c)) for c in coeff_set)]
-    classes = {(max(C, tuple(map(neg, C))), K) for _, C, K, _ in vectors}  # {a, -a}
-    table = molecule_table(family, len(classes))  # one scan per class
+    table = MoleculeTable(family)
 
-    def route(coeffs, C, K):
-        return table.combination(C, K) if table else PairRoute(combine(family, coeffs))
-
-    # A route adding one fixed function to every combination is not odd,
+    # A table adding one fixed function to every combination is not odd,
     # and shows it at a = 0: then every vector reads its own combination.
     zero = (0,) * len(family)
-    mirror = bool(vectors) and not any(route(zero, zero, 1).values()[0])
+    mirror = bool(vectors) and not any(table.combination(zero, 1).values()[0])
     exact_all = expect_all = True
     worst, witnesses, failures = (0, 1), [], []
     memo = {}  # per (-C, K) awaiting that vector, what it reuses
@@ -900,7 +895,7 @@ def verify_isometry(family, target: str, coeff_set, expectation: Expectation,
     for coeffs, C, K, N in vectors:
         seen = memo.pop((C, K), None)
         cn = seen[0] if seen else Rat(N, K) if N else ZERO
-        f = route(coeffs, C, K)
+        f = table.combination(C, K)
         data = expectation.rule(C, K, cn)
         # Without a witness pair, one scan finds the norm and the least
         # attaining pair, the recorded witness.

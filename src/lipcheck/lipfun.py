@@ -19,8 +19,7 @@ API boundary.
 
 A battery over a family reads its combinations off the family's
 :class:`MoleculeTable`, one row per direction of the members' slope
-vectors, instead of scanning every pair: where :func:`molecule_table`
-estimates that it pays.
+vectors, instead of combining each and scanning every pair.
 """
 
 from __future__ import annotations
@@ -215,16 +214,6 @@ def combine(fns, coeffs) -> LipFn:
     return reduced_fn(space, tuple(S), K * M)
 
 
-# A battery's estimated cost on each route, in quarters of a pair-scan step
-# (fitted on CPython 3.11, 2-core x86, to the standard and pipeline
-# families). Per scan the pair route pays a set-up, each value combine
-# sums and each pair; the table route a set-up, each row and each nonzero
-# entry. Building the rows pays per pair of distinct columns, per member
-# there and per pair of points; it is done only where it costs at most a
-# BUILD_SHARE-th of the pair route.
-PAIR_ROUTE_VECTOR, COMBINE_VALUE, PAIR_STEP = 300, 1, 4
-TABLE_ROUTE_VECTOR, ROW_STEP, ENTRY_STEP = 150, 5, 1
-BUILD_GROUP_PAIR, BUILD_MEMBER, BUILD_PAIR, BUILD_SHARE = 64, 5, 2, 4
 # Row weights are exact when the distances' lcm has at most this many bits.
 EXACT_SCALE_BITS = 128
 
@@ -404,61 +393,6 @@ class Combination:
 
     def sup_parts(self, p: int):
         return sup_parts(self.table.space, self.values(), p)
-
-
-class PairRoute:
-    """A :func:`combine` result read as a :class:`Combination` is, its norm
-    and attaining pairs from a scan of every pair."""
-
-    __slots__ = ("f",)
-
-    def __init__(self, f: LipFn):
-        self.f = f
-
-    def norm_parts(self, find_pair: bool = False):
-        f = self.f
-        if not find_pair:
-            num, den = max_quotient(f.space.scaled[0], f.lifted[0])
-            return num * f.space.scaled[1], den * f.lifted[1], None
-        attaining = strong_pairs(f)  # -f attains on the same pairs, reversed
-        if not attaining:
-            return 0, 1, None
-        return (*slope_parts(f, *attaining[0]), (attaining[0], min(pq[::-1] for pq in attaining)))
-
-    def slope_parts(self, p: int, q: int):
-        return slope_parts(self.f, p, q)
-
-    def sup_parts(self, p: int):
-        return sup_parts(self.f.space, self.f.lifted, p)
-
-    def values(self):
-        return self.f.lifted
-
-
-def molecule_table(functions, scans: int):
-    """The family's :class:`MoleculeTable` if ``scans`` scans of it are
-    estimated to cost less than ``scans`` runs of the pair route; else
-    None, also for a family on fewer than two points or on more than one
-    space, whose errors the pair route reports. A battery scans once per
-    class {a, -a} of its vectors. The estimate reads the
-    scan count, the pair count and the rows' and nonzero entries' counts,
-    for which the rows are built, unless that alone would cost more than a
-    BUILD_SHARE-th of the pair route."""
-    n = functions[0].space.n_points
-    try:
-        table = MoleculeTable(functions)
-    except PreconditionError:
-        return None
-    groups = len(table.group_columns)
-    pair_route = scans * (PAIR_ROUTE_VECTOR + COMBINE_VALUE * n * table.size
-                            + PAIR_STEP * n * (n - 1) // 2)
-    build = ((BUILD_GROUP_PAIR + BUILD_MEMBER * table.size) * groups * (groups - 1) // 2
-             + BUILD_PAIR * n * (n - 1) // 2)
-    if n < 2 or BUILD_SHARE * build > pair_route:
-        return None
-    entries = sum(len(where) for where, _ in table._weights[0])
-    scan = TABLE_ROUTE_VECTOR + ROW_STEP * len(table.rows) + ENTRY_STEP * entries
-    return table if scans * scan < pair_route else None
 
 
 def _closest_pairs(A, P, Q):

@@ -6,8 +6,7 @@ reads the declaration into functions, and the expectation reads it into
 each member's slope on its witness pair, never the functions built. So a
 fault planted where the functions are built (every value halved or zeroed,
 or one member's value moved at its witness row) must make the verdict fail,
-through the library and through the command line, on the molecule table
-and on the pair route alike. Seeded sweeps of the catalog parameters then
+through the library and through the command line. Seeded sweeps of the catalog parameters then
 check the converse: wherever a hypothesis check (or, for the pipelines, the
 construction) passes, the verdict passes.
 """
@@ -25,14 +24,8 @@ from lipcheck.embeddings import (
     standard_family,
     verify_standard,
 )
-from lipcheck.lipfun import MoleculeTable
 from lipcheck.metric import catalog, power_line
 from lipcheck.rational import ZERO, Rat
-
-ROUTES = {
-    "table": lambda family, scans: MoleculeTable(family),
-    "pairs": lambda family, scans: None,
-}
 
 # Each asymptotic family and pipeline case: its command line, and whether
 # its members are witnessed toward the base, from their deepest row (thm45),
@@ -76,10 +69,9 @@ def _report(name):
     return main_theorem_pipeline(load_model(name, {}), 30).report
 
 
-def _corrupt(monkeypatch, name, corruption, route):
+def _corrupt(monkeypatch, name, corruption):
     """Build every orbit family of ``name`` with ``corruption`` applied to
     its declared values; returns the list of families so corrupted."""
-    monkeypatch.setattr(embeddings, "molecule_table", ROUTES[route])
     real, corrupted = embeddings._orbit_family, []
 
     def orbit_family(space, count, node_of, value, row_of):
@@ -93,12 +85,11 @@ def _corrupt(monkeypatch, name, corruption, route):
     return corrupted
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 @pytest.mark.parametrize("name", CASES)
 def test_a_corrupted_orbit_family_fails_its_verdict(monkeypatch, tmp_path, capsys,
-                                                    name, corruption, route):
-    corrupted = _corrupt(monkeypatch, name, corruption, route)
+                                                    name, corruption):
+    corrupted = _corrupt(monkeypatch, name, corruption)
     report = _report(name)
     assert len(corrupted) == 1
     assert report.expectation_kind == "asymptotic"
@@ -109,10 +100,9 @@ def test_a_corrupted_orbit_family_fails_its_verdict(monkeypatch, tmp_path, capsy
     assert "FAIL" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", CASES)
-def test_the_uncorrupted_orbit_family_passes(monkeypatch, tmp_path, name, route):
-    corrupted = _corrupt(monkeypatch, name, None, route)
+def test_the_uncorrupted_orbit_family_passes(monkeypatch, tmp_path, name):
+    corrupted = _corrupt(monkeypatch, name, None)
     assert _report(name).expectation_pass is True
     assert cli.main(CASES[name][0] + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(corrupted) == 2

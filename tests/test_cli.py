@@ -243,6 +243,21 @@ def test_verify_prop23_witnesses_at_base(tmp_path):
     assert all(s["point_defect"] == "0" for s in blob["witness_samples"])
 
 
+@pytest.mark.parametrize("argv, n", [
+    (["--theorem", "thm45", "--n", "5"], 5),
+    (["--theorem", "thm43", "--n", "3"], 3),
+    (["--theorem", "thm46", "--n", "4"], 4),
+    (["--theorem", "thm57", "--param", "groups=1"], 9),
+])
+def test_verify_refuses_a_truncation_with_no_family_member(tmp_path, capsys, argv, n):
+    """Too short a truncation builds no member: the run exits 2 naming the
+    theorem and N, writes no report and prints no traceback."""
+    code, path = run(tmp_path, "verify", *argv)
+    err = capsys.readouterr().err
+    assert code == 2 and not path.exists()
+    assert err == f"error: {argv[1]} has no family member at N = {n}: nothing to verify\n"
+
+
 def test_pipeline_routes(tmp_path):
     code, path = run(tmp_path, "pipeline", "--model", "dmqr41", "--n", "12")
     assert code == 0

@@ -9,6 +9,7 @@ import matching_oracle
 from builders import delta
 from lipcheck.embeddings import check_thm310
 from lipcheck.freespace import (
+    ComplementationRow,
     complementation_test,
     free_add,
     free_element,
@@ -457,6 +458,19 @@ def test_complementation_on_discrete_pairs():
         complementation_test(pairs, duals[:1], mols)
     with pytest.raises(PreconditionError):
         complementation_test(pairs, [duals[0], lipfn(space, [0, 2, 0, 0, 0])], mols)
+
+
+def test_complementation_reports_its_first_failing_sample():
+    """Two copies of one dual double the coefficient sum at δ₁, where the
+    norm is 1; the sample before it, δ₁ − δ₂, pairs to zero with both."""
+    space = make_space([[0, 1, 1], [1, 0, 2], [1, 2, 0]])
+    f = lipfn(space, [0, 1, 1])
+    samples = [free_add(delta(space, 1), free_scale(delta(space, 2), -1)), delta(space, 1)]
+    report = complementation_test([(1, 0), (2, 0)], [f, f], samples)
+    assert not report.passed and report.first_failure == 1
+    assert report.rows[0].ok and report.rows[0].norm_mu == rat(2)
+    assert report.rows[1] == ComplementationRow(rat(1), rat(2), rat(2))
+    assert not report.rows[1].ok
 
 
 def test_pairing_identities():

@@ -4,8 +4,8 @@ battery vectors once.
 ``verify_isometry`` compares norms, sups and gaps as integer pairs and reads
 a vector whose negation came earlier off that negation's scan: its norm and
 designated sup, and its least attaining pair reversed. Its reports must be
-``pair_route_verify``'s, which scans every vector, on either route and on
-batteries built to stress the mirror. The checkers and the main pipeline read
+``pair_route_verify``'s, which scans every vector, on batteries built to
+stress the mirror. The checkers and the main pipeline read
 sequence distances as integers and build rationals only for what they
 report: counts pin that, and prop42's witness pair is checked on spaces
 other than its standard line.
@@ -38,11 +38,6 @@ from lipcheck.embeddings import (
 from lipcheck.lipfun import MoleculeTable, combine, lipfn, strong_pairs
 from lipcheck.metric import FiniteMetricSpace, make_space
 from lipcheck.rational import ZERO, rat
-
-ROUTES = {
-    "table": lambda family, scans: MoleculeTable(family),
-    "pairs": lambda family, scans: None,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -114,11 +109,9 @@ def _wrong(expectation, change):
     return Expectation(expectation.kind, rule)
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("tid", VERIFY_THEOREMS)
-def test_mirrored_reports_match_the_pair_route(monkeypatch, route, tid):
-    """Every witness and failure, in order, on both routes."""
-    monkeypatch.setattr(embeddings, "molecule_table", ROUTES[route])
+def test_mirrored_reports_match_the_pair_route(tid):
+    """Every witness and failure, in order."""
     built = standard_family(tid)
     battery = _mirror_battery(random.Random(f"mirror:{tid}"), built.size)
     for name, change in WRONG.items():
@@ -131,23 +124,17 @@ def test_mirrored_reports_match_the_pair_route(monkeypatch, route, tid):
             assert got.expectation_pass == (name == "as built"), (tid, name)
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_a_negation_reuses_one_scan(monkeypatch, route):
-    """On either route a vector reuses the scan of its negation if that
-    scan was not reused yet: C, -C, -C and the zero vector twice take three
-    scans. The estimate is handed the two classes {a, -a}."""
-    estimates, scans = [], []
-    real = ROUTES[route]
-    monkeypatch.setattr(embeddings, "molecule_table",
-                        lambda family, n: estimates.append(n) or real(family, n))
-    for name in ("Combination", "PairRoute"):
-        cls = getattr(lipfun, name)
-        monkeypatch.setattr(cls, "norm_parts", _counting(cls.norm_parts, scans))
+def test_a_negation_reuses_one_scan(monkeypatch):
+    """A vector reuses the scan of its negation if that scan was not reused
+    yet: C, -C, -C and the zero vector twice take three scans."""
+    scans = []
+    monkeypatch.setattr(lipfun.Combination, "norm_parts",
+                        _counting(lipfun.Combination.norm_parts, scans))
     built = standard_family("thm43")
     C = (rat(1), rat(-2, 3), ZERO)
     battery = [C, tuple(-a for a in C), tuple(-a for a in C), (ZERO,) * 3, (ZERO,) * 3]
     report = verify_isometry(built.functions, built.target, battery, built.expectation)
-    assert estimates == [2] and len(scans) == 3 and report.expectation_pass
+    assert len(scans) == 3 and report.expectation_pass
     norms = [w.norm for w in report.witnesses]
     assert norms[0] is norms[1] and norms[1] == norms[2] and norms[3] is norms[4] is ZERO
 
@@ -190,9 +177,7 @@ def test_a_tied_row_keeps_the_least_pair_of_each_orientation():
     assert pairs == ((3, 2), (1, 4))
 
 
-@pytest.mark.parametrize("route", ROUTES)
-def test_a_mirrored_vector_records_the_reversed_pair(monkeypatch, route):
-    monkeypatch.setattr(embeddings, "molecule_table", ROUTES[route])
+def test_a_mirrored_vector_records_the_reversed_pair():
     family = _tied_family()
     exact = Expectation("exact", lambda C, K, norm: RuleData(norm))
     battery = [(rat(1),), (rat(-1),), (rat(-3, 2),), (rat(3, 2),)]
@@ -273,8 +258,8 @@ def test_pipelines_read_only_integer_views(monkeypatch, model_name, case):
 # defect, the orbit rules' member slopes and thm57's two rule values. None
 # comes from arithmetic, so the count is the same on every Python version.
 VERIFY_FRACTIONS = {
-    "prop23": 135, "prop31": 120, "thm34": 120, "thm37": 120, "prop42": 120,
-    "thm43": 184, "thm45": 187, "thm46": 102, "thm51": 120, "prop53": 120, "thm57": 164,
+    "prop23": 120, "prop31": 120, "thm34": 120, "thm37": 120, "prop42": 120,
+    "thm43": 184, "thm45": 187, "thm46": 102, "thm51": 120, "prop53": 120, "thm57": 161,
     "dmqr41": 575, "example48": 442, "power_line": 509,
 }
 # The only rational comparisons left in these jobs check the parameters of

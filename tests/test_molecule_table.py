@@ -1,13 +1,13 @@
-"""The molecule table against the pair route it replaces on most batteries.
+"""The molecule table against the pair route it replaced.
 
 ``MoleculeTable`` reads a combination's norm, first attaining pair, slopes,
 values and pointwise sups off one table per family; the pair route combines
 every vector with ``combine`` and scans its pairs with ``strong_pairs`` or
 ``lip_norm``. The kernels must agree on tie-heavy families, and
 ``verify_isometry`` must write the same reports as ``pair_route_verify``,
-the pair-route verifier kept in ``isometry_oracle``, whichever route the
-cost estimate picks and with the table forced. Counts pin the table sizes,
-the estimate's choices and one table scan per vector and its negation.
+the pair-route verifier kept in ``isometry_oracle``, on every battery shape
+the CLI and the benchmark run. Counts pin the table sizes and one table
+scan per vector and its negation.
 """
 
 import random
@@ -33,7 +33,6 @@ from lipcheck.lipfun import (
     lip_norm,
     lipfn,
     max_quotient,
-    molecule_table,
     pointwise_sup,
     slope_parts,
     strong_pairs,
@@ -164,41 +163,35 @@ def test_combination_refuses_what_combine_refuses():
     other = truncate(catalog("discrete"), fns[0].space.n_points)
     with pytest.raises(PreconditionError, match="different spaces"):
         MoleculeTable(fns + (lipfn(other, [0] * other.n_points),))
-    assert molecule_table(fns + (lipfn(other, [0] * other.n_points),), 500) is None
     point = truncate(catalog("discrete"), 2).subspace([0])
-    assert molecule_table([lipfn(point, [0])], 500) is None
+    assert MoleculeTable([lipfn(point, [0])]).rows == ()
 
 
 # ---------------------------------------------------------------------------
 # Whole reports against the pair-route verifier
 
 
-ROUTES = {"estimate": None, "table": lambda family, vectors: MoleculeTable(family)}
+# (support, rand_count): the default battery, the benchmark's, and the
+# smallest ones with and without a random vector
+BATTERIES = {"default": {}, "4x20": dict(support=4, rand_count=20),
+             "1x1": dict(support=1, rand_count=1), "1x0": dict(support=1, rand_count=0)}
 
 
-def _force(monkeypatch, route):
-    if ROUTES[route] is not None:
-        monkeypatch.setattr(embeddings, "molecule_table", ROUTES[route])
-
-
-@pytest.mark.parametrize("route", ROUTES)
+@pytest.mark.parametrize("battery", BATTERIES)
 @pytest.mark.parametrize("tid", VERIFY_THEOREMS)
-def test_standard_reports_match_the_pair_route(monkeypatch, route, tid):
+def test_standard_reports_match_the_pair_route(monkeypatch, battery, tid):
     built = STANDARD[tid]
-    _force(monkeypatch, route)
-    got = verify_standard(built)
+    got = verify_standard(built, **BATTERIES[battery])
     with monkeypatch.context() as m:
         m.setattr(embeddings, "verify_isometry", oracle.pair_route_verify)
-        want = verify_standard(built)
+        want = verify_standard(built, **BATTERIES[battery])
     assert got == want
     assert got.expectation_pass
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("tid", VERIFY_THEOREMS)
-def test_seeded_random_batteries_match_the_pair_route(monkeypatch, route, tid):
+def test_seeded_random_batteries_match_the_pair_route(tid):
     built = STANDARD[tid]
-    _force(monkeypatch, route)
     rng = random.Random(f"battery:{tid}")
     battery = [tuple(rat(rng.randint(-30, 30), rng.randint(1, 12))
                      for _ in range(rng.randint(1, built.size))) for _ in range(30)]
@@ -209,20 +202,25 @@ def test_seeded_random_batteries_match_the_pair_route(monkeypatch, route, tid):
     assert got == want
 
 
-@pytest.mark.parametrize("route", list(ROUTES) + ["pairs"])
-def test_a_vector_longer_than_the_family_is_refused(monkeypatch, route):
+def test_a_vector_longer_than_the_family_is_refused():
     """As ``combine`` refuses it, before the rule reads the vector."""
-    if route == "pairs":
-        monkeypatch.setattr(embeddings, "molecule_table", lambda family, vectors: None)
-    else:
-        _force(monkeypatch, route)
     built = STANDARD["thm43"]
     with pytest.raises(PreconditionError, match="4 coefficients for a family of 3"):
         verify_isometry(built.functions, built.target, [(1, 0, 0, 1)], built.expectation)
 
 
+def test_a_family_on_two_spaces_is_refused_with_an_empty_battery():
+    """The table is built before any vector is read, so members on
+    different spaces are refused even when there is no vector to combine."""
+    built = STANDARD["thm43"]
+    other = truncate(catalog("discrete"), built.spec.space.n_points)
+    family = built.functions + (lipfn(other, [0] * other.n_points),)
+    with pytest.raises(PreconditionError, match="cannot add functions on different spaces"):
+        verify_isometry(family, built.target, [], built.expectation)
+
+
 def test_a_battery_may_be_any_iterable():
-    """The battery is read twice, for the estimate and the report's
+    """The battery is read twice, for the vectors and the report's
     coefficient set, so a generator reads as the tuple it yields."""
     built = STANDARD["thm45"]
     battery = standard_battery(built.size, rand_count=4, support=2)
@@ -256,13 +254,12 @@ TREES = {
     "path": (10, [(i, i + 1, 1) for i in range(9)]),
     "caterpillar": (8, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
                         (1, 5, 1), (2, 6, 1), (3, 7, 1)]),
+    "weighted path": (4, [(0, 1, 5), (1, 2, 5), (2, 3, 1)]),  # a right-neighbour partner
 }
 
 
-@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("shape", TREES)
-def test_tree_pipelines_match_the_pair_route(monkeypatch, route, shape):
-    _force(monkeypatch, route)
+def test_tree_pipelines_match_the_pair_route(monkeypatch, shape):
     tree = weighted_tree(*TREES[shape])
     new, old = _pipeline_pair(monkeypatch, lambda: tree_c0_pipeline(tree_metric(tree), tree=tree))
     # the built families hold distinct rule closures, so compare the rest
@@ -301,31 +298,6 @@ def test_rows_keep_one_least_pair_per_orientation():
             assert next(x for x in u if x) > 0
             assert len(up) == len(down) == 2 and up != down and sorted(up) == sorted(down)
             assert den == A[up[0]][up[1]] and num > 0
-
-
-def _scans_of(built, support=None, rand_count=100):
-    """The scans of a standard battery: one per ± pair of sign vectors, one
-    for the zero vector and one per random vector."""
-    head = min(built.size, embeddings.SIGN_SUPPORT_LIMIT if support is None else support)
-    return (3 ** head + 1) // 2 + rand_count
-
-
-def test_the_estimate_picks_the_route():
-    """Pinned choices on the scans of the standard battery (support 5, 100
-    random vectors) and of the benchmark's (support 4, 20 random vectors).
-    thm57's 685 rows are a third of its pairs, each dense: building them
-    costs more than a quarter of the pair route's 34 scans, but not of its
-    114. prop23 has a row per pair, so its table pays only on the 222 scans
-    of the standard battery. example48 at N = 128 has 2,016 rows of two
-    entries against 8,128 pairs, and builds its table for either."""
-    for name, picks in (("thm57", (True, False)), ("prop23", (True, False)),
-                        ("example48@128", (True, True)), ("thm43", (True, True)),
-                        ("thm34", (True, True)), ("thm51", (True, True)),
-                        ("dmqr41@128", (True, True))):
-        built = STANDARD.get(name) or PIPELINE[name]
-        shapes = (_scans_of(built), _scans_of(built, support=4, rand_count=20))
-        got = tuple(molecule_table(built.functions, v) is not None for v in shapes)
-        assert got == picks, name
 
 
 def _count_scans(monkeypatch, count_calls):

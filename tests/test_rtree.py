@@ -182,6 +182,18 @@ def test_pipeline_path_takes_chain_route():
     assert res.report.exact_pass and res.report.expectation_pass
 
 
+def test_pipeline_chain_partners_a_closer_right_neighbour():
+    # Path 0-1-2-3 with edges 5, 5, 1: anchor 2 is nearer its right
+    # neighbour 3 than its left neighbour 1, so 3 is its partner.
+    t = weighted_tree(4, [(0, 1, 5), (1, 2, 5), (2, 3, 1)])
+    res = tree_c0_pipeline(tree_metric(t), tree=t)
+    assert res.case == "aligned-chain"
+    assert res.chain == (0, 1, 2, 3)
+    assert res.points == (2,)
+    assert res.partners == (3,)
+    assert res.report.exact_pass and res.report.expectation_pass
+
+
 def test_pipeline_chain_walk_from_interior_base():
     # Base in the middle of a path: the walk descends into the longer side.
     t = weighted_tree(7, [(i, i + 1, 1) for i in range(6)], base=2)

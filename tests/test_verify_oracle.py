@@ -223,7 +223,7 @@ _table_combination = MoleculeTable.combination
 
 
 def _missing_zero_on_table(table, C, K):
-    """The same fault where the table route reads a combination: the last
+    """The same fault where the table reads a combination: the last
     coefficient ``C[-1] / K`` one more. Any linear combination of members
     vanishes at the zero vector, so no change to the members alone can
     make it miss."""
@@ -233,7 +233,6 @@ def _missing_zero_on_table(table, C, K):
 def _compare(monkeypatch, family, target, battery, new, old, seen, broken=False):
     with monkeypatch.context() as m:
         if broken:
-            m.setattr(embeddings, "combine", _missing_zero)
             m.setattr(MoleculeTable, "combination", _missing_zero_on_table)
             m.setattr(oracle, "combine", _missing_zero)
         got = verify_isometry(family, target, battery, new, seed=11)
@@ -279,19 +278,7 @@ def _run_case(monkeypatch, case, seen, capped, biting, closed):
     capped.extend(name for rep in reports if len(rep.failures) == 8)
 
 
-# The battery's route: as the cost estimate picks it, or forced to the
-# molecule table or to the pair scan for every family.
-ROUTES = {
-    "estimate": None,
-    "table": lambda family, vectors: MoleculeTable(family),
-    "pairs": lambda family, vectors: None,
-}
-
-
-@pytest.mark.parametrize("route", ROUTES)
-def test_every_case_matches_the_oracle_on_seeded_wrong_expectations(monkeypatch, route):
-    if ROUTES[route] is not None:
-        monkeypatch.setattr(embeddings, "molecule_table", ROUTES[route])
+def test_every_case_matches_the_oracle_on_seeded_wrong_expectations(monkeypatch):
     seen, capped, biting, names, closed = set(), [], set(), [], []
     cases = list(_standard_cases()) + list(_pipeline_cases(monkeypatch))
     for case in cases:
