@@ -6,8 +6,10 @@ reads the declaration into functions, and the expectation reads it into
 each member's slope on its witness pair, never the functions built. So a
 fault planted where the functions are built (every value halved or zeroed,
 or one member's value moved at its witness row) must make the verdict fail,
-through the library and through the command line. Seeded sweeps of the catalog parameters then
-check the converse: wherever a hypothesis check (or, for the pipelines, the
+through the library and through the command line, on the molecule table
+and on the pair-route oracle ``isometry_oracle.pair_route_verify`` alike,
+so the reference the table is compared with elsewhere bites on these faults
+too. Seeded sweeps of the catalog parameters then check the converse: wherever a hypothesis check (or, for the pipelines, the
 construction) passes, the verdict passes.
 """
 
@@ -15,6 +17,7 @@ import random
 
 import pytest
 
+import isometry_oracle as oracle
 from lipcheck import cli, embeddings
 from lipcheck.cli import load_model
 from lipcheck.embeddings import (
@@ -26,6 +29,10 @@ from lipcheck.embeddings import (
 )
 from lipcheck.metric import catalog, power_line
 from lipcheck.rational import ZERO, Rat
+
+# The battery's verifier: the library's molecule table, or the pair-route
+# oracle, which combines and scans every vector.
+ROUTES = {"table": None, "pairs": oracle.pair_route_verify}
 
 # Each asymptotic family and pipeline case: its command line, and whether
 # its members are witnessed toward the base, from their deepest row (thm45),
@@ -69,9 +76,12 @@ def _report(name):
     return main_theorem_pipeline(load_model(name, {}), 30).report
 
 
-def _corrupt(monkeypatch, name, corruption):
+def _corrupt(monkeypatch, name, corruption, route):
     """Build every orbit family of ``name`` with ``corruption`` applied to
-    its declared values; returns the list of families so corrupted."""
+    its declared values and verify it on ``route``; returns the list of
+    families so corrupted."""
+    if ROUTES[route] is not None:
+        monkeypatch.setattr(embeddings, "verify_isometry", ROUTES[route])
     real, corrupted = embeddings._orbit_family, []
 
     def orbit_family(space, count, node_of, value, row_of):
@@ -85,11 +95,12 @@ def _corrupt(monkeypatch, name, corruption):
     return corrupted
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("corruption", CORRUPTIONS)
 @pytest.mark.parametrize("name", CASES)
 def test_a_corrupted_orbit_family_fails_its_verdict(monkeypatch, tmp_path, capsys,
-                                                    name, corruption):
-    corrupted = _corrupt(monkeypatch, name, corruption)
+                                                    name, corruption, route):
+    corrupted = _corrupt(monkeypatch, name, corruption, route)
     report = _report(name)
     assert len(corrupted) == 1
     assert report.expectation_kind == "asymptotic"
@@ -100,9 +111,10 @@ def test_a_corrupted_orbit_family_fails_its_verdict(monkeypatch, tmp_path, capsy
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("route", ROUTES)
 @pytest.mark.parametrize("name", CASES)
-def test_the_uncorrupted_orbit_family_passes(monkeypatch, tmp_path, name):
-    corrupted = _corrupt(monkeypatch, name, None)
+def test_the_uncorrupted_orbit_family_passes(monkeypatch, tmp_path, name, route):
+    corrupted = _corrupt(monkeypatch, name, None, route)
     assert _report(name).expectation_pass is True
     assert cli.main(CASES[name][0] + ["--out", str(tmp_path / "report.json")]) == 0
     assert len(corrupted) == 2

@@ -202,11 +202,14 @@ def test_seeded_random_batteries_match_the_pair_route(tid):
     assert got == want
 
 
-def test_a_vector_longer_than_the_family_is_refused():
-    """As ``combine`` refuses it, before the rule reads the vector."""
+@pytest.mark.parametrize("route", ["table", "pairs"])
+def test_a_vector_longer_than_the_family_is_refused(route):
+    """The table refuses it as ``combine`` does on the pair-route oracle,
+    before the rule reads the vector."""
+    verify = verify_isometry if route == "table" else oracle.pair_route_verify
     built = STANDARD["thm43"]
     with pytest.raises(PreconditionError, match="4 coefficients for a family of 3"):
-        verify_isometry(built.functions, built.target, [(1, 0, 0, 1)], built.expectation)
+        verify(built.functions, built.target, [(1, 0, 0, 1)], built.expectation)
 
 
 def test_a_family_on_two_spaces_is_refused_with_an_empty_battery():
@@ -255,6 +258,8 @@ TREES = {
     "caterpillar": (8, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
                         (1, 5, 1), (2, 6, 1), (3, 7, 1)]),
     "weighted path": (4, [(0, 1, 5), (1, 2, 5), (2, 3, 1)]),  # a right-neighbour partner
+    "weighted star": (6, [(0, 1, 1), (0, 2, 2), (0, 3, 3), (0, 4, 5), (0, 5, 8)]),
+    "spider": (7, [(0, 1, 1), (1, 2, 1), (0, 3, 1), (3, 4, 1), (0, 5, 1), (5, 6, 1)]),
 }
 
 
