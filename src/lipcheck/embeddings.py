@@ -1410,6 +1410,8 @@ def _pipeline_case_i1(seq: SequenceView) -> PipelineResult:
             raise ConstructionError("epsilon assignment does not match the closed form")
         if g[n] < 0:
             raise ConstructionError(f"negative shifted distance at n={n}")
+    # Implied by the I-(i) sign, found on every pair by _classify_bounded:
+    # g_n + g_m = L + psi(n) + psi(m) <= d(n, m) is phi(n, m) >= psi(n) + psi(m).
     for n in range(2, ns + 1):
         for m in range(n + 1, ns + 1):
             if g[n] + g[m] > 2 * d[n][m]:
@@ -1443,6 +1445,7 @@ def _pipeline_case_i2(seq: SequenceView) -> PipelineResult:
     while True:
         s, t = sigma[-1], tau[-1]
         e = -seq.phi(s, t) + seq.psi(s) + seq.psi(t)
+        # e > 0 is the I-(ii) sign phi(s, t) < psi(s) + psi(t), found on every pair.
         if e <= 0:
             raise ConstructionError(f"nonpositive epsilon at pair ({s},{t})")
         eps.append(e)
@@ -1498,6 +1501,11 @@ def _pipeline_case_ii(trunc: FiniteMetricSpace) -> PipelineResult:
 
     if len(selected) < 2:
         raise ConstructionError("growth selection found no second point")
+    # Both weight guards are implied. By induction from c_0 = D, inner > 0
+    # and a new point lies farther than inner from the selection, so c > 0.
+    # Then inner, taken when s_j was chosen, exceeds every earlier distance,
+    # so c_j is set by some A[s_k][s_j], k < j. As inner >= A[s_i][s_k] + c_i,
+    # c_i + c_j <= A[s_k][s_j] - A[s_i][s_k] <= A[s_i][s_j] (triangle).
     if any(c <= 0 for c in cvals):
         raise ConstructionError("nonpositive weight in the growth recurrence")
     k_sel = len(selected)

@@ -81,8 +81,8 @@ def molecule(space: FiniteMetricSpace, p: int, q: int) -> FreeElement:
     p, q = _point(space, p), _point(space, q)
     if p == q:
         raise PreconditionError("molecule needs two distinct points")
-    d = space.d(p, q)
-    return free_element(space, {p: ONE / d, q: -ONE / d})
+    A, D = space.scaled
+    return free_element(space, {p: Rat(D, A[p][q]), q: Rat(-D, A[p][q])})
 
 
 def free_add(a: FreeElement, b: FreeElement) -> FreeElement:

@@ -160,9 +160,6 @@ class FiniteMetricSpace:
     def base_index(self) -> int:
         return BASE_INDEX
 
-    def d(self, i: int, j: int) -> Rat:
-        return self.dist[i][j]
-
     def points(self):
         return range(self.n_points)
 

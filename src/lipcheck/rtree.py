@@ -31,11 +31,13 @@ Non-Positive Curvature, Prop. III.H.1.22; Buneman 1974). The quadruples
 through row 0 come first in lexicographic order, so the first failing one
 among them is the first failing one overall, and the witness is the one
 the full scan names. That is C(n-1, 3) quadruples instead of C(n, 4).
-Fractions are built only at the API boundary: a failing quadruple's three
-sums. ``tree_metric`` builds the view itself, growing each distance row
-from the parent's row over edge lengths lifted to one denominator, and
-builds the space from it, so a passing four-point check on a tree metric
-builds no Fraction.
+The pipeline's scans read the same view: the cut components, the hub's
+closest points, the greedy chain walk, its alignment test and the partner
+choice. Fractions are built only at the API boundary: a failing
+quadruple's three sums and an unaligned chain triple's two values.
+``tree_metric`` builds the view itself, growing each distance row from the
+parent's row over edge lengths lifted to one denominator, and builds the
+space from it, so choosing the anchors on a tree metric builds no Fraction.
 """
 
 from __future__ import annotations
@@ -269,14 +271,10 @@ def four_point_check(space: FiniteMetricSpace) -> CheckResult:
     return CheckResult(True, "four-point")
 
 
-def _aligned_triple(space, a, b, c) -> bool:
-    return space.d(a, c) == space.d(a, b) + space.d(b, c)
-
-
-def _split_components(space: FiniteMetricSpace, rows, cut: int):
+def _split_components(A, rows, cut: int):
     """Partition ``rows`` by the relation "the cut point does not lie
-    strictly between": in a tree metric these are the pieces left after
-    removing the cut point.
+    strictly between" on the integer view ``A``: in a tree metric these are
+    the pieces left after removing the cut point.
 
     Components come back sorted internally and ordered by smallest member.
     """
@@ -289,9 +287,11 @@ def _split_components(space: FiniteMetricSpace, rows, cut: int):
             x = parent[x]
         return x
 
+    A_cut = A[cut]
     for i, a in enumerate(rows):
+        Aa, a_cut = A[a], A[a][cut]
         for b in rows[i + 1:]:
-            if space.d(a, cut) + space.d(cut, b) != space.d(a, b):
+            if a_cut + A_cut[b] != Aa[b]:
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[max(ra, rb)] = min(ra, rb)
@@ -302,18 +302,18 @@ def _split_components(space: FiniteMetricSpace, rows, cut: int):
     return tuple(tuple(sorted(g)) for _, g in sorted(groups.items()))
 
 
-def _best_hub(space: FiniteMetricSpace):
+def _best_hub(A):
     """The row whose removal leaves the most components (tie: lowest row)."""
-    n = space.n_points
+    n = len(A)
     best_row, best_count = 0, 0
     for p in range(n):
-        count = len(_split_components(space, range(n), p))
+        count = len(_split_components(A, range(n), p))
         if count > best_count:
             best_row, best_count = p, count
     return best_row, best_count
 
 
-def _greedy_chain(space: FiniteMetricSpace):
+def _greedy_chain(A):
     """Walk from the base, always descending into the largest remaining
     component and stepping to its closest point.
 
@@ -321,41 +321,37 @@ def _greedy_chain(space: FiniteMetricSpace):
     the chosen component lies behind the current point, so the previous
     point, the current one and the next are collinear.
     """
-    n = space.n_points
     chain = [0]
-    region = set(range(1, n))
+    region = set(range(1, len(A)))
     current = 0
     while region:
-        comps = _split_components(space, sorted(region), current)
+        comps = _split_components(A, sorted(region), current)
         # Largest component first; ties go to the one with the lowest row.
         comp = sorted(comps, key=lambda c: (-len(c), c[0]))[0]
-        nxt = min(comp, key=lambda r: (space.d(current, r), r))
+        nxt = min(comp, key=lambda r: (A[current][r], r))
         chain.append(nxt)
         region = set(comp) - {nxt}
         current = nxt
     return chain
 
 
-def _chain_pairs(space: FiniteMetricSpace, chain):
-    """The bump anchors read off an aligned chain: every other chain point,
-    each partnered with its nearest chain neighbour (ties toward the start).
+def _chain_pairs(A, chain):
+    """The bump anchors read off an aligned chain: every other chain point
+    from position 2 on, each partnered with its nearest chain neighbour
+    (ties toward the start).
 
     The chain begins at the base point, which cannot anchor a member of a
-    vanishing-at-base family, so position 0 is always skipped; the family
-    in the idealised statement is infinite and loses nothing by it.
+    vanishing-at-base family, so position 0 is skipped; the family in the
+    idealised statement is infinite and loses nothing by it. No later
+    position holds the base: :func:`_greedy_chain` appends only points of
+    its region, which starts as rows 1..n-1 and only shrinks.
     """
     points, partners = [], []
     for pos in range(2, len(chain), 2):
         p = chain[pos]
-        if p == 0:
-            continue
         left = chain[pos - 1]
-        if pos + 1 < len(chain):
-            right = chain[pos + 1]
-            if space.d(p, right) < space.d(p, left):
-                partners.append(right)
-            else:
-                partners.append(left)
+        if pos + 1 < len(chain) and A[p][chain[pos + 1]] < A[p][left]:
+            partners.append(chain[pos + 1])
         else:
             partners.append(left)
         points.append(p)
@@ -400,7 +396,7 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
 
     Route selection: if some point cuts the space into at least
     ``HUB_COMPONENT_THRESHOLD`` pieces the hub route runs, otherwise the
-    chain route.
+    chain route. Both routes compare the integer view ``space.scaled``.
     The verification report covers the standard coefficient battery under
     the sup-norm target with exact attainment expected.
     """
@@ -418,14 +414,14 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
                     False, "tree-pipeline", "branching-points", (b,), ()
                 ))
 
-    n = space.n_points
-    hub, count = _best_hub(space)
+    A, D = space.scaled
+    hub, count = _best_hub(A)
     if count >= HUB_COMPONENT_THRESHOLD:
         case = "hub-bumps"
         chain = ()
         points, partners = [], []
-        for comp in _split_components(space, range(n), hub):
-            closest = min(comp, key=lambda r: (space.d(hub, r), r))
+        for comp in _split_components(A, range(len(A)), hub):
+            closest = min(comp, key=lambda r: (A[hub][r], r))
             if closest == 0:
                 # The base cannot anchor a member; the other components
                 # still make up the family.
@@ -435,15 +431,15 @@ def tree_c0_pipeline(space: FiniteMetricSpace, tree: Optional[WeightedTree] = No
         points, partners = tuple(points), tuple(partners)
     else:
         case = "aligned-chain"
-        chain = tuple(_greedy_chain(space))
+        chain = tuple(_greedy_chain(A))
         for i in range(len(chain) - 2):
             a, b, c = chain[i], chain[i + 1], chain[i + 2]
-            if not _aligned_triple(space, a, b, c):
+            if A[a][c] != A[a][b] + A[b][c]:
                 raise TreeRefusal(CheckResult(
                     False, "tree-pipeline", "aligned-chain", (a, b, c),
-                    (space.d(a, c), space.d(a, b) + space.d(b, c)),
+                    (Rat(A[a][c], D), Rat(A[a][b] + A[b][c], D)),
                 ))
-        points, partners = _chain_pairs(space, chain)
+        points, partners = _chain_pairs(A, chain)
 
     if not points:
         raise TreeRefusal(CheckResult(

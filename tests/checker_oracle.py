@@ -43,13 +43,13 @@ def check_prop31(space: FiniteMetricSpace, points, partners) -> CheckResult:
     points, partners = _check_point_partners(space, points, partners)
     for p, q in zip(points, partners):
         r = min_positive_radius(space, p)
-        if space.d(p, q) != r:
-            return CheckResult(False, "prop31", "radius", (p, q), (space.d(p, q), r))
+        if space.dist[p][q] != r:
+            return CheckResult(False, "prop31", "radius", (p, q), (space.dist[p][q], r))
     k = len(points)
     for i in range(k):
         for j in range(i + 1, k):
-            lhs = space.d(points[i], points[j])
-            rhs = space.d(points[i], partners[i]) + space.d(points[j], partners[j])
+            lhs = space.dist[points[i]][points[j]]
+            rhs = space.dist[points[i]][partners[i]] + space.dist[points[j]][partners[j]]
             if lhs < rhs:
                 return CheckResult(
                     False, "prop31", "separation", (points[i], points[j]), (lhs, rhs)
@@ -67,7 +67,7 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
     pairs = _check_pairs(space, pairs)
     half = rat(1, 2)
     for p, q in pairs:
-        dpq = space.d(p, q)
+        dpq = space.dist[p][q]
         for r in (p, q):
             rad = min_positive_radius(space, r)
             if rad < half * dpq:
@@ -77,9 +77,9 @@ def check_thm34(space: FiniteMetricSpace, pairs) -> CheckResult:
         for j in range(i + 1, k):
             pa, qa = pairs[i]
             pb, qb = pairs[j]
-            lhs = space.d(pa, qa) + space.d(pb, qb)
+            lhs = space.dist[pa][qa] + space.dist[pb][qb]
             cross = min(
-                space.d(pa, pb), space.d(pa, qb), space.d(qa, pb), space.d(qa, qb)
+                space.dist[pa][pb], space.dist[pa][qb], space.dist[qa][pb], space.dist[qa][qb]
             )
             if lhs > 2 * cross:
                 return CheckResult(
@@ -101,7 +101,7 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
     pairs = _check_pairs(space, pairs)
     flat = [r for pq in pairs for r in pq]
     rad = {r: min_positive_radius(space, r) for r in flat}
-    dd = {i: space.d(p, q) for i, (p, q) in enumerate(pairs)}
+    dd = {i: space.dist[p][q] for i, (p, q) in enumerate(pairs)}
     for i, (p, q) in enumerate(pairs):
         if dd[i] > rad[p] + rad[q]:
             return CheckResult(
@@ -117,19 +117,19 @@ def check_thm37(space: FiniteMetricSpace, pairs) -> CheckResult:
             base = dd[i] + dd[j]
             if i < j:
                 lhs2 = base + rad[pa] + rad[pb] - rad[qa] - rad[qb]
-                if lhs2 > 2 * space.d(pa, pb):
+                if lhs2 > 2 * space.dist[pa][pb]:
                     return CheckResult(
-                        False, "thm37", "pp", (i, j), (lhs2, 2 * space.d(pa, pb))
+                        False, "thm37", "pp", (i, j), (lhs2, 2 * space.dist[pa][pb])
                     )
                 lhs4 = base - rad[pa] - rad[pb] + rad[qa] + rad[qb]
-                if lhs4 > 2 * space.d(qa, qb):
+                if lhs4 > 2 * space.dist[qa][qb]:
                     return CheckResult(
-                        False, "thm37", "qq", (i, j), (lhs4, 2 * space.d(qa, qb))
+                        False, "thm37", "qq", (i, j), (lhs4, 2 * space.dist[qa][qb])
                     )
             lhs3 = base + rad[pa] - rad[pb] - rad[qa] + rad[qb]
-            if lhs3 > 2 * space.d(pa, qb):
+            if lhs3 > 2 * space.dist[pa][qb]:
                 return CheckResult(
-                    False, "thm37", "pq", (i, j), (lhs3, 2 * space.d(pa, qb))
+                    False, "thm37", "pq", (i, j), (lhs3, 2 * space.dist[pa][qb])
                 )
     return CheckResult(True, "thm37")
 
@@ -141,7 +141,7 @@ def check_prop42(space: FiniteMetricSpace, points) -> CheckResult:
     k = len(points)
     for i in range(k):
         for j in range(i + 1, k):
-            lhs = space.d(points[i], points[j])
+            lhs = space.dist[points[i]][points[j]]
             rhs = rad[points[i]] + rad[points[j]]
             if lhs < rhs:
                 return CheckResult(

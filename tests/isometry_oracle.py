@@ -525,7 +525,7 @@ def _old_orbit_fields(space, count, node_of, value, row_of, designated=None, str
             return d_seq(model, u, v)
     else:
         def dist(u, v):
-            return space.d(u - 1, v - 1)
+            return space.dist[u - 1][v - 1]
     members, maps = [], []
     for r, positions in prime_orbits(count):
         members.append(r)

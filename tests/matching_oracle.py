@@ -75,7 +75,7 @@ def matching_min_check(space: FiniteMetricSpace, match_pairs) -> MatchingResult:
         return MatchingResult(True, (), ZERO, ZERO)
     k = len(match_pairs)
     cost = [
-        [space.d(u, v) for _, v in match_pairs] for u, _ in match_pairs
+        [space.dist[u][v] for _, v in match_pairs] for u, _ in match_pairs
     ]
     identity = sum((cost[i][i] for i in range(k)), ZERO)
     A, _ = space.scaled

@@ -84,7 +84,7 @@ def _mangle(rng, rows, n):
 
 
 def _nearest(space, p):
-    return min((q for q in space.points() if q != p), key=lambda q: (space.d(p, q), q))
+    return min((q for q in space.points() if q != p), key=lambda q: (space.dist[p][q], q))
 
 
 def _space_calls(rng, space):

@@ -837,6 +837,18 @@ def test_pipeline_dichotomy_must_be_uniform():
     assert "(1, 2)" in str(err.value) and "(1, 3)" in str(err.value)
 
 
+def test_pipeline_case_i1_refuses_a_negative_shifted_distance():
+    # Unit distances under declared tails L = 2, L(n) = 1/2: phi = -1 is at
+    # least psi(n) + psi(m) = -3 on every pair, so the model takes I-(i),
+    # and g_n = L/2 + psi(n) = -1/2.
+    model = _seq_model(
+        "short-tails", {}, seq_parts=lambda n, m: (1, 1), L_pair=lambda n: rat(1, 2), L=rat(2)
+    )
+    with pytest.raises(ConstructionError) as err:
+        main_theorem_pipeline(model, 8)
+    assert str(err.value) == "negative shifted distance at n=2"
+
+
 def test_pipeline_case_ii_integer_line():
     res = main_theorem_pipeline(integer_line(), 60)
     assert res.case == "II"

@@ -114,7 +114,7 @@ def free_norm_vertex_oracle(mu):
                 a = stack.pop()
                 for b in adj[a]:
                     if values[b] is None:
-                        values[b] = values[a] + sign_of[(a, b)] * space.d(a, b)
+                        values[b] = values[a] + sign_of[(a, b)] * space.dist[a][b]
                         stack.append(b)
             feasible = True
             for p in range(n):
@@ -122,7 +122,7 @@ def free_norm_vertex_oracle(mu):
                     gap = values[p] - values[q]
                     if gap < ZERO:
                         gap = -gap
-                    if gap > space.d(p, q):
+                    if gap > space.dist[p][q]:
                         feasible = False
                         break
                 if not feasible:
@@ -206,9 +206,9 @@ def test_delta_norm_is_base_distance():
     for p in range(1, 5):
         mu = delta(space, p)
         res = free_norm_lp(mu)
-        assert res.value == space.d(p, 0)
-        assert free_norm_flow(mu) == space.d(p, 0)
-        assert free_norm_vertex_oracle(mu) == space.d(p, 0)
+        assert res.value == space.dist[p][0]
+        assert free_norm_flow(mu) == space.dist[p][0]
+        assert free_norm_vertex_oracle(mu) == space.dist[p][0]
         assert lip_norm(res.witness) <= rat(1)
         assert pairing(mu, res.witness) == res.value
 

@@ -297,7 +297,7 @@ def test_rules_read_only_their_distance_closure(monkeypatch):
 
     # ``scaled`` is an instance field; the class property shadows it.
     monkeypatch.setattr(FiniteMetricSpace, "scaled", property(refuse), raising=False)
-    monkeypatch.setattr(FiniteMetricSpace, "d", refuse)
+    monkeypatch.setattr(FiniteMetricSpace, "dist", property(refuse))
     for tid, rule, size in rules:
         coeffs = (ZERO,) * (size - 1) + (rat(3, 2),)
         assert isinstance(rule(*lift_coefficients(coeffs, "sup-norm")), RuleData), tid

@@ -85,7 +85,7 @@ def _transport_oracle(mu: FreeElement):
     demand = [int(w * scale) for _, w in neg]
     m, k = len(pos), len(neg)
     flow = [[0] * k for _ in range(m)]
-    cost = [[space.d(p, q) for q, _ in neg] for p, _ in pos]
+    cost = [[space.dist[p][q] for q, _ in neg] for p, _ in pos]
     forward = [(i, m + j, cost[i][j]) for i in range(m) for j in range(k)]
 
     while True:
@@ -131,8 +131,8 @@ def _transport_oracle(mu: FreeElement):
 
 def _least_optimal_dual_oracle(space: FiniteMetricSpace, arcs) -> LipFn:
     n = space.n_points
-    reversed_arcs = [(p, q, space.d(p, q)) for p in range(n) for q in range(n) if p != q]
-    reversed_arcs += [(t, s, -space.d(s, t)) for s, t in arcs]
+    reversed_arcs = [(p, q, space.dist[p][q]) for p in range(n) for q in range(n) if p != q]
+    reversed_arcs += [(t, s, -space.dist[s][t]) for s, t in arcs]
     found = _shortest_paths_oracle(n, reversed_arcs, [0])
     if found is None:
         raise PreconditionError(

@@ -94,9 +94,9 @@ def _four_point_oracle(space: FiniteMetricSpace) -> CheckResult:
         for q in range(p + 1, n):
             for r in range(q + 1, n):
                 for s in range(r + 1, n):
-                    s1 = space.d(p, q) + space.d(r, s)
-                    s2 = space.d(p, r) + space.d(q, s)
-                    s3 = space.d(p, s) + space.d(q, r)
+                    s1 = space.dist[p][q] + space.dist[r][s]
+                    s2 = space.dist[p][r] + space.dist[q][s]
+                    s3 = space.dist[p][s] + space.dist[q][r]
                     top = max(s1, s2, s3)
                     if (s1, s2, s3).count(top) < 2:
                         return CheckResult(
@@ -672,7 +672,7 @@ def _functions(rng, space):
     # Multiples of the distance to the base tie slopes across pairs whose
     # distances have different denominators.
     for c in (rat(1), rat(-2, 3)):
-        yield lipfn(space, [c * space.d(0, p) for p in space.points()])
+        yield lipfn(space, [c * space.dist[0][p] for p in space.points()])
 
 
 def test_norm_kernels_match_the_oracles_on_tie_heavy_functions():

@@ -8,7 +8,9 @@ designated sup, and its least attaining pair reversed. Its reports must be
 stress the mirror. The checkers and the main pipeline read
 sequence distances as integers and build rationals only for what they
 report: counts pin that, and prop42's witness pair is checked on spaces
-other than its standard line.
+other than its standard line. The checkers, both pipelines, ``molecule``
+and the acceptance criteria that run them give the same results with the
+rational distances ``FiniteMetricSpace.dist`` made to raise.
 """
 
 import fractions
@@ -20,7 +22,13 @@ import pytest
 
 import isometry_oracle as oracle
 from lipcheck import embeddings, lipfun
-from lipcheck.acceptance import _closure_space
+from lipcheck.acceptance import (
+    _closure_space,
+    criterion_6,
+    criterion_8,
+    criterion_9,
+    criterion_10,
+)
 from lipcheck.cli import load_model
 from lipcheck.embeddings import (
     VERIFY_THEOREMS,
@@ -35,9 +43,11 @@ from lipcheck.embeddings import (
     verify_isometry,
     verify_standard,
 )
+from lipcheck.freespace import molecule
 from lipcheck.lipfun import MoleculeTable, combine, lipfn, strong_pairs
 from lipcheck.metric import FiniteMetricSpace, make_space
 from lipcheck.rational import ZERO, rat
+from lipcheck.rtree import TreeRefusal, tree_c0_pipeline, tree_metric, weighted_tree
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +260,68 @@ def test_pipelines_read_only_integer_views(monkeypatch, model_name, case):
     _refuse_dist(monkeypatch)
     got = main_theorem_pipeline(model, 30)
     assert got.case == case and got == want
+
+
+def _spider(legs, length):
+    """``legs`` paths of ``length`` unit edges joined at vertex 0."""
+    edges = [(0 if k == 0 else 1 + leg * length + k - 1, 1 + leg * length + k, 1)
+             for leg in range(legs) for k in range(length)]
+    return weighted_tree(1 + legs * length, edges)
+
+
+TREES = {
+    "star": weighted_tree(8, [(0, i, 1) for i in range(1, 8)]),
+    "path": weighted_tree(10, [(i, i + 1, rat(1 + i % 3, 2)) for i in range(9)]),
+    "caterpillar": weighted_tree(8, [(0, 1, 1), (1, 2, 1), (2, 3, 1), (3, 4, 1),
+                                     (1, 5, 1), (2, 6, 1), (3, 7, 1)]),
+    "spider": _spider(3, 4),
+}
+
+
+@pytest.mark.parametrize("label", TREES)
+def test_tree_pipeline_reads_only_integer_views(monkeypatch, label):
+    tree = TREES[label]
+
+    def run():
+        # the family's expectation holds closures, so compare its functions
+        res = tree_c0_pipeline(tree_metric(tree), tree=tree)
+        return replace(res, family=res.family.functions)
+
+    want = run()
+    assert want.report.expectation_pass
+    _refuse_dist(monkeypatch)
+    assert run() == want
+
+
+def test_tree_refusal_reads_only_integer_views(monkeypatch):
+    """The aligned-chain refusal's two witness values come off the view."""
+    space = make_space([[0 if i == j else rat(2, 3) for j in range(7)] for i in range(7)])
+
+    def refusal():
+        with pytest.raises(TreeRefusal) as exc:
+            tree_c0_pipeline(space)
+        return exc.value.check
+
+    want = refusal()
+    assert want.clause == "aligned-chain" and want.witness_values == (rat(2, 3), rat(4, 3))
+    _refuse_dist(monkeypatch)
+    assert refusal() == want
+
+
+def test_molecule_reads_only_the_integer_view(monkeypatch):
+    space = make_space([[0, rat(3, 2), 2], [rat(3, 2), 0, rat(5, 4)], [2, rat(5, 4), 0]])
+    want = [molecule(space, p, q) for p in range(3) for q in range(3) if p != q]
+    assert want[0].weights == {0: rat(2, 3), 1: rat(-2, 3)}
+    _refuse_dist(monkeypatch)
+    assert [molecule(space, p, q) for p in range(3) for q in range(3) if p != q] == want
+
+
+@pytest.mark.parametrize("criterion", [criterion_6, criterion_8, criterion_9, criterion_10])
+def test_acceptance_criteria_read_only_integer_views(monkeypatch, criterion):
+    want = criterion()
+    assert want["passed"]
+    _refuse_dist(monkeypatch)
+    assert criterion() == want
 
 
 # Rationals each benchmark job's battery builds inside ``verify_isometry``

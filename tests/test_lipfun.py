@@ -88,7 +88,7 @@ def test_defect_sequence_shrinks_for_head_bump():
         vals = [0] * N
         vals[0] = 0
         # row 0 is p_1 on this alias model, so bump p_2 (row 1) instead
-        vals[1] = min(space.d(1, q) for q in range(N) if q != 1)
+        vals[1] = min(space.dist[1][q] for q in range(N) if q != 1)
         fns.append(lipfn(space, vals))
     seq = [defect(f, 1) for f in fns]
     assert all(x == rat(0) for x in seq)

@@ -65,7 +65,7 @@ def test_subspace_rebases_at_first_index():
     sub = space.subspace([2, 0, 4])
     assert sub.n_points == 3
     assert sub.labels[0] == space.labels[2]
-    assert sub.d(0, 1) == space.d(2, 0)
+    assert sub.dist[0][1] == space.dist[2][0]
 
 
 @pytest.mark.parametrize("indices, message", [
@@ -83,7 +83,7 @@ def test_subspace_refuses_indices_outside_the_space(indices, message):
     with pytest.raises(PreconditionError) as err:
         space.subspace(indices)
     assert str(err.value) == message
-    assert space.subspace([4, 3]).d(0, 1) == space.d(4, 3)
+    assert space.subspace([4, 3]).dist[0][1] == space.dist[4][3]
 
 
 # ---------------------------------------------------------------------------
@@ -93,16 +93,16 @@ def test_subspace_refuses_indices_outside_the_space(indices, message):
 def test_truncate_dmqr41_oracle():
     space = truncate(catalog("dmqr41"), 5)
     # alias model: row 0 = p_1, row 1 = p_2; d = 1 + 1/max(1, 2)
-    assert space.d(0, 1) == rat(3, 2)
-    assert space.d(2, 4) == rat(6, 5)
+    assert space.dist[0][1] == rat(3, 2)
+    assert space.dist[2][4] == rat(6, 5)
     assert space.labels[0] == "p1"
 
 
 def test_truncate_example48_oracle():
     space = truncate(catalog("example48"), 6)
     # d(p_1, p_2) = 2 - 1/3 - 2/9 = 13/9
-    assert space.d(0, 1) == rat(13, 9)
-    assert space.d(1, 2) == rat(2) - rat(1, 9) - rat(2, 27)
+    assert space.dist[0][1] == rat(13, 9)
+    assert space.dist[1][2] == rat(2) - rat(1, 9) - rat(2, 27)
 
 
 def test_truncate_prop23_shape():
@@ -110,8 +110,8 @@ def test_truncate_prop23_shape():
     # separate base: rows are 0, p_1, p_2, p_3
     assert space.n_points == 4
     assert space.labels == ("0", "p1", "p2", "p3")
-    assert space.d(0, 1) == rat(1)
-    assert space.d(1, 2) == rat(2)
+    assert space.dist[0][1] == rat(1)
+    assert space.dist[1][2] == rat(2)
 
 
 def test_truncate_bounds():
@@ -209,7 +209,7 @@ def test_dmqr44_eps_range():
     assert model.eps(1) == rat(1, 4)
     space = truncate(model, 6)
     # separate base: d(p_1, p_2) = 3 - eps_2 = 3 - 1/3 = 8/3
-    assert space.d(1, 2) == rat(8, 3)
+    assert space.dist[1][2] == rat(8, 3)
 
 
 def test_thm57_structure():
@@ -217,9 +217,9 @@ def test_thm57_structure():
     space = truncate(model, 65)
     assert space.labels[1] == "p1.1"
     assert space.labels[9] == "p2.1"
-    assert space.d(0, 5) == rat(1)
-    assert space.d(1, 2) == rat(1)       # same group
-    assert space.d(1, 9) == rat(2)       # different groups
+    assert space.dist[0][5] == rat(1)
+    assert space.dist[1][2] == rat(1)       # same group
+    assert space.dist[1][9] == rat(2)       # different groups
     assert model.max_points == 65
 
 
@@ -230,8 +230,8 @@ def _on_truncation(model, N=10):
 
 
 def _read(view, name, *args):
-    """The view's integer ``name(*args)`` as a rational; ``d`` reads ``dist``."""
-    if name == "d":
+    """The view's integer ``name(*args)`` as a rational; ``dist`` reads the rows."""
+    if name == "dist":
         return view.rat(view.dist[args[0]][args[1]])
     return view.rat(getattr(view, name)(*args))
 
@@ -240,12 +240,12 @@ def test_sequence_bookkeeping():
     alias = catalog("dmqr41")
     assert alias.seq_row(1) == 0
     assert model_oracle.row_seq(alias, 0) == 1
-    assert _read(_on_truncation(alias), "d", 0, 1) == rat(0)
-    assert _read(_on_truncation(alias), "d", 0, 3) == rat(4, 3)
+    assert _read(_on_truncation(alias), "dist", 0, 1) == rat(0)
+    assert _read(_on_truncation(alias), "dist", 0, 3) == rat(4, 3)
 
     sep = catalog("example35")
     assert sep.seq_row(1) == 1
-    assert _read(_on_truncation(sep), "d", 0, 2) == rat(3, 2)
+    assert _read(_on_truncation(sep), "dist", 0, 2) == rat(3, 2)
     with pytest.raises(PreconditionError):
         model_oracle.row_seq(sep, 0)
     assert sep.n_seq(10) == 9
@@ -275,7 +275,7 @@ def test_missing_tails_raise():
         model.need_envelopes()
     structured = catalog("prop53")
     with pytest.raises(ModelError):
-        _on_truncation(structured).d(1, 2)
+        _on_truncation(structured).dist[1][2]
 
 
 @pytest.mark.parametrize(
@@ -324,15 +324,15 @@ def test_envelope_declarations_hold_on_window(name):
 def test_integer_and_power_line():
     line = integer_line()
     sp = truncate(line, 8)
-    assert sp.d(0, 7) == rat(7)
+    assert sp.dist[0][7] == rat(7)
     assert not line.bounded
 
     p4 = power_line(4)
     sp4 = truncate(p4, 4)
     # alias rows: 1, 4, 16, 64
-    assert sp4.d(0, 1) == rat(3)
-    assert sp4.d(0, 3) == rat(63)
-    assert sp4.d(2, 3) == rat(48)
+    assert sp4.dist[0][1] == rat(3)
+    assert sp4.dist[0][3] == rat(63)
+    assert sp4.dist[2][3] == rat(48)
     with pytest.raises(ModelError):
         power_line(1)
 
@@ -359,7 +359,7 @@ def test_space_json_roundtrip():
     back = space_from_json(blob)
     assert back.dist == space.dist
     assert back.labels == space.labels
-    assert back.d(1, 2) == rat(4, 3)
+    assert back.dist[1][2] == rat(4, 3)
 
 
 def test_space_json_rejects_non_canonical():

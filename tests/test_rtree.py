@@ -84,23 +84,23 @@ def test_non_integer_tree_indices_are_named_not_truncated():
 
 def test_path_metric_distances():
     sp = tree_metric(unit_path(3))
-    assert sp.d(0, 2) == rat(2)
-    assert sp.d(0, 1) == ONE
+    assert sp.dist[0][2] == rat(2)
+    assert sp.dist[0][1] == ONE
     assert validate(sp).passed
 
 
 def test_star_metric_distances():
     sp = tree_metric(unit_star(3))
-    assert sp.d(1, 2) == rat(2)
-    assert sp.d(0, 3) == ONE
+    assert sp.dist[1][2] == rat(2)
+    assert sp.dist[0][3] == ONE
     assert validate(sp).passed
 
 
 def test_weighted_path_accumulates_lengths():
     t = weighted_tree(4, [(0, 1, rat(1, 2)), (1, 2, rat(1, 3)), (2, 3, 2)])
     sp = tree_metric(t)
-    assert sp.d(0, 3) == rat(1, 2) + rat(1, 3) + 2
-    assert sp.d(1, 3) == rat(1, 3) + 2
+    assert sp.dist[0][3] == rat(1, 2) + rat(1, 3) + 2
+    assert sp.dist[1][3] == rat(1, 3) + 2
 
 
 def test_nonzero_base_goes_first():
@@ -108,8 +108,8 @@ def test_nonzero_base_goes_first():
     sp = tree_metric(t)
     assert sp.labels == ("v3", "v0", "v1", "v2", "v4", "v5")
     # Row 0 is the base leaf; row 1 is the hub.
-    assert sp.d(0, 1) == ONE
-    assert sp.d(0, 2) == rat(2)
+    assert sp.dist[0][1] == ONE
+    assert sp.dist[0][2] == rat(2)
 
 
 # ---------------------------------------------------------------------------

@@ -159,7 +159,7 @@ def lp_oracle(mu):
             coeffs[vcol(q)] = 1
         slack = n_struct + k
         coeffs[slack] = 1
-        sx.add_row(coeffs, space.d(p, q), slack)
+        sx.add_row(coeffs, space.dist[p][q], slack)
 
     head = {}
     for p, w in mu.weights.items():
